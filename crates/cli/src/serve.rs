@@ -4,8 +4,8 @@
 //! Subcommands:
 //!
 //! - `serve run` — drive N deterministic per-session streams against one
-//!   shared store; `--progress` streams flushed
-//!   `commit <eid> ops <n0>,<n1>,...` lines (the multi-session kill -9
+//!   shared store; `--progress` streams the same flushed
+//!   `commit <eid> ops <n0>,<n1>,...` lines as `store run` (the kill -9
 //!   harness reads them to schedule its signal and to bound each
 //!   session's recovered prefix).
 //! - `serve torture` — spawn seeded multi-session `kill -9` children and
@@ -25,7 +25,7 @@ use std::time::Instant;
 
 use picl_campaign::json::Value;
 use picl_campaign::{run_cells, CellPayload};
-use picl_crashlab::run_serve_campaign;
+use picl_crashlab::Target;
 use picl_obs::SnapValue;
 use picl_serve::{
     preload, run_load, session_ops, Arrival, Backend, FsyncKv, LoadReport, LoadSpec, MixPreset,
@@ -85,7 +85,7 @@ torture flags:
 pub fn cmd_serve(args: &Args) -> Result<(), ArgError> {
     match args.subcommand() {
         Some("run") => serve_run(args),
-        Some("torture") => serve_torture(args),
+        Some("torture") => crate::store::torture(args, Target::Serve, 30),
         Some("help") | None => {
             println!("{SERVE_USAGE}");
             Ok(())
@@ -129,6 +129,44 @@ fn apply_serve_op(kv: &ServeKv, session: usize, op: &Op) -> Result<(), StoreErro
     }
 }
 
+/// Opens (recovering if needed) the `--path` store for `sessions`
+/// concurrent sessions, reports any recovery, and wires `--telemetry`
+/// and `--progress`.
+fn open_serve_kv(
+    args: &Args,
+    cfg: &EngineConfig,
+    sessions: usize,
+) -> Result<(ServeKv, Telemetry), ArgError> {
+    let path = crate::store::required_path(args)?;
+    let telemetry = match args.get("telemetry") {
+        Some(_) => Telemetry::new(0, 1 << 18),
+        None => Telemetry::off(),
+    };
+    let medium = crate::store::open_medium(&path, cfg, "file")?;
+    let ops_per_epoch = args.count_or("ops-per-epoch", 8)?;
+    let (mut kv, report) = ServeKv::open(
+        medium,
+        cfg.clone(),
+        telemetry.clone(),
+        ops_per_epoch,
+        sessions,
+    )
+    .map_err(|e| ArgError(format!("open store: {e}")))?;
+    if report.recovered {
+        println!(
+            "recovered {} to epoch {} ({} undo entries replayed, {:.3} ms)",
+            path.display(),
+            report.recovered_to,
+            report.entries_applied,
+            report.recovery_ns as f64 / 1e6
+        );
+    }
+    if args.is_set("progress") {
+        kv.set_commit_hook(crate::store::progress_hook());
+    }
+    Ok((kv, telemetry))
+}
+
 fn serve_run(args: &Args) -> Result<(), ArgError> {
     args.expect_only(&[
         "path",
@@ -150,47 +188,12 @@ fn serve_run(args: &Args) -> Result<(), ArgError> {
         "flight-max-kb",
         "flight-max-files",
     ])?;
-    let path = args
-        .get("path")
-        .map(PathBuf::from)
-        .ok_or_else(|| ArgError("--path is required".into()))?;
     let cfg = serve_engine_config(args, 1024)?;
     let sessions = args.count_or("sessions", 4)? as usize;
     let seed = args.count_or("seed", 1)?;
     let ops_per_session = args.count_or("ops-per-session", 100)?;
     let key_space = args.count_or("key-space", 12)?;
-    let ops_per_epoch = args.count_or("ops-per-epoch", 8)?;
-    let telemetry = match args.get("telemetry") {
-        Some(_) => Telemetry::new(0, 1 << 18),
-        None => Telemetry::off(),
-    };
-    let geometry = Geometry {
-        lines: cfg.lines,
-        log_blocks: cfg.log_blocks,
-    };
-    let medium = if path.exists() {
-        FileMedium::open_existing(&path)
-    } else {
-        FileMedium::open(&path, geometry.total_len())
-    }
-    .map_err(|e| ArgError(format!("cannot open {}: {e}", path.display())))?;
-    let (mut kv, report) = ServeKv::open(
-        Arc::new(medium),
-        cfg.clone(),
-        telemetry.clone(),
-        ops_per_epoch,
-        sessions,
-    )
-    .map_err(|e| ArgError(format!("open store: {e}")))?;
-    if report.recovered {
-        println!(
-            "recovered {} to epoch {} ({} undo entries replayed, {:.3} ms)",
-            path.display(),
-            report.recovered_to,
-            report.entries_applied,
-            report.recovery_ns as f64 / 1e6
-        );
-    }
+    let (mut kv, telemetry) = open_serve_kv(args, &cfg, sessions)?;
     // Metrics are opt-in: without either flag the serving layer keeps
     // its zero-instrumentation fast path.
     let registry = (args.get("metrics-addr").is_some() || args.get("flight-recorder").is_some())
@@ -225,22 +228,6 @@ fn serve_run(args: &Args) -> Result<(), ArgError> {
         }
         _ => None,
     };
-    if args.is_set("progress") {
-        // One flushed line per commit: the multi-session kill -9 harness
-        // reads this stream for both its signal schedule and the
-        // per-session recovery lower bounds.
-        kv.set_commit_hook(Box::new(|eid, counts| {
-            let joined = counts
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(",");
-            let mut stdout = std::io::stdout().lock();
-            let _ = writeln!(stdout, "commit {eid} ops {joined}");
-            let _ = stdout.flush();
-        }));
-    }
-
     let outcomes: Vec<Result<(), StoreError>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..sessions)
             .map(|sid| {
@@ -314,63 +301,6 @@ fn serve_run(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
-fn serve_torture(args: &Args) -> Result<(), ArgError> {
-    args.expect_only(&["trials", "seed", "dir"])?;
-    let trials = args.count_or("trials", 30)?;
-    if trials == 0 {
-        return Err(ArgError("--trials must be at least 1".into()));
-    }
-    let binary = std::env::current_exe()
-        .map_err(|e| ArgError(format!("cannot locate the picl binary: {e}")))?;
-    let dir = match args.get("dir") {
-        Some(d) => PathBuf::from(d),
-        None => std::env::temp_dir().join(format!("picl-serve-torture-{}", std::process::id())),
-    };
-    std::fs::create_dir_all(&dir)
-        .map_err(|e| ArgError(format!("cannot create {}: {e}", dir.display())))?;
-    let report =
-        run_serve_campaign(&binary, &dir, trials, args.count_or("seed", 7)?).map_err(ArgError)?;
-    let mut worst_lost = 0u64;
-    let mut max_recovery_ns = 0u64;
-    let mut sessions_judged = 0u64;
-    let mut flight_lines = 0u64;
-    for o in &report.outcomes {
-        worst_lost = worst_lost.max(o.epochs_lost);
-        max_recovery_ns = max_recovery_ns.max(o.recovery_ns);
-        sessions_judged += o.sessions_consistent.len() as u64;
-        flight_lines += o.flight_lines;
-    }
-    println!(
-        "{} trials, {} kill -9s delivered, {} session verdicts, in {:.2} s",
-        report.outcomes.len(),
-        report.kills,
-        sessions_judged,
-        report.elapsed.as_secs_f64()
-    );
-    println!(
-        "oracle: {} inconsistent, {} RPO violations, {} unreadable flight logs \
-         ({flight_lines} snapshot lines recovered); worst epochs lost {worst_lost}, \
-         slowest recovery {:.3} ms",
-        report.inconsistent,
-        report.rpo_violations,
-        report.flight_failures,
-        max_recovery_ns as f64 / 1e6
-    );
-    if report.passed() {
-        println!(
-            "serve torture: PASS (every session prefix-consistent within the RPO bound, \
-             every flight log readable after the kill)"
-        );
-        Ok(())
-    } else {
-        Err(ArgError(format!(
-            "serve torture: {} inconsistent recoveries, {} RPO violations, \
-             {} unreadable flight logs",
-            report.inconsistent, report.rpo_violations, report.flight_failures
-        )))
-    }
-}
-
 /// `picl store run --threads N`: the same seeded smoke workload, but
 /// sharded across N session threads over one shared store.
 pub(crate) fn store_run_threads(args: &Args, threads: usize) -> Result<(), ArgError> {
@@ -384,58 +314,8 @@ pub(crate) fn store_run_threads(args: &Args, threads: usize) -> Result<(), ArgEr
             "--medium latency is single-threaded; use --threads 1 with it".into(),
         ));
     }
-    let path = args
-        .get("path")
-        .map(PathBuf::from)
-        .ok_or_else(|| ArgError("--path is required".into()))?;
-    let cfg = EngineConfig {
-        lines: args.count_or("lines", 1024)? as u32,
-        log_blocks: args.count_or("log-blocks", 160)? as u32,
-        window: args.count_or("window", 1)?,
-        persist_stall_ms: args.count_or("persist-stall-ms", 0)?,
-        sabotage_skip_drain: false,
-    };
-    cfg.validate()
-        .map_err(|e| ArgError(format!("store geometry: {e}")))?;
-    let geometry = Geometry {
-        lines: cfg.lines,
-        log_blocks: cfg.log_blocks,
-    };
-    let medium = if path.exists() {
-        FileMedium::open_existing(&path)
-    } else {
-        FileMedium::open(&path, geometry.total_len())
-    }
-    .map_err(|e| ArgError(format!("cannot open {}: {e}", path.display())))?;
-    let telemetry = match args.get("telemetry") {
-        Some(_) => Telemetry::new(0, 1 << 18),
-        None => Telemetry::off(),
-    };
-    let (mut kv, report) = ServeKv::open(
-        Arc::new(medium),
-        cfg.clone(),
-        telemetry.clone(),
-        args.count_or("ops-per-epoch", 8)?,
-        threads,
-    )
-    .map_err(|e| ArgError(format!("open store: {e}")))?;
-    if report.recovered {
-        println!(
-            "recovered {} to epoch {} ({} undo entries replayed, {:.3} ms)",
-            path.display(),
-            report.recovered_to,
-            report.entries_applied,
-            report.recovery_ns as f64 / 1e6
-        );
-    }
-    if args.is_set("progress") {
-        // Same plain `commit <eid>` lines as the single-threaded path.
-        kv.set_commit_hook(Box::new(|eid, _| {
-            let mut stdout = std::io::stdout().lock();
-            let _ = writeln!(stdout, "commit {eid}");
-            let _ = stdout.flush();
-        }));
-    }
+    let cfg = crate::store::engine_config(args)?;
+    let (kv, telemetry) = open_serve_kv(args, &cfg, threads)?;
     let seed = args.count_or("seed", 1)?;
     let total_ops = args.count_or("ops", 200)?;
     let key_space = args.count_or("key-space", 16)?;
@@ -450,15 +330,7 @@ pub(crate) fn store_run_threads(args: &Args, threads: usize) -> Result<(), ArgEr
                     let ops =
                         picl_store::generate(seed ^ ((tid as u64) << 32), per_thread, key_space);
                     for op in &ops {
-                        match op {
-                            Op::Put(k, v) => kv.put(tid, k, v)?,
-                            Op::Delete(k) => {
-                                kv.delete(tid, k)?;
-                            }
-                            Op::Get(k) => {
-                                kv.get(tid, k)?;
-                            }
-                        }
+                        apply_serve_op(kv, tid, op)?;
                     }
                     Ok(())
                 })

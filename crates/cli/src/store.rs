@@ -4,7 +4,7 @@
 //!
 //! - `run` — execute a workload (seeded or from a file) against a store
 //!   file, printing epoch/RPO statistics; `--progress` streams flushed
-//!   `commit <eid>` lines for the kill -9 harness.
+//!   `commit <eid> ops <n0>,...` lines for the kill -9 harness.
 //! - `dump` — print a store file's superblock and live undo log.
 //! - `verify` — recover a store file and judge it against the seeded
 //!   model oracle (nonzero exit on any inconsistency).
@@ -17,7 +17,10 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use picl_crashlab::{run_process_campaign, run_store_diff, StoreDiffSpec};
+use picl_crashlab::{
+    run_store_diff, run_torture_campaign, Judgement, KillClass, StoreDiffSpec, Target, Victim,
+};
+use picl_serve::session::CommitHook;
 use picl_store::layout::{decode_log_block, Geometry, Superblock, LOG_BLOCK_BYTES, SB_BYTES};
 use picl_store::{
     apply_to_store, generate, parse_workload, EngineConfig, FileMedium, Kv, LatencyMedium,
@@ -49,7 +52,8 @@ run flags:
   --threads N           run the seeded workload on N concurrent sessions
                         over one shared store (default 1; not combinable
                         with --workload or --medium latency)
-  --progress            stream flushed `commit <eid>` lines to stdout
+  --progress            stream flushed `commit <eid> ops n0,n1,...` lines
+                        (ops applied per session) to stdout
   --telemetry PREFIX    export the engine's event stream (audit-ready)
 
 dump flags:
@@ -84,7 +88,7 @@ pub fn cmd_store(args: &Args) -> Result<(), ArgError> {
         Some("run") => store_run(args),
         Some("dump") => store_dump(args),
         Some("verify") => store_verify(args),
-        Some("torture") => store_torture(args),
+        Some("torture") => torture(args, Target::Store, 51),
         Some("simdiff") => store_simdiff(args),
         Some("help") | None => {
             println!("{STORE_USAGE}");
@@ -96,13 +100,13 @@ pub fn cmd_store(args: &Args) -> Result<(), ArgError> {
     }
 }
 
-fn required_path(args: &Args) -> Result<PathBuf, ArgError> {
+pub(crate) fn required_path(args: &Args) -> Result<PathBuf, ArgError> {
     args.get("path")
         .map(PathBuf::from)
         .ok_or_else(|| ArgError("--path is required".into()))
 }
 
-fn engine_config(args: &Args) -> Result<EngineConfig, ArgError> {
+pub(crate) fn engine_config(args: &Args) -> Result<EngineConfig, ArgError> {
     let cfg = EngineConfig {
         lines: args.count_or("lines", 1024)? as u32,
         log_blocks: args.count_or("log-blocks", 160)? as u32,
@@ -115,7 +119,7 @@ fn engine_config(args: &Args) -> Result<EngineConfig, ArgError> {
     Ok(cfg)
 }
 
-fn open_medium(
+pub(crate) fn open_medium(
     path: &Path,
     cfg: &EngineConfig,
     mode: &str,
@@ -138,6 +142,27 @@ fn open_medium(
             "--medium must be file or latency, not {other:?}"
         ))),
     }
+}
+
+/// Writes one flushed `commit <eid> ops <n0>,<n1>,...` progress line: the
+/// kill -9 harness reads this stream to schedule its signal and to bound
+/// each session's recovered prefix.
+fn write_commit_line(eid: u64, counts: &[u64]) -> std::io::Result<()> {
+    let joined = counts
+        .iter()
+        .map(u64::to_string)
+        .collect::<Vec<_>>()
+        .join(",");
+    let mut stdout = std::io::stdout().lock();
+    writeln!(stdout, "commit {eid} ops {joined}")?;
+    stdout.flush()
+}
+
+/// The `--progress` commit hook for the multi-session paths.
+pub(crate) fn progress_hook() -> CommitHook {
+    Box::new(|eid, counts| {
+        let _ = write_commit_line(eid, counts);
+    })
 }
 
 fn store_run(args: &Args) -> Result<(), ArgError> {
@@ -205,17 +230,12 @@ fn store_run(args: &Args) -> Result<(), ArgError> {
     };
 
     let progress = args.is_set("progress");
-    let mut stdout = std::io::stdout();
     for op in &ops {
         let before = kv.engine().frontiers().1;
         apply_to_store(&mut kv, op).map_err(|e| ArgError(format!("workload: {e}")))?;
         let after = kv.engine().frontiers().1;
         if progress && after != before {
-            // One flushed line per commit: the kill -9 harness reads this
-            // stream to schedule its signal.
-            writeln!(stdout, "commit {after}")
-                .and_then(|()| stdout.flush())
-                .map_err(|e| ArgError(format!("stdout: {e}")))?;
+            write_commit_line(after, &[kv.ops()]).map_err(|e| ArgError(format!("stdout: {e}")))?;
         }
     }
     let (_, committed, persisted) = kv.engine().frontiers();
@@ -306,13 +326,20 @@ fn store_verify(args: &Args) -> Result<(), ArgError> {
         "observed-commit",
     ])?;
     let path = required_path(args)?;
+    let victim = Victim::Store {
+        // The store judge's candidate op count is `recovered_to ×
+        // ops_per_epoch`; it never reads `ops`.
+        ops: 0,
+        ops_per_epoch: args.count_or("ops-per-epoch", 8)?,
+        key_space: args.count_or("key-space", 16)?,
+    };
+    let observed = (args.count_or("observed-commit", 0)?, Vec::new());
     let judgement = picl_crashlab::judge_recovery(
         &path,
         args.count_or("seed", 1)?,
-        args.count_or("ops-per-epoch", 8)?,
-        args.count_or("key-space", 16)?,
+        &victim,
         args.count_or("window", 1)?,
-        args.count_or("observed-commit", 0)?,
+        &[observed],
     )
     .map_err(ArgError)?;
     println!(
@@ -332,61 +359,62 @@ fn store_verify(args: &Args) -> Result<(), ArgError> {
     }
 }
 
-fn store_torture(args: &Args) -> Result<(), ArgError> {
+/// `picl store torture` and `picl serve torture`: one seeded kill -9
+/// campaign against `target` children, and its report.
+pub(crate) fn torture(args: &Args, target: Target, default_trials: u64) -> Result<(), ArgError> {
     args.expect_only(&["trials", "seed", "dir"])?;
-    let trials = args.count_or("trials", 51)?;
+    let trials = args.count_or("trials", default_trials)?;
     if trials == 0 {
         return Err(ArgError("--trials must be at least 1".into()));
     }
     let binary = std::env::current_exe()
         .map_err(|e| ArgError(format!("cannot locate the picl binary: {e}")))?;
+    let name = target.name();
     let dir = match args.get("dir") {
         Some(d) => PathBuf::from(d),
-        None => std::env::temp_dir().join(format!("picl-torture-{}", std::process::id())),
+        None => std::env::temp_dir().join(format!("picl-{name}-torture-{}", std::process::id())),
     };
     std::fs::create_dir_all(&dir)
         .map_err(|e| ArgError(format!("cannot create {}: {e}", dir.display())))?;
-    let report =
-        run_process_campaign(&binary, &dir, trials, args.count_or("seed", 7)?).map_err(ArgError)?;
-    let mut by_class = [0u64; 3];
-    let mut worst_lost = 0u64;
-    let mut total_replayed = 0u64;
-    let mut max_recovery_ns = 0u64;
-    for o in &report.outcomes {
-        by_class[match o.class {
-            picl_crashlab::KillClass::MidEpoch => 0,
-            picl_crashlab::KillClass::Boundary => 1,
-            picl_crashlab::KillClass::MidDrain => 2,
-        }] += 1;
-        worst_lost = worst_lost.max(o.epochs_lost);
-        total_replayed += o.entries_replayed;
-        max_recovery_ns = max_recovery_ns.max(o.recovery_ns);
-    }
+    let report = run_torture_campaign(&binary, &dir, target, trials, args.count_or("seed", 7)?)
+        .map_err(ArgError)?;
+    let by_class = KillClass::ALL.map(|c| report.count(|o| o.class == c));
+    let inconsistent = report.count(|o| !o.judgement.consistent);
+    let rpo_violations = report.count(|o| !o.judgement.rpo_ok);
+    let flight_failures = report.count(|o| o.flight_ok == Some(false));
+    let judgements = || report.outcomes.iter().map(|o| &o.judgement);
+    let worst_lost = judgements().map(Judgement::epochs_lost).max().unwrap_or(0);
+    let total_replayed: u64 = judgements().map(|j| j.entries_replayed).sum();
+    let max_recovery_ns = judgements().map(|j| j.recovery_ns).max().unwrap_or(0);
+    let sessions_judged: usize = judgements().map(|j| j.sessions_consistent.len()).sum();
+    let flight_lines: u64 = report.outcomes.iter().map(|o| o.flight_lines).sum();
     println!(
         "{} trials ({} mid-epoch, {} boundary, {} mid-drain), {} kill -9s delivered, \
-         in {:.2} s",
+         {sessions_judged} session verdicts, in {:.2} s",
         report.outcomes.len(),
         by_class[0],
         by_class[1],
         by_class[2],
-        report.kills,
+        report.count(|o| o.killed),
         report.elapsed.as_secs_f64()
     );
     println!(
-        "oracle: {} inconsistent, {} RPO violations; worst epochs lost {worst_lost}, \
-         {} undo entries replayed across all recoveries, slowest recovery {:.3} ms",
-        report.inconsistent,
-        report.rpo_violations,
-        total_replayed,
+        "oracle: {inconsistent} inconsistent, {rpo_violations} RPO violations, \
+         {flight_failures} unreadable flight logs ({flight_lines} snapshot lines recovered); \
+         worst epochs lost {worst_lost}, {total_replayed} undo entries replayed across all \
+         recoveries, slowest recovery {:.3} ms",
         max_recovery_ns as f64 / 1e6
     );
     if report.passed() {
-        println!("torture: PASS (every recovery prefix-consistent within the RPO bound)");
+        println!(
+            "{name} torture: PASS (every session prefix-consistent within the RPO bound, \
+             every flight log readable after the kill)"
+        );
         Ok(())
     } else {
         Err(ArgError(format!(
-            "torture: {} inconsistent recoveries, {} RPO violations",
-            report.inconsistent, report.rpo_violations
+            "{name} torture: {inconsistent} inconsistent recoveries, \
+             {rpo_violations} RPO violations, {flight_failures} unreadable flight logs"
         )))
     }
 }

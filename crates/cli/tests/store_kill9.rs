@@ -1,11 +1,13 @@
-//! End-to-end torture of the real `picl` binary: spawn `picl store run`,
-//! `kill -9` it mid-epoch, recover the store file, and check the
-//! differential oracle — the full loop the CI smoke step runs at scale.
+//! End-to-end torture of the real `picl` binary: spawn `picl store run`
+//! and `picl serve run` children, `kill -9` them, recover the store file,
+//! and check the oracle — the full loop the CI smoke steps run at scale.
 
 use std::path::PathBuf;
 use std::process::Command;
 
-use picl_crashlab::{run_process_campaign, run_process_trial, KillClass, ProcessTrialSpec};
+use picl_crashlab::{
+    parse_commit_line, run_torture_campaign, run_trial, KillClass, Target, TortureSpec, Victim,
+};
 
 fn picl_bin() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_picl"))
@@ -17,61 +19,125 @@ fn scratch() -> PathBuf {
     dir
 }
 
-#[test]
-fn each_kill_class_recovers_within_the_rpo_bound() {
-    let dir = scratch();
-    for (i, class) in [
-        KillClass::MidEpoch,
-        KillClass::Boundary,
-        KillClass::MidDrain,
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        let spec = ProcessTrialSpec {
-            binary: picl_bin(),
-            store_path: dir.join(format!("class-{i}.store")),
-            seed: 40 + i as u64,
-            ops: 400,
-            ops_per_epoch: 4,
-            key_space: 12,
-            window: 1,
-            kill_after_commit: 3,
-            class,
-            persist_stall_ms: if class == KillClass::MidDrain { 6 } else { 0 },
-        };
-        let outcome = run_process_trial(&spec).expect("harness");
-        assert!(
-            outcome.passed(),
-            "{} trial failed the oracle: {outcome:?}",
-            class.name()
-        );
-        assert!(
-            outcome.epochs_lost <= spec.window,
-            "{}: lost {} epochs with window {}",
-            class.name(),
-            outcome.epochs_lost,
-            spec.window
-        );
-        let _ = std::fs::remove_file(&spec.store_path);
+fn spec(name: &str, seed: u64, victim: Victim, class: KillClass) -> TortureSpec {
+    TortureSpec {
+        binary: picl_bin(),
+        store_path: scratch().join(format!("{name}.store")),
+        seed,
+        victim,
+        window: 1,
+        kill_after_commit: 3,
+        class,
     }
 }
 
 #[test]
+fn each_kill_class_recovers_within_the_rpo_bound() {
+    let victims = [
+        Victim::Store {
+            ops: 400,
+            ops_per_epoch: 4,
+            key_space: 12,
+        },
+        Victim::Serve {
+            sessions: 3,
+            ops_per_session: 120,
+            ops_per_epoch: 4,
+            key_space: 12,
+        },
+    ];
+    for (v, victim) in victims.into_iter().enumerate() {
+        for (i, class) in KillClass::ALL.into_iter().enumerate() {
+            let spec = spec(&format!("class-{v}-{i}"), 40 + i as u64, victim, class);
+            let outcome = run_trial(&spec).expect("harness");
+            assert!(
+                outcome.passed(),
+                "{victim:?} {} trial failed the oracle: {outcome:?}",
+                class.name()
+            );
+            assert!(outcome.killed, "{victim:?} {}: no kill", class.name());
+            assert!(
+                outcome.judgement.epochs_lost() <= spec.window,
+                "{victim:?} {}: lost {} epochs with window {}",
+                class.name(),
+                outcome.judgement.epochs_lost(),
+                spec.window
+            );
+            let _ = std::fs::remove_file(&spec.store_path);
+        }
+    }
+}
+
+#[test]
+fn a_child_that_dies_on_its_own_is_a_harness_error() {
+    // `--key-space 0` panics in the workload generator before the first
+    // commit: no kill is ever delivered, and the trial must not pass as a
+    // clean shutdown.
+    let victim = Victim::Store {
+        ops: 40,
+        ops_per_epoch: 4,
+        key_space: 0,
+    };
+    let spec = spec("dies", 1, victim, KillClass::Boundary);
+    let err = run_trial(&spec).expect_err("a dying child must be a harness error");
+    assert!(err.contains("exit status"), "names the status: {err}");
+    assert!(
+        err.contains("need at least one key"),
+        "quotes stderr: {err}"
+    );
+    let _ = std::fs::remove_file(&spec.store_path);
+}
+
+#[test]
 fn a_small_seeded_campaign_passes_and_actually_kills() {
+    for target in [Target::Store, Target::Serve] {
+        let report =
+            run_torture_campaign(&picl_bin(), &scratch(), target, 6, 11).expect("campaign harness");
+        assert!(
+            report.passed(),
+            "{} campaign failed: {report:?}",
+            target.name()
+        );
+        assert_eq!(report.outcomes.len(), 6);
+        assert!(
+            report.count(|o| o.killed) >= 1,
+            "a 6-trial campaign should deliver at least one SIGKILL"
+        );
+    }
+}
+
+#[test]
+fn every_progress_line_parses_as_a_commit_line() {
     let dir = scratch();
-    let report = run_process_campaign(&picl_bin(), &dir, 6, 11).expect("campaign harness");
-    assert!(
-        report.passed(),
-        "campaign failed: {} inconsistent, {} RPO violations",
-        report.inconsistent,
-        report.rpo_violations
-    );
-    assert_eq!(report.outcomes.len(), 6);
-    assert!(
-        report.kills >= 1,
-        "a 6-trial campaign should deliver at least one SIGKILL"
-    );
+    let runs = [
+        ("store run --ops 60", 1),
+        ("store run --ops 60 --threads 3", 3),
+        ("serve run --sessions 3 --ops-per-session 30", 3),
+    ];
+    for (i, (label, sessions)) in runs.into_iter().enumerate() {
+        let store = dir.join(format!("progress-{i}.store"));
+        let _ = std::fs::remove_file(&store);
+        let out = Command::new(picl_bin())
+            .args(label.split(' '))
+            .args(["--ops-per-epoch", "4", "--progress", "--path"])
+            .arg(&store)
+            .output()
+            .expect("spawn picl");
+        assert!(
+            out.status.success(),
+            "{label} failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+        let lines: Vec<&str> = stdout.lines().filter(|l| l.starts_with("commit")).collect();
+        assert!(!lines.is_empty(), "{label} printed no commit lines");
+        for line in lines {
+            let (_, counts) =
+                parse_commit_line(line).unwrap_or_else(|| panic!("{label}: unparsable {line:?}"));
+            assert_eq!(counts.len(), sessions, "{label}: {line:?}");
+        }
+        let _ = std::fs::remove_file(&store);
+    }
 }
 
 #[test]

@@ -20,15 +20,11 @@
 //!   over the fault-isolated, checkpointed `picl-campaign` executor and
 //!   folds verdicts into a pass/fail matrix; interrupted campaigns resume
 //!   from their completed trials.
-//! - [`process`] — process-mode torture for the executable `picl-store`
-//!   engine: `kill -9` a real child mid-epoch, recover its store file by
-//!   undo replay, and reuse the differential oracle (prefix consistency
-//!   plus the one-epoch RPO bound).
-//! - [`serve`] — the multi-session variant: `kill -9` a `picl serve`
-//!   child under concurrent load and judge recovery *per session* —
-//!   each session owns a disjoint key prefix, so the recovered image
-//!   restricted to a prefix must match some prefix of that session's
-//!   seeded stream, bounded below by the child's per-commit op counts.
+//! - [`torture`] — process torture: `kill -9` a live `picl store run` or
+//!   `picl serve run` child, recover its store file, and judge it per
+//!   session — each session's slice of the image must equal its seeded
+//!   model at an op count the commit stream allows — within the RPO
+//!   bound. A store child is the one-session case.
 //! - [`storediff`] — the store-vs-simulator differential: one logical
 //!   workload through both implementations of the protocol, per-epoch
 //!   undo outcomes required to match line-for-line.
@@ -41,11 +37,10 @@
 pub mod campaign;
 pub mod oracle;
 pub mod point;
-pub mod process;
 pub mod scheme;
-pub mod serve;
 pub mod shrink;
 pub mod storediff;
+pub mod torture;
 
 pub use campaign::{
     run_campaign, run_campaign_with, CampaignCell, CampaignConfig, CampaignFailure, CampaignReport,
@@ -53,14 +48,10 @@ pub use campaign::{
 pub use oracle::{TrialOutcome, TrialSpec};
 pub use picl_campaign::CampaignOptions;
 pub use point::{schedule, CrashPoint, ScheduleConfig};
-pub use process::{
-    judge_recovery, run_process_campaign, run_process_trial, KillClass, ProcessCampaignReport,
-    ProcessTrialOutcome, ProcessTrialSpec,
-};
 pub use scheme::LabScheme;
-pub use serve::{
-    judge_serve_recovery, parse_serve_commit_line, run_serve_campaign, run_serve_trial,
-    ServeCampaignReport, ServeJudgement, ServeTrialOutcome, ServeTrialSpec,
-};
 pub use shrink::{shrink_failure, ShrunkFailure};
 pub use storediff::{run_store_diff, StoreDiffReport, StoreDiffSpec};
+pub use torture::{
+    judge_recovery, parse_commit_line, run_torture_campaign, run_trial, Judgement, KillClass,
+    Target, TortureOutcome, TortureReport, TortureSpec, Victim,
+};

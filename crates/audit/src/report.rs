@@ -49,8 +49,8 @@ pub fn report_to_json(report: &AuditReport) -> String {
 mod tests {
     use super::*;
     use crate::checker::{Verdict, ViolationKind};
-    use picl_campaign::json::Value;
     use picl_telemetry::json::validate_json;
+    use picl_telemetry::json::Value;
 
     #[test]
     fn report_json_is_valid_and_round_trips() {

@@ -12,7 +12,7 @@
 //! event names it does not: unknown events parse to
 //! [`TraceRecord::Other`] so newer traces still audit.
 
-use picl_campaign::json::Value;
+use picl_telemetry::json::Value;
 
 use crate::checker::{AuditConfig, AuditEvent, AuditReport, Checker};
 

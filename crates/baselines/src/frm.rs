@@ -20,9 +20,9 @@ use picl_nvm::{AccessClass, Nvm};
 use picl_telemetry::{EventKind, Telemetry};
 use picl_types::{stats::Counter, Cycle, EpochId};
 
-use picl::epoch::EpochTracker;
 use picl::log::UndoLog;
-use picl::undo::UndoEntry;
+use picl_types::EpochTracker;
+use picl_types::UndoEntry;
 
 /// The FRM undo-logging scheme.
 #[derive(Debug)]

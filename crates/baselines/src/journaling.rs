@@ -23,7 +23,7 @@ use picl_nvm::{AccessClass, Nvm};
 use picl_telemetry::{EventKind, Telemetry};
 use picl_types::{config::TableConfig, stats::Counter, Cycle, EpochId, LineAddr};
 
-use picl::epoch::EpochTracker;
+use picl_types::EpochTracker;
 
 /// Line index where the simulated redo-buffer region begins.
 pub const REDO_REGION_BASE_LINE: u64 = 1 << 41;

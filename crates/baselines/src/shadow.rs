@@ -29,7 +29,7 @@ use picl_types::{
     config::TableConfig, stats::Counter, Cycle, EpochId, LineAddr, PageAddr, PAGE_BYTES,
 };
 
-use picl::epoch::EpochTracker;
+use picl_types::EpochTracker;
 
 /// Line index where the simulated shadow-page region begins.
 pub const SHADOW_REGION_BASE_LINE: u64 = 1 << 42;

@@ -21,7 +21,7 @@ use picl_types::{
     config::TableConfig, stats::Counter, Cycle, EpochId, LineAddr, PageAddr, PAGE_BYTES,
 };
 
-use picl::epoch::EpochTracker;
+use picl_types::EpochTracker;
 
 /// Line index where the simulated ThyNVM redo region begins.
 pub const THYNVM_REGION_BASE_LINE: u64 = 1 << 43;

@@ -8,10 +8,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use std::hint::black_box;
 
-use picl::bloom::BloomFilter;
-use picl::buffer::UndoBuffer;
 use picl::log::UndoLog;
-use picl::undo::UndoEntry;
 use picl_cache::hierarchy::AccessType;
 use picl_cache::{Hierarchy, SetAssocCache};
 use picl_nvm::{DeltaSnapshots, MainMemory, Nvm};
@@ -19,6 +16,9 @@ use picl_sim::{Machine, SchemeKind};
 use picl_trace::spec::SpecBenchmark;
 use picl_trace::TraceSource;
 use picl_types::time::ClockDomain;
+use picl_types::BloomFilter;
+use picl_types::UndoBuffer;
+use picl_types::UndoEntry;
 use picl_types::{config::NvmConfig, CoreId, Cycle, EpochId, LineAddr, SystemConfig};
 
 fn nvm() -> Nvm {

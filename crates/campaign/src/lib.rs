@@ -67,7 +67,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use json::Value;
+use picl_telemetry::json::Value;
 use progress::Progress;
 use store::{CellKey, CheckpointStore, StoredStatus};
 

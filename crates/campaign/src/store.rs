@@ -23,9 +23,7 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use picl_telemetry::json::{escape, validate_json};
-
-use crate::json::Value;
+use picl_telemetry::json::{escape, validate_json, Value};
 
 /// The schema tag written as the store's header line.
 pub const STORE_SCHEMA: &str = "picl-campaign-v1";

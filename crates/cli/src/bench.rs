@@ -12,9 +12,9 @@
 
 use std::time::Instant;
 
-use picl_campaign::json::Value;
 use picl_campaign::{run_cells, CellPayload};
 use picl_sim::{RunReport, SchemeKind, Simulation, WorkloadSpec};
+use picl_telemetry::json::Value;
 use picl_telemetry::json::{escape as json_escape, validate_json};
 use picl_trace::mixes::table_v_mixes;
 use picl_trace::spec::SpecBenchmark;

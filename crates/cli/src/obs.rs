@@ -23,10 +23,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use picl_campaign::json::Value;
 use picl_obs::MetricsRegistry;
 use picl_serve::{preload, run_load, Arrival, LoadSpec, MixPreset, ServeKv};
 use picl_store::{EngineConfig, FileMedium, Geometry};
+use picl_telemetry::json::Value;
 use picl_telemetry::Telemetry;
 use picl_types::stats::Histogram;
 

@@ -23,7 +23,6 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-use picl_campaign::json::Value;
 use picl_campaign::{run_cells, CellPayload};
 use picl_crashlab::Target;
 use picl_obs::SnapValue;
@@ -35,6 +34,7 @@ use picl_store::workload::Op;
 use picl_store::{EngineConfig, FileMedium, Geometry, StoreError, UNDO_BUFFER_ENTRIES};
 use picl_telemetry::export::jsonl_to_string;
 use picl_telemetry::json::validate_json;
+use picl_telemetry::json::Value;
 use picl_telemetry::Telemetry;
 use picl_types::stats::Histogram;
 

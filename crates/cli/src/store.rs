@@ -27,6 +27,7 @@ use picl_store::{
     PersistOps,
 };
 use picl_telemetry::Telemetry;
+use picl_types::EpochId;
 
 use crate::args::{ArgError, Args};
 
@@ -306,7 +307,7 @@ fn store_dump(args: &Args) -> Result<(), ArgError> {
         undoable += block
             .entries
             .iter()
-            .filter(|e| e.covers(sb.persisted_eid))
+            .filter(|e| e.covers(EpochId(sb.persisted_eid)))
             .count() as u64;
     }
     println!(

@@ -19,12 +19,22 @@
 //!    the epoch `ACS-gap` boundaries back by writing its still-dirty lines
 //!    in place.
 //!
-//! [`scheme::Picl`] wires everything into the
-//! [`ConsistencyScheme`](picl_cache::ConsistencyScheme) interface. The
-//! supporting [`epoch`] module tracks Table I's epoch states, [`os`] models
+//! The pure protocol kernel — [`epoch`] (Table I's epoch states), [`undo`]
+//! (the entry and its capture rule, [`undo_range`]), [`buffer`] and
+//! [`bloom`] — lives in `picl_types` so the executable store engine
+//! (`picl-store`) runs the same code. This crate keeps what is specific to
+//! the simulated hardware: [`scheme::Picl`] wires the kernel into the
+//! [`ConsistencyScheme`](picl_cache::ConsistencyScheme) interface with cycle
+//! timing, [`log`] models the durable log in simulated NVM, [`os`] models
 //! the paper's OS responsibilities (log allocation, I/O buffering, the
 //! epoch-boundary interrupt handler), and [`hw_cost`] reproduces the
 //! Table III hardware-overhead accounting for the OpenPiton prototype.
+//!
+//! [`bloom`]: picl_types::bloom
+//! [`buffer`]: picl_types::buffer
+//! [`epoch`]: picl_types::epoch
+//! [`undo`]: picl_types::undo
+//! [`undo_range`]: picl_types::undo::undo_range
 //!
 //! # Example
 //!
@@ -38,18 +48,10 @@
 //! assert_eq!(picl.system_eid().raw(), 1);
 //! ```
 
-pub mod bloom;
-pub mod buffer;
-pub mod epoch;
 pub mod hw_cost;
 pub mod log;
 pub mod os;
 pub mod scheme;
-pub mod undo;
 
-pub use bloom::BloomFilter;
-pub use buffer::UndoBuffer;
-pub use epoch::EpochTracker;
 pub use log::UndoLog;
 pub use scheme::Picl;
-pub use undo::UndoEntry;

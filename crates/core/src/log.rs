@@ -12,9 +12,8 @@
 use std::collections::VecDeque;
 
 use picl_nvm::{AccessClass, Nvm};
+use picl_types::undo::{UndoEntry, ENTRY_BYTES};
 use picl_types::{Cycle, EpochId, LineAddr};
-
-use crate::undo::{UndoEntry, ENTRY_BYTES};
 
 /// Line index where the simulated log region begins — far above any
 /// workload footprint so log traffic has its own rows and banks.

@@ -8,16 +8,14 @@ use picl_cache::{
 };
 use picl_nvm::{AccessClass, Nvm};
 use picl_telemetry::{EventKind, Telemetry};
-use picl_types::{config::SystemConfig, stats::Counter, Cycle, EpochId};
+use picl_types::undo::{undo_range, ENTRY_BYTES};
+use picl_types::{
+    config::SystemConfig, stats::Counter, BloomFilter, Cycle, EpochId, EpochTracker, UndoBuffer,
+    UndoEntry,
+};
 
-use crate::undo::ENTRY_BYTES;
-
-use crate::bloom::BloomFilter;
-use crate::buffer::UndoBuffer;
-use crate::epoch::EpochTracker;
 use crate::log::UndoLog;
 use crate::os::LogAllocator;
-use crate::undo::UndoEntry;
 
 /// The PiCL mechanism (§III–IV).
 ///
@@ -209,15 +207,12 @@ impl ConsistencyScheme for Picl {
     /// lines; `ValidTill` is `SystemEID`.
     fn on_store(&mut self, ev: &StoreEvent, mem: &mut Nvm, now: Cycle) -> StoreDirective {
         let sys = self.epochs.system();
-        if ev.old_eid == Some(sys) {
+        let Some((valid_from, valid_till)) = undo_range(ev.old_eid, sys, self.epochs.persisted())
+        else {
             // Transient modified: same-epoch overwrite, no undo needed.
             return StoreDirective { new_eid: Some(sys) };
-        }
-        let valid_from = match ev.old_eid {
-            Some(tagged) => tagged,
-            None => self.epochs.persisted(),
         };
-        let entry = UndoEntry::new(ev.addr, ev.old_value, valid_from, sys);
+        let entry = UndoEntry::new(ev.addr, ev.old_value, valid_from, valid_till);
         self.undo_entries.incr();
         self.telemetry.record(
             now,
@@ -225,7 +220,7 @@ impl ConsistencyScheme for Picl {
             EventKind::UndoEntryAppended {
                 addr: ev.addr,
                 valid_from,
-                valid_till: sys,
+                valid_till,
             },
         );
         if self.buffer.push(entry) {

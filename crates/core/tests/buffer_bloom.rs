@@ -3,9 +3,9 @@
 
 use proptest::prelude::*;
 
-use picl::bloom::BloomFilter;
-use picl::buffer::UndoBuffer;
-use picl::undo::UndoEntry;
+use picl_types::BloomFilter;
+use picl_types::UndoBuffer;
+use picl_types::UndoEntry;
 use picl_types::{EpochId, LineAddr};
 
 #[derive(Debug, Clone)]

@@ -3,20 +3,40 @@
 //! the target epoch.
 //!
 //! The test drives a reference timeline — per-line value histories across
-//! epochs — and mirrors what PiCL's cache-driven logging would emit:
-//! an undo entry per cross-epoch overwrite, with eviction-driven in-place
-//! writes landing in NVM at arbitrary later points.
+//! epochs — through the capture rule both the simulator and the store
+//! engine run ([`undo_range`]), with eviction-driven in-place writes
+//! landing in NVM at arbitrary later points.
 
 use proptest::prelude::*;
 
 use picl::log::UndoLog;
-use picl::undo::UndoEntry;
 use picl_nvm::Nvm;
 use picl_types::time::ClockDomain;
+use picl_types::undo::{undo_range, UndoEntry};
 use picl_types::{config::NvmConfig, Cycle, EpochId, LineAddr};
 
 fn mem() -> Nvm {
     Nvm::new(NvmConfig::paper_nvm(), ClockDomain::from_mhz(2000))
+}
+
+/// Applies one store of `value` to `line` in epoch `epoch` the way
+/// cache-driven logging does: `lines` holds each line's (value, tag), and
+/// the pre-image is logged iff the capture rule says so. Nothing persisted
+/// before the history, so the floor for untagged lines is epoch 0.
+fn store(
+    lines: &mut [(u64, Option<EpochId>)],
+    log: &mut UndoLog,
+    m: &mut Nvm,
+    line: u64,
+    epoch: u64,
+    value: u64,
+) {
+    let (old_value, tag) = lines[line as usize];
+    if let Some((from, till)) = undo_range(tag, EpochId(epoch), EpochId::ZERO) {
+        let entry = UndoEntry::new(LineAddr::new(line), old_value, from, till);
+        log.append_flush(vec![entry], m, Cycle(0));
+    }
+    lines[line as usize] = (value, Some(EpochId(epoch)));
 }
 
 /// One store in the randomized history: (line, epoch) pairs, epochs
@@ -47,27 +67,12 @@ proptest! {
         // value_at[line][epoch] = value after all stores of that epoch.
         let mut value_at = vec![vec![0u64; (max_epoch + 1) as usize]; lines.len()];
 
-        // Track per-line (current value, epoch it was created in).
-        let mut current: Vec<(u64, u64)> = vec![(0, 0); lines.len()];
+        // Track per-line (current value, epoch tag).
+        let mut current: Vec<(u64, Option<EpochId>)> = vec![(0, None); lines.len()];
         let mut token = 0u64;
         for &(line, epoch) in &history {
             token += 1;
-            let (old_value, old_epoch) = current[line as usize];
-            if old_epoch != epoch {
-                // Cross-epoch store: log the pre-image (cache-driven
-                // logging). ValidFrom = creation epoch, ValidTill = epoch.
-                log.append_flush(
-                    vec![UndoEntry::new(
-                        LineAddr::new(line),
-                        old_value,
-                        EpochId(old_epoch),
-                        EpochId(epoch),
-                    )],
-                    &mut m,
-                    Cycle(0),
-                );
-            }
-            current[line as usize] = (token, epoch);
+            store(&mut current, &mut log, &mut m, line, epoch, token);
             // Fill the reference table forward.
             for e in epoch..=max_epoch {
                 value_at[line as usize][e as usize] = token;
@@ -106,24 +111,11 @@ proptest! {
         let mut m_without = mem();
         let mut log = UndoLog::new();
 
-        let mut current: Vec<(u64, u64)> = vec![(0, 0); 12];
+        let mut current: Vec<(u64, Option<EpochId>)> = vec![(0, None); 12];
         let mut token = 0u64;
         for &(line, epoch) in &history {
             token += 1;
-            let (old_value, old_epoch) = current[line as usize];
-            if old_epoch != epoch {
-                log.append_flush(
-                    vec![UndoEntry::new(
-                        LineAddr::new(line),
-                        old_value,
-                        EpochId(old_epoch),
-                        EpochId(epoch),
-                    )],
-                    &mut m_with_gc,
-                    Cycle(0),
-                );
-            }
-            current[line as usize] = (token, epoch);
+            store(&mut current, &mut log, &mut m_with_gc, line, epoch, token);
         }
         for (i, &(v, _)) in current.iter().enumerate() {
             m_with_gc.state_mut().write_line(LineAddr::new(i as u64), v);

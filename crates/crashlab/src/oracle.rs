@@ -92,8 +92,8 @@ impl picl_campaign::CellPayload for TrialOutcome {
         )
     }
 
-    fn decode(v: &picl_campaign::json::Value) -> Result<TrialOutcome, String> {
-        use picl_campaign::json::Value;
+    fn decode(v: &picl_telemetry::json::Value) -> Result<TrialOutcome, String> {
+        use picl_telemetry::json::Value;
         let consistent = match v.get("consistent") {
             Some(Value::Null) => None,
             Some(Value::Bool(b)) => Some(*b),

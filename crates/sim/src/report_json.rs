@@ -9,10 +9,10 @@
 //! (`Histogram::from_saved`, `NvmStats::from_parts`).
 
 use picl_cache::{HierarchyStats, SchemeStats};
-use picl_campaign::json::Value;
 use picl_campaign::CellPayload;
 use picl_nvm::{AccessClass, NvmStats};
 use picl_telemetry::json::escape;
+use picl_telemetry::json::Value;
 use picl_types::stats::{Counter, Histogram};
 use picl_types::Cycle;
 

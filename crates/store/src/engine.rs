@@ -4,15 +4,21 @@
 //!
 //! # Protocol
 //!
+//! The protocol state is the simulator's kernel from `picl_types`: an
+//! [`EpochTracker`] for the frontiers, the capture rule [`undo_range`],
+//! and an [`UndoBuffer`] of full-line [`UndoEntry`]s guarded by a
+//! [`BloomFilter`].
+//!
 //! The *volatile image* (a heap buffer) plays the cache hierarchy: every
 //! write lands there immediately. The first write to a line in each epoch
 //! appends a `(ValidFrom, ValidTill)` undo entry carrying the line's
 //! pre-image to the coalescing buffer; a full buffer (or an epoch
 //! boundary) drains as one bulk 4 KB log-block write, fenced before the
 //! drain returns. The background persister is the ACS: it walks the dirty
-//! lines of the oldest committed epoch, forces a drain when a line still
-//! has a volatile undo entry (the bloom-probe-before-eviction rule), and
-//! writes lines *in place* — always ordered behind their undo entries.
+//! lines of the oldest committed epoch, probes the buffer's bloom filter
+//! and forces a drain on a hit (the probe-before-eviction rule; a false
+//! positive costs one extra drain), and writes lines *in place* — always
+//! ordered behind their undo entries.
 //! Once every line of epoch `E` is in place it fences, advances the
 //! superblock's persist frontier, and wakes writers stalled on the
 //! in-order window (`committed - persisted <= window`), which is what
@@ -55,15 +61,22 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock};
 
 use picl_telemetry::{EventKind, Telemetry};
 use picl_types::hash::FastSet;
-use picl_types::{Cycle, EpochId, LineAddr, LINE_BYTES};
+use picl_types::undo::undo_range;
+use picl_types::{
+    BloomFilter, Cycle, EpochId, EpochTracker, LineAddr, UndoBuffer, UndoEntry, LINE_BYTES,
+};
 
 use crate::layout::{
-    decode_log_block, encode_log_block, Geometry, LogBlock, Superblock, UndoEntry, DATA_OFFSET,
+    decode_log_block, encode_log_block, Geometry, LogBlock, Superblock, DATA_OFFSET,
     ENTRIES_PER_BLOCK, LOG_BLOCK_BYTES, SB_BYTES, UNDO_BUFFER_ENTRIES,
 };
 use crate::persist::PersistOps;
 
 const LINE: usize = LINE_BYTES as usize;
+
+/// Epoch tag width. The engine's tags are full `EpochId`s, so the §IV-A
+/// wraparound bound never binds; 63 keeps `1 << bits` in range.
+const EID_BITS: u32 = 63;
 
 /// Anything that can go wrong talking to a store.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -181,8 +194,9 @@ pub struct EngineStats {
     pub window_stalls: u64,
 }
 
-/// What `open` did: fresh format or a recovery, with its cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What `open` did: fresh format or a recovery, with its cost. The
+/// default is the report of a fresh format.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpenReport {
     /// Whether an existing store was opened (vs freshly formatted).
     pub recovered: bool,
@@ -198,7 +212,7 @@ pub struct OpenReport {
 }
 
 struct EpochWork {
-    eid: u64,
+    eid: EpochId,
     lines: Vec<u32>,
 }
 
@@ -269,28 +283,57 @@ impl ImageShards {
 }
 
 struct Inner {
-    sys_eid: u64,
-    committed: u64,
-    persisted: u64,
+    /// Executing and persisted epochs; committed is always the epoch
+    /// before the executing one.
+    epochs: EpochTracker,
     generation: u64,
     /// Lower bound for `ValidFrom` of lines with no tag (the persist
     /// frontier at open; their current value is at least that old).
-    floor: u64,
+    floor: EpochId,
     /// Per-line epoch tag: last epoch whose first write logged an undo
-    /// entry for the line (`0` = untagged).
-    tags: Vec<u64>,
-    buffer: Vec<UndoEntry>,
-    buffer_lines: FastSet<u32>,
+    /// entry for the line. `EpochId::ZERO` means untagged — no write is
+    /// ever tagged with epoch 0 — which keeps a tag at 8 bytes.
+    tags: Vec<EpochId>,
+    /// The coalescing undo buffer with its bloom filter.
+    buffer: UndoBuffer<[u8; LINE]>,
     dirty_cur: FastSet<u32>,
     queue: VecDeque<EpochWork>,
     log_head_seq: u64,
     log_start_seq: u64,
     /// `(seq, max_valid_till)` of live log blocks, oldest first, for GC.
-    live_blocks: VecDeque<(u64, u64)>,
+    live_blocks: VecDeque<(u64, EpochId)>,
     tick: u64,
     stats: EngineStats,
     dead: Option<String>,
     shutdown: bool,
+}
+
+impl Inner {
+    /// Protocol state for a store of `lines` lines resuming after the
+    /// durable epoch `persisted`, with an empty log of `generation`.
+    fn new(lines: u32, generation: u64, persisted: EpochId, tick: u64) -> Inner {
+        Inner {
+            epochs: EpochTracker::recovered(persisted, EID_BITS),
+            generation,
+            floor: persisted,
+            tags: vec![EpochId::ZERO; lines as usize],
+            buffer: UndoBuffer::new(UNDO_BUFFER_ENTRIES, BloomFilter::paper_default()),
+            dirty_cur: FastSet::default(),
+            queue: VecDeque::new(),
+            log_head_seq: 0,
+            log_start_seq: 0,
+            live_blocks: VecDeque::new(),
+            tick,
+            stats: EngineStats::default(),
+            dead: None,
+            shutdown: false,
+        }
+    }
+
+    /// The line's epoch tag, if it has one.
+    fn tag(&self, line: u32) -> Option<EpochId> {
+        Some(self.tags[line as usize]).filter(|&t| t != EpochId::ZERO)
+    }
 }
 
 struct Shared {
@@ -341,8 +384,8 @@ impl Shared {
     /// one relaxed load when obs is not attached.
     fn publish_gauges(&self, st: &Inner) {
         if let Some(obs) = self.obs.get() {
-            obs.open_epochs.set(st.sys_eid - st.persisted);
-            obs.window_occupancy.set(st.committed - st.persisted);
+            obs.open_epochs.set(st.epochs.in_flight() + 1);
+            obs.window_occupancy.set(st.epochs.in_flight());
             obs.undo_buffer_fill.set(st.buffer.len() as u64);
             obs.log_blocks_live.set(st.log_head_seq - st.log_start_seq);
         }
@@ -351,7 +394,7 @@ impl Shared {
     /// Drops dead log blocks off the front of the live window.
     fn gc(&self, st: &mut Inner) {
         while let Some(&(seq, max_till)) = st.live_blocks.front() {
-            if max_till <= st.persisted {
+            if max_till <= st.epochs.persisted() {
                 st.live_blocks.pop_front();
                 debug_assert_eq!(seq, st.log_start_seq);
                 st.log_start_seq = seq + 1;
@@ -369,8 +412,7 @@ impl Shared {
         if st.buffer.is_empty() {
             return Ok(());
         }
-        let entries = std::mem::take(&mut st.buffer);
-        st.buffer_lines.clear();
+        let entries = st.buffer.drain();
         if self.cfg.sabotage_skip_drain {
             // Sabotage: pretend the drain happened. The entries are gone;
             // a crash now cannot roll their lines back.
@@ -394,14 +436,15 @@ impl Shared {
             self.geometry.log_blocks
         );
         let block = encode_log_block(st.generation, seq, &entries);
-        let max_till = entries.iter().map(|e| e.valid_till).max().unwrap_or(0);
+        let max_till = entries.iter().map(|e| e.valid_till).max();
         let off = self.geometry.log_slot_off(seq);
         self.medium
             .persist(off, &block)
             .and_then(|()| self.medium.fence())
             .map_err(|e| self.die(st, e.to_string()))?;
         st.log_head_seq = seq + 1;
-        st.live_blocks.push_back((seq, max_till));
+        st.live_blocks
+            .push_back((seq, max_till.unwrap_or_default()));
         st.stats.drains += 1;
         if forced {
             st.stats.forced_drains += 1;
@@ -423,16 +466,6 @@ impl Shared {
         }
         self.publish_gauges(st);
         Ok(())
-    }
-
-    fn superblock(&self, st: &Inner) -> Superblock {
-        Superblock {
-            geometry: self.geometry,
-            persisted_eid: st.persisted,
-            generation: st.generation,
-            log_start_seq: st.log_start_seq,
-            log_head_seq: st.log_head_seq,
-        }
     }
 
     /// Persists a run of consecutive committed epochs in three phases.
@@ -469,36 +502,26 @@ impl Shared {
             self.check_alive(&st)?;
             for (i, work) in works.iter().enumerate() {
                 debug_assert_eq!(
-                    work.eid,
-                    st.persisted + 1 + i as u64,
+                    work.eid.raw(),
+                    st.epochs.persisted().raw() + 1 + i as u64,
                     "epochs persist in order"
                 );
                 let started = st.tick + 1;
                 for &line in &work.lines {
-                    if st.buffer_lines.contains(&line) {
-                        // The line's newest undo entry is still volatile:
-                        // writing the (possibly newer) image in place
-                        // first would break undo-before-eviction. Probe +
-                        // forced drain, as the hardware does on a bloom
-                        // hit.
-                        self.emit(
-                            &mut st,
-                            EventKind::BloomCheck {
-                                addr: LineAddr::new(u64::from(line)),
-                                hit: true,
-                            },
-                        );
+                    let addr = LineAddr::new(u64::from(line));
+                    if st.buffer.eviction_conflicts(addr) {
+                        // The line's newest undo entry may still be
+                        // volatile: writing the (possibly newer) image in
+                        // place first would break undo-before-eviction.
+                        // Forced drain on a bloom hit, as the hardware
+                        // does; a false positive costs one extra drain.
+                        self.emit(&mut st, EventKind::BloomCheck { addr, hit: true });
                         st.stats.bloom_hits += 1;
                         self.drain(&mut st, true)?;
                     }
                     batch.push((line, self.image.read(line)));
                     st.stats.line_writebacks += 1;
-                    self.emit(
-                        &mut st,
-                        EventKind::AcsLineWriteback {
-                            addr: LineAddr::new(u64::from(line)),
-                        },
-                    );
+                    self.emit(&mut st, EventKind::AcsLineWriteback { addr });
                 }
                 spans.push((work.lines.len() as u64, started));
             }
@@ -525,34 +548,35 @@ impl Shared {
             return Err(self.die(&mut st, e.to_string()));
         }
         self.check_alive(&st)?;
-        let prev = st.persisted;
-        let last = works.last().map_or(prev, |w| w.eid);
-        st.persisted = last;
-        let sb = self.superblock(&st).encode();
+        let last = works.last().map_or(st.epochs.persisted(), |w| w.eid);
+        let sb = Superblock {
+            geometry: self.geometry,
+            persisted_eid: last.raw(),
+            generation: st.generation,
+            log_start_seq: st.log_start_seq,
+            log_head_seq: st.log_head_seq,
+        };
         let sb_result = self
             .medium
-            .persist(0, &sb)
+            .persist(0, &sb.encode())
             .and_then(|()| self.medium.fence());
         if let Err(e) = sb_result {
-            st.persisted = prev;
             return Err(self.die(&mut st, e.to_string()));
         }
+        // Only a durable superblock moves the frontier: the tracker
+        // cannot move it back.
+        st.epochs.persist(last);
         for (work, (lines, started)) in works.iter().zip(&spans) {
             st.stats.persists += 1;
             self.emit(
                 &mut st,
                 EventKind::AcsScan {
-                    target: EpochId(work.eid),
+                    target: work.eid,
                     lines: *lines,
                     started: Cycle(*started),
                 },
             );
-            self.emit(
-                &mut st,
-                EventKind::EpochPersist {
-                    eid: EpochId(work.eid),
-                },
-            );
+            self.emit(&mut st, EventKind::EpochPersist { eid: work.eid });
         }
         self.gc(&mut st);
         if let Some(obs) = self.obs.get() {
@@ -626,7 +650,7 @@ impl Engine {
         medium.read(0, &mut head)?;
         let blank = head.iter().all(|&b| b == 0);
         let started = std::time::Instant::now();
-        let (geometry, mut inner, image, report) = if blank {
+        let (geometry, generation, point, tick, image, report) = if blank {
             let geometry = Geometry {
                 lines: cfg.lines,
                 log_blocks: cfg.log_blocks,
@@ -638,25 +662,6 @@ impl Engine {
                     geometry.total_len()
                 )));
             }
-            let inner = Inner {
-                sys_eid: 1,
-                committed: 0,
-                persisted: 0,
-                generation: 1,
-                floor: 0,
-                tags: vec![0; geometry.lines as usize],
-                buffer: Vec::new(),
-                buffer_lines: FastSet::default(),
-                dirty_cur: FastSet::default(),
-                queue: VecDeque::new(),
-                log_head_seq: 0,
-                log_start_seq: 0,
-                live_blocks: VecDeque::new(),
-                tick: 0,
-                stats: EngineStats::default(),
-                dead: None,
-                shutdown: false,
-            };
             let sb = Superblock {
                 geometry,
                 persisted_eid: 0,
@@ -666,15 +671,8 @@ impl Engine {
             };
             medium.persist(0, &sb.encode())?;
             medium.fence()?;
-            let report = OpenReport {
-                recovered: false,
-                recovered_to: 0,
-                entries_applied: 0,
-                lines_restored: 0,
-                recovery_ns: 0,
-            };
             let image = vec![0u8; geometry.lines as usize * LINE];
-            (geometry, inner, image, report)
+            (geometry, 1, EpochId::ZERO, 0, image, OpenReport::default())
         } else {
             let sb = Superblock::decode(&head).map_err(StoreError::Corrupt)?;
             let geometry = sb.geometry;
@@ -688,13 +686,9 @@ impl Engine {
             let mut image = vec![0u8; geometry.lines as usize * LINE];
             medium.read(DATA_OFFSET, &mut image)?;
             let blocks = scan_log(medium.as_ref(), &sb)?;
-            let point = sb.persisted_eid;
-            let telemetry_tick = |n: &mut u64| -> Cycle {
-                *n += 1;
-                Cycle(*n)
-            };
-            let mut tick = 0u64;
-            telemetry.record(telemetry_tick(&mut tick), None, EventKind::RecoveryStart);
+            let point = EpochId(sb.persisted_eid);
+            let mut tick = 1u64;
+            telemetry.record(Cycle(tick), None, EventKind::RecoveryStart);
             let mut restored: FastSet<u32> = FastSet::default();
             let mut applied = 0u64;
             for block in blocks.iter().rev() {
@@ -703,9 +697,10 @@ impl Engine {
                 }
                 for entry in block.entries.iter().rev() {
                     if entry.covers(point) {
-                        let at = entry.line as usize * LINE;
-                        image[at..at + LINE].copy_from_slice(&entry.data);
-                        restored.insert(entry.line);
+                        let line = entry.addr.raw() as u32;
+                        let at = line as usize * LINE;
+                        image[at..at + LINE].copy_from_slice(&entry.value);
+                        restored.insert(line);
                         applied += 1;
                     }
                 }
@@ -725,53 +720,35 @@ impl Engine {
             medium.fence()?;
             let new_sb = Superblock {
                 geometry,
-                persisted_eid: point,
+                persisted_eid: point.raw(),
                 generation: sb.generation + 1,
                 log_start_seq: 0,
                 log_head_seq: 0,
             };
             medium.persist(0, &new_sb.encode())?;
             medium.fence()?;
+            tick += 1;
             telemetry.record(
-                telemetry_tick(&mut tick),
+                Cycle(tick),
                 None,
                 EventKind::RecoveryDone {
-                    recovered_to: EpochId(point),
+                    recovered_to: point,
                     entries: applied,
                 },
             );
-            let inner = Inner {
-                sys_eid: point + 1,
-                committed: point,
-                persisted: point,
-                generation: new_sb.generation,
-                floor: point,
-                tags: vec![0; geometry.lines as usize],
-                buffer: Vec::new(),
-                buffer_lines: FastSet::default(),
-                dirty_cur: FastSet::default(),
-                queue: VecDeque::new(),
-                log_head_seq: 0,
-                log_start_seq: 0,
-                live_blocks: VecDeque::new(),
-                tick,
-                stats: EngineStats::default(),
-                dead: None,
-                shutdown: false,
-            };
             let report = OpenReport {
                 recovered: true,
-                recovered_to: point,
+                recovered_to: point.raw(),
                 entries_applied: applied,
                 lines_restored: lines_restored.len() as u64,
                 recovery_ns: started.elapsed().as_nanos() as u64,
             };
-            (geometry, inner, image, report)
+            (geometry, new_sb.generation, point, tick, image, report)
         };
+        let inner = Inner::new(geometry.lines, generation, point, tick + 1);
         let begin = EventKind::EpochBegin {
-            eid: EpochId(inner.sys_eid),
+            eid: inner.epochs.system(),
         };
-        inner.tick += 1;
         telemetry.record(Cycle(inner.tick), None, begin);
         let shared = Arc::new(Shared {
             medium,
@@ -840,45 +817,43 @@ impl Engine {
     pub fn write_line(&self, line: u32, data: &[u8; LINE]) -> Result<(), StoreError> {
         let mut st = self.lock();
         self.shared.check_alive(&st)?;
-        if st.tags[line as usize] != st.sys_eid {
+        // The epoch's first write to the line logs its pre-image. The
+        // rule is re-evaluated after every wait: the epoch may have moved
+        // on, or another writer may have logged the line meanwhile.
+        while let Some((valid_from, valid_till)) =
+            undo_range(st.tag(line), st.epochs.system(), st.floor)
+        {
             // Gate on log space first, keeping one slot in reserve for
             // the persister's forced drains.
-            loop {
-                self.shared.gc(&mut st);
-                let live = st.log_head_seq - st.log_start_seq;
-                if live < u64::from(self.shared.geometry.log_blocks) - 1 {
-                    break;
-                }
+            self.shared.gc(&mut st);
+            let live = st.log_head_seq - st.log_start_seq;
+            if live >= u64::from(self.shared.geometry.log_blocks) - 1 {
                 st = self.shared.done.wait(st).expect("store engine poisoned");
                 self.shared.check_alive(&st)?;
+                continue;
             }
-            let valid_from = st.tags[line as usize].max(st.floor);
-            let valid_till = st.sys_eid;
+            let addr = LineAddr::new(u64::from(line));
             let pre = self.shared.image.read(line);
-            st.buffer.push(UndoEntry {
-                line,
-                valid_from,
-                valid_till,
-                data: pre,
-            });
-            st.buffer_lines.insert(line);
+            let entry = UndoEntry::new(addr, pre, valid_from, valid_till);
+            let full = st.buffer.push(entry);
             st.tags[line as usize] = valid_till;
             st.dirty_cur.insert(line);
             st.stats.undo_entries += 1;
             self.shared.emit(
                 &mut st,
                 EventKind::UndoEntryAppended {
-                    addr: LineAddr::new(u64::from(line)),
-                    valid_from: EpochId(valid_from),
-                    valid_till: EpochId(valid_till),
+                    addr,
+                    valid_from,
+                    valid_till,
                 },
             );
             if let Some(obs) = self.shared.obs.get() {
                 obs.undo_buffer_fill.set(st.buffer.len() as u64);
             }
-            if st.buffer.len() >= UNDO_BUFFER_ENTRIES {
+            if full {
                 self.shared.drain(&mut st, false)?;
             }
+            break;
         }
         // Still under the protocol mutex: the undo append and the image
         // update must be atomic against a commit boundary, or a crash
@@ -923,25 +898,26 @@ impl Engine {
         let mut st = self.lock();
         self.shared.check_alive(&st)?;
         self.shared.drain(&mut st, false)?;
-        let eid = st.sys_eid;
-        st.committed = eid;
+        let committed = st.epochs.commit();
         st.stats.commits += 1;
         self.shared
-            .emit(&mut st, EventKind::EpochCommit { eid: EpochId(eid) });
+            .emit(&mut st, EventKind::EpochCommit { eid: committed });
         let mut lines: Vec<u32> = st.dirty_cur.drain().collect();
         lines.sort_unstable();
-        st.queue.push_back(EpochWork { eid, lines });
+        st.queue.push_back(EpochWork {
+            eid: committed,
+            lines,
+        });
         self.shared.work.notify_one();
-        st.sys_eid = eid + 1;
-        self.shared.emit(
-            &mut st,
-            EventKind::EpochBegin {
-                eid: EpochId(eid + 1),
-            },
-        );
-        let window_full = st.committed - st.persisted > self.shared.cfg.window;
+        let begun = st.epochs.system();
+        self.shared
+            .emit(&mut st, EventKind::EpochBegin { eid: begun });
+        let window_full = st.epochs.in_flight() > self.shared.cfg.window;
         self.shared.publish_gauges(&st);
-        Ok(CommitTicket { eid, window_full })
+        Ok(CommitTicket {
+            eid: committed.raw(),
+            window_full,
+        })
     }
 
     /// Phase two of a commit: blocks until the in-order window has room
@@ -956,7 +932,7 @@ impl Engine {
     pub fn wait_window(&self, ticket: CommitTicket) -> Result<(), StoreError> {
         let mut st = self.lock();
         let mut waited: Option<std::time::Instant> = None;
-        while st.committed - st.persisted > self.shared.cfg.window && st.dead.is_none() {
+        while st.epochs.in_flight() > self.shared.cfg.window && st.dead.is_none() {
             waited.get_or_insert_with(std::time::Instant::now);
             st.stats.window_stalls += 1;
             self.shared.emit(
@@ -1022,7 +998,8 @@ impl Engine {
     /// `(executing, committed, persisted)` epoch frontiers.
     pub fn frontiers(&self) -> (u64, u64, u64) {
         let st = self.lock();
-        (st.sys_eid, st.committed, st.persisted)
+        let (sys, persisted) = (st.epochs.system().raw(), st.epochs.persisted().raw());
+        (sys, sys - 1, persisted)
     }
 
     /// Protocol counters so far.
@@ -1038,7 +1015,7 @@ impl Engine {
     /// Fails after the medium has died.
     pub fn drain_persister(&self) -> Result<(), StoreError> {
         let mut st = self.lock();
-        while st.persisted < st.committed && st.dead.is_none() {
+        while st.epochs.in_flight() > 0 && st.dead.is_none() {
             st = self.shared.done.wait(st).expect("store engine poisoned");
         }
         self.shared.check_alive(&st)
@@ -1084,17 +1061,34 @@ impl Drop for Engine {
 
 /// Collects every valid log block of the superblock's generation whose
 /// sequence number is still inside the live window, sorted by sequence.
+///
+/// # Errors
+///
+/// A live block that passed its checksum but holds an entry for a line
+/// outside the data region, or with an empty validity range, is
+/// [`StoreError::Corrupt`]: the engine never writes one.
 fn scan_log(medium: &dyn PersistOps, sb: &Superblock) -> Result<Vec<LogBlock>, StoreError> {
     let mut blocks = Vec::new();
     let mut buf = vec![0u8; LOG_BLOCK_BYTES as usize];
     for slot in 0..sb.geometry.log_blocks {
         let off = sb.geometry.log_slot_off(u64::from(slot));
         medium.read(off, &mut buf)?;
-        if let Some(block) = decode_log_block(&buf, sb.generation) {
-            if block.seq >= sb.log_start_seq {
-                blocks.push(block);
-            }
+        let block = decode_log_block(&buf, sb.generation);
+        let Some(block) = block.filter(|b| b.seq >= sb.log_start_seq) else {
+            continue;
+        };
+        let lines = u64::from(sb.geometry.lines);
+        let bad = |e: &&UndoEntry<_>| e.addr.raw() >= lines || e.valid_from >= e.valid_till;
+        if let Some(e) = block.entries.iter().find(bad) {
+            return Err(StoreError::Corrupt(format!(
+                "log block {}: impossible entry for line {} of {lines}, valid {}..{}",
+                block.seq,
+                e.addr.raw(),
+                e.valid_from,
+                e.valid_till
+            )));
         }
+        blocks.push(block);
     }
     blocks.sort_by_key(|b| b.seq);
     Ok(blocks)
@@ -1330,6 +1324,36 @@ mod tests {
         medium.fence().unwrap();
         let err = Engine::open(medium, cfg, Telemetry::off()).unwrap_err();
         assert!(matches!(err, StoreError::Corrupt(_)), "{err:?}");
+    }
+
+    #[test]
+    fn corrupt_log_entries_fail_recovery_as_corrupt() {
+        // Checksummed blocks of the live generation holding entries the
+        // engine never writes: a line past the 64-line data region, and
+        // an empty validity range. Both cover the persist frontier.
+        for (line, from, till) in [(1000, 0, 1), (3, 1, 1)] {
+            let cfg = small_cfg();
+            let medium = medium_for(&cfg);
+            let (engine, _) =
+                Engine::open(Arc::clone(&medium) as _, cfg.clone(), Telemetry::off()).unwrap();
+            let geometry = engine.geometry();
+            engine.close().unwrap();
+            let entry = UndoEntry {
+                addr: LineAddr::new(line),
+                value: line_of(7),
+                valid_from: EpochId(from),
+                valid_till: EpochId(till),
+            };
+            let block = encode_log_block(1, 0, &[entry]);
+            medium.persist(geometry.log_slot_off(0), &block).unwrap();
+            medium.fence().unwrap();
+            let survivor = Arc::new(CountingMedium::from_image(medium.surviving_image()));
+            let err = Engine::open(survivor, cfg, Telemetry::off()).unwrap_err();
+            assert!(
+                matches!(err, StoreError::Corrupt(_)),
+                "line {line} valid {from}..{till}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! as garbage.
 
 use picl_types::hash::fnv1a_64;
-use picl_types::LINE_BYTES;
+use picl_types::{EpochId, LineAddr, LINE_BYTES};
 
 /// Superblock magic: `PICLSTO1`.
 pub const SB_MAGIC: u64 = u64::from_le_bytes(*b"PICLSTO1");
@@ -53,29 +53,9 @@ pub const UNDO_BUFFER_ENTRIES: usize = UNDO_BUFFER_BYTES / ENTRY_BYTES;
 const _: () = assert!(UNDO_BUFFER_ENTRIES >= 16);
 const _: () = assert!(ENTRIES_PER_BLOCK >= UNDO_BUFFER_ENTRIES);
 
-/// One multi-undo log entry: the pre-image `data` is the value the line
-/// held from the end of epoch `valid_from` through the end of epoch
-/// `valid_till - 1`; recovery to point `P` applies it iff
-/// `valid_from <= P < valid_till`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UndoEntry {
-    /// Line index within the data region.
-    pub line: u32,
-    /// First epoch the pre-image is valid for.
-    pub valid_from: u64,
-    /// First epoch the pre-image is *not* valid for (the epoch whose
-    /// first store displaced it).
-    pub valid_till: u64,
-    /// The 64-byte pre-image.
-    pub data: [u8; LINE_BYTES as usize],
-}
-
-impl UndoEntry {
-    /// Whether recovery to `point` must apply this entry.
-    pub fn covers(&self, point: u64) -> bool {
-        self.valid_from <= point && point < self.valid_till
-    }
-}
+/// One multi-undo log entry: the simulator's entry with the full 64-byte
+/// line as its pre-image. `addr` is the line index within the data region.
+pub type UndoEntry = picl_types::UndoEntry<[u8; LINE_BYTES as usize]>;
 
 /// Static geometry of a store file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -209,7 +189,7 @@ pub struct LogBlock {
     pub entries: Vec<UndoEntry>,
     /// Max `valid_till` across entries: the block is dead once the
     /// persist frontier reaches it.
-    pub max_valid_till: u64,
+    pub max_valid_till: EpochId,
 }
 
 /// Serializes one log block.
@@ -228,14 +208,15 @@ pub fn encode_log_block(generation: u64, seq: u64, entries: &[UndoEntry]) -> Vec
     put_u64(&mut buf, 8, generation);
     put_u64(&mut buf, 16, seq);
     put_u32(&mut buf, 24, entries.len() as u32);
-    let max_till = entries.iter().map(|e| e.valid_till).max().unwrap_or(0);
-    put_u64(&mut buf, 32, max_till);
+    let max_till = entries.iter().map(|e| e.valid_till.raw()).max();
+    put_u64(&mut buf, 32, max_till.unwrap_or(0));
     for (i, e) in entries.iter().enumerate() {
         let at = LOG_HEADER_BYTES + i * ENTRY_BYTES;
-        put_u32(&mut buf, at, e.line);
-        put_u64(&mut buf, at + 8, e.valid_from);
-        put_u64(&mut buf, at + 16, e.valid_till);
-        buf[at + 24..at + 24 + LINE_BYTES as usize].copy_from_slice(&e.data);
+        let line = u32::try_from(e.addr.raw()).expect("line index fits the u32 field");
+        put_u32(&mut buf, at, line);
+        put_u64(&mut buf, at + 8, e.valid_from.raw());
+        put_u64(&mut buf, at + 16, e.valid_till.raw());
+        buf[at + 24..at + 24 + LINE_BYTES as usize].copy_from_slice(&e.value);
     }
     let used = LOG_HEADER_BYTES + entries.len() * ENTRY_BYTES;
     let mut sum = fnv1a_64(&buf[..40]);
@@ -246,7 +227,10 @@ pub fn encode_log_block(generation: u64, seq: u64, entries: &[UndoEntry]) -> Vec
 
 /// Parses one log slot. Returns `None` for anything that is not a valid
 /// block of generation `generation` (wrong magic, wrong generation, torn
-/// contents): absent and corrupt are deliberately indistinguishable.
+/// contents): absent and torn are deliberately indistinguishable. The
+/// entries are taken as written; a checksummed block whose entries make no
+/// sense for the store (line out of range, empty validity range) is for
+/// the caller to reject.
 pub fn decode_log_block(buf: &[u8], generation: u64) -> Option<LogBlock> {
     if buf.len() < LOG_BLOCK_BYTES as usize || get_u64(buf, 0) != LOG_MAGIC {
         return None;
@@ -267,19 +251,19 @@ pub fn decode_log_block(buf: &[u8], generation: u64) -> Option<LogBlock> {
     let mut entries = Vec::with_capacity(count);
     for i in 0..count {
         let at = LOG_HEADER_BYTES + i * ENTRY_BYTES;
-        let mut data = [0u8; LINE_BYTES as usize];
-        data.copy_from_slice(&buf[at + 24..at + 24 + LINE_BYTES as usize]);
+        let mut value = [0u8; LINE_BYTES as usize];
+        value.copy_from_slice(&buf[at + 24..at + 24 + LINE_BYTES as usize]);
         entries.push(UndoEntry {
-            line: get_u32(buf, at),
-            valid_from: get_u64(buf, at + 8),
-            valid_till: get_u64(buf, at + 16),
-            data,
+            addr: LineAddr::new(u64::from(get_u32(buf, at))),
+            valid_from: EpochId(get_u64(buf, at + 8)),
+            valid_till: EpochId(get_u64(buf, at + 16)),
+            value,
         });
     }
     Some(LogBlock {
         generation,
         seq: get_u64(buf, 16),
-        max_valid_till: get_u64(buf, 32),
+        max_valid_till: EpochId(get_u64(buf, 32)),
         entries,
     })
 }
@@ -288,13 +272,13 @@ pub fn decode_log_block(buf: &[u8], generation: u64) -> Option<LogBlock> {
 mod tests {
     use super::*;
 
-    fn entry(line: u32, from: u64, till: u64, fill: u8) -> UndoEntry {
-        UndoEntry {
-            line,
-            valid_from: from,
-            valid_till: till,
-            data: [fill; 64],
-        }
+    fn entry(line: u64, from: u64, till: u64, fill: u8) -> UndoEntry {
+        UndoEntry::new(
+            LineAddr::new(line),
+            [fill; 64],
+            EpochId(from),
+            EpochId(till),
+        )
     }
 
     #[test]
@@ -357,7 +341,7 @@ mod tests {
         let block = decode_log_block(&buf, 7).unwrap();
         assert_eq!(block.seq, 41);
         assert_eq!(block.generation, 7);
-        assert_eq!(block.max_valid_till, 2);
+        assert_eq!(block.max_valid_till, EpochId(2));
         assert_eq!(block.entries, entries);
     }
 
@@ -371,15 +355,6 @@ mod tests {
         let mut bad_count = buf;
         bad_count[24] = 0;
         assert!(decode_log_block(&bad_count, 7).is_none(), "zero count");
-    }
-
-    #[test]
-    fn entry_covers_half_open_range() {
-        let e = entry(0, 2, 5, 0);
-        assert!(!e.covers(1));
-        assert!(e.covers(2));
-        assert!(e.covers(4));
-        assert!(!e.covers(5));
     }
 
     #[test]

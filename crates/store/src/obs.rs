@@ -27,7 +27,7 @@ pub struct StoreObs {
     /// `picl_store_window_wait_ns`.
     pub window_wait_ns: Histo,
     /// Epochs not yet persisted, including the executing one
-    /// (`sys_eid - persisted`), `picl_store_open_epochs`.
+    /// (executing minus persisted), `picl_store_open_epochs`.
     pub open_epochs: Gauge,
     /// Committed-but-unpersisted epochs (`committed - persisted`, the
     /// quantity the window bounds), `picl_store_window_occupancy`.

@@ -1,26 +1,21 @@
-//! A minimal, dependency-free JSON syntax validator.
+//! A minimal, dependency-free JSON parser (RFC 8259).
 //!
 //! The exporters hand-assemble JSON; this module lets tests, the `picl
-//! trace` command, and CI verify the output actually parses without pulling
-//! in a JSON crate. It checks syntax only (RFC 8259 grammar) — it does not
-//! build a value tree.
+//! trace` command, and CI verify the output actually parses, and lets
+//! checkpoint resume and report decoders read values back, without pulling
+//! in a JSON crate. [`Value::parse`] builds a value tree; [`validate_json`]
+//! and [`validate_jsonl`] are the syntax checks built on it.
+//!
+//! Numbers keep their raw source text ([`Value::Num`]) so `u64` counters
+//! round-trip exactly — routing them through `f64` would corrupt counts
+//! above 2^53 and break the bit-identical-resume guarantee.
 
 /// Validates that `input` is exactly one well-formed JSON value.
 ///
 /// Returns `Err` with a byte offset and description on the first syntax
 /// error.
 pub fn validate_json(input: &str) -> Result<(), String> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
-    }
-    Ok(())
+    Value::parse(input).map(drop)
 }
 
 /// Validates newline-delimited JSON: every non-empty line must be one
@@ -37,7 +32,123 @@ pub fn validate_jsonl(input: &str) -> Result<usize, String> {
     Ok(n)
 }
 
+/// One parsed JSON value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A number, kept as its raw source text.
+    Num(String),
+    /// A string (unescaped).
+    Str(String),
+    /// An array.
+    Arr(Vec<Value>),
+    /// An object, in source order.
+    Obj(Vec<(String, Value)>),
+}
+
+impl Value {
+    /// Parses exactly one JSON document.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description with a byte offset on the first syntax error.
+    pub fn parse(input: &str) -> Result<Value, String> {
+        let mut p = Parser {
+            src: input,
+            bytes: input.as_bytes(),
+            pos: 0,
+        };
+        p.skip_ws();
+        let v = p.value()?;
+        p.skip_ws();
+        if p.pos != p.bytes.len() {
+            return Err(format!("trailing data at byte {}", p.pos));
+        }
+        Ok(v)
+    }
+
+    /// Looks up a key in an object value.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        match self {
+            Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The string payload, if this is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The boolean payload, if this is a boolean.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// The number parsed as an exact `u64`, if this is a nonnegative
+    /// integer number.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Value::Num(raw) => raw.parse().ok(),
+            _ => None,
+        }
+    }
+
+    /// The number parsed as `usize`.
+    pub fn as_usize(&self) -> Option<usize> {
+        self.as_u64().and_then(|n| usize::try_from(n).ok())
+    }
+
+    /// The number parsed as `f64`.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::Num(raw) => raw.parse().ok(),
+            _ => None,
+        }
+    }
+
+    /// The array elements, if this is an array.
+    pub fn as_arr(&self) -> Option<&[Value]> {
+        match self {
+            Value::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// Convenience: `get(key)` then `as_u64`, with a descriptive error.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error naming the missing or mistyped field.
+    pub fn field_u64(&self, key: &str) -> Result<u64, String> {
+        self.get(key)
+            .and_then(Value::as_u64)
+            .ok_or_else(|| format!("missing or non-integer field {key:?}"))
+    }
+
+    /// Convenience: `get(key)` then `as_str`, with a descriptive error.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error naming the missing or mistyped field.
+    pub fn field_str(&self, key: &str) -> Result<&str, String> {
+        self.get(key)
+            .and_then(Value::as_str)
+            .ok_or_else(|| format!("missing or non-string field {key:?}"))
+    }
+}
+
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -63,7 +174,7 @@ impl Parser<'_> {
         format!("{what} at byte {}", self.pos)
     }
 
-    fn expect_literal(&mut self, lit: &str) -> Result<(), String> {
+    fn literal(&mut self, lit: &str) -> Result<(), String> {
         if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(())
@@ -72,91 +183,116 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<(), String> {
+    fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
             Some(b'{') => self.object(),
             Some(b'[') => self.array(),
-            Some(b'"') => self.string(),
-            Some(b't') => self.expect_literal("true"),
-            Some(b'f') => self.expect_literal("false"),
-            Some(b'n') => self.expect_literal("null"),
+            Some(b'"') => self.string().map(Value::Str),
+            Some(b't') => self.literal("true").map(|()| Value::Bool(true)),
+            Some(b'f') => self.literal("false").map(|()| Value::Bool(false)),
+            Some(b'n') => self.literal("null").map(|()| Value::Null),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.fail("unexpected character")),
             None => Err(self.fail("unexpected end of input")),
         }
     }
 
-    fn object(&mut self) -> Result<(), String> {
+    fn object(&mut self) -> Result<Value, String> {
         self.bump(); // '{'
+        let mut fields = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.bump();
-            return Ok(());
+            return Ok(Value::Obj(fields));
         }
         loop {
             self.skip_ws();
             if self.peek() != Some(b'"') {
                 return Err(self.fail("expected object key string"));
             }
-            self.string()?;
+            let key = self.string()?;
             self.skip_ws();
             if self.bump() != Some(b':') {
                 return Err(self.fail("expected `:`"));
             }
             self.skip_ws();
-            self.value()?;
+            let value = self.value()?;
+            fields.push((key, value));
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
-                Some(b'}') => return Ok(()),
+                Some(b'}') => return Ok(Value::Obj(fields)),
                 _ => return Err(self.fail("expected `,` or `}`")),
             }
         }
     }
 
-    fn array(&mut self) -> Result<(), String> {
+    fn array(&mut self) -> Result<Value, String> {
         self.bump(); // '['
+        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.bump();
-            return Ok(());
+            return Ok(Value::Arr(items));
         }
         loop {
             self.skip_ws();
-            self.value()?;
+            items.push(self.value()?);
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
-                Some(b']') => return Ok(()),
+                Some(b']') => return Ok(Value::Arr(items)),
                 _ => return Err(self.fail("expected `,` or `]`")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<(), String> {
+    fn string(&mut self) -> Result<String, String> {
         self.bump(); // '"'
+        let mut out = String::new();
         loop {
             match self.bump() {
-                Some(b'"') => return Ok(()),
+                Some(b'"') => return Ok(out),
                 Some(b'\\') => match self.bump() {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {}
+                    Some(b'"') => out.push('"'),
+                    Some(b'\\') => out.push('\\'),
+                    Some(b'/') => out.push('/'),
+                    Some(b'b') => out.push('\u{8}'),
+                    Some(b'f') => out.push('\u{c}'),
+                    Some(b'n') => out.push('\n'),
+                    Some(b'r') => out.push('\r'),
+                    Some(b't') => out.push('\t'),
                     Some(b'u') => {
+                        let mut code = 0u32;
                         for _ in 0..4 {
-                            if !matches!(self.bump(), Some(b) if b.is_ascii_hexdigit()) {
-                                return Err(self.fail("bad \\u escape"));
-                            }
+                            let d = self
+                                .bump()
+                                .and_then(|b| (b as char).to_digit(16))
+                                .ok_or_else(|| self.fail("bad \\u escape"))?;
+                            code = code * 16 + d;
                         }
+                        // Surrogate pairs are not reassembled; lone
+                        // surrogates become the replacement character.
+                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                     }
                     _ => return Err(self.fail("bad escape")),
                 },
                 Some(b) if b < 0x20 => return Err(self.fail("raw control character in string")),
-                Some(_) => {}
+                Some(b) if b < 0x80 => out.push(b as char),
+                Some(_) => {
+                    // The lead byte of a multi-byte character; the input
+                    // is a `str`, so the whole character is well-formed.
+                    let c = self.src[self.pos - 1..].chars().next().expect("a char");
+                    out.push(c);
+                    self.pos += c.len_utf8() - 1;
+                }
                 None => return Err(self.fail("unterminated string")),
             }
         }
     }
 
-    fn number(&mut self) -> Result<(), String> {
+    fn number(&mut self) -> Result<Value, String> {
+        let start = self.pos;
         if self.peek() == Some(b'-') {
             self.bump();
         }
@@ -184,7 +320,7 @@ impl Parser<'_> {
             }
             self.digits();
         }
-        Ok(())
+        Ok(Value::Num(self.src[start..self.pos].to_owned()))
     }
 
     fn digits(&mut self) {
@@ -264,5 +400,45 @@ mod tests {
         let s = "weird \"chars\"\n\t\\ and \u{1} control";
         let quoted = format!("\"{}\"", escape(s));
         assert!(validate_json(&quoted).is_ok());
+    }
+
+    #[test]
+    fn parses_nested_document() {
+        let v = Value::parse(r#"{"a": [1, 2, {"b": null}], "c": "x\ny", "d": true}"#).unwrap();
+        assert_eq!(v.get("c").and_then(Value::as_str), Some("x\ny"));
+        assert_eq!(v.get("d").and_then(Value::as_bool), Some(true));
+        let arr = v.get("a").and_then(Value::as_arr).unwrap();
+        assert_eq!(arr[0].as_u64(), Some(1));
+        assert_eq!(arr[2].get("b"), Some(&Value::Null));
+    }
+
+    #[test]
+    fn u64_round_trips_exactly_above_2_pow_53() {
+        let big = u64::MAX;
+        let v = Value::parse(&format!("{{\"n\": {big}}}")).unwrap();
+        assert_eq!(v.field_u64("n"), Ok(big));
+    }
+
+    #[test]
+    fn floats_and_negatives() {
+        let v = Value::parse(r#"[-12.5e3, 0.25]"#).unwrap();
+        let arr = v.as_arr().unwrap();
+        assert_eq!(arr[0].as_f64(), Some(-12500.0));
+        assert_eq!(arr[0].as_u64(), None);
+        assert_eq!(arr[1].as_f64(), Some(0.25));
+    }
+
+    #[test]
+    fn escapes_and_unicode() {
+        let v = Value::parse(r#""tab\t quote\" uA é""#).unwrap();
+        assert_eq!(v.as_str(), Some("tab\t quote\" uA é"));
+    }
+
+    #[test]
+    fn field_helpers_report_missing_fields() {
+        let v = Value::parse(r#"{"n": "not a number"}"#).unwrap();
+        assert!(v.field_u64("n").unwrap_err().contains("n"));
+        assert!(v.field_str("missing").unwrap_err().contains("missing"));
+        assert_eq!(v.field_str("n"), Ok("not a number"));
     }
 }

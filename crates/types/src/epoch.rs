@@ -1,4 +1,4 @@
-//! Epoch identifiers.
+//! Epoch identifiers and epoch-state tracking (Table I).
 //!
 //! The paper divides execution into *epochs* (Table I): an executing epoch
 //! (the current `SystemEID`), committed epochs (finished but not necessarily
@@ -9,6 +9,11 @@
 //! logical identifier used throughout the simulator, and [`TaggedEid`] models
 //! the truncated hardware tag together with the wraparound-safety condition
 //! that makes the truncation lossless.
+//!
+//! [`EpochTracker`] maintains the `SystemEID`/`PersistedEID` pair and the
+//! invariants between them: persistence never leads commit, and the live
+//! window must fit the tag width. The simulator tracks 4-bit hardware tags;
+//! the store engine keeps full-width tags and passes a width of 63.
 
 /// An unbounded logical epoch identifier.
 ///
@@ -135,6 +140,117 @@ pub fn wraparound_safe(oldest: EpochId, newest: EpochId, bits: u32) -> bool {
     newest.0 - oldest.0 < (1u64 << bits)
 }
 
+/// Tracks the executing, committed, and persisted epoch identifiers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EpochTracker {
+    system: EpochId,
+    persisted: EpochId,
+    eid_bits: u32,
+}
+
+impl EpochTracker {
+    /// A fresh tracker: epoch 0 is the pre-execution memory image (already
+    /// trivially persisted); epoch 1 is executing.
+    pub fn new(eid_bits: u32) -> Self {
+        EpochTracker::recovered(EpochId::ZERO, eid_bits)
+    }
+
+    /// A tracker resuming after `persisted`: that epoch is the durable
+    /// image, and execution continues in the epoch after it.
+    pub fn recovered(persisted: EpochId, eid_bits: u32) -> Self {
+        EpochTracker {
+            system: persisted.next(),
+            persisted,
+            eid_bits,
+        }
+    }
+
+    /// The currently executing (uncommitted) epoch — `SystemEID`.
+    pub fn system(&self) -> EpochId {
+        self.system
+    }
+
+    /// The most recently committed epoch (`SystemEID − 1`), or `None` if
+    /// nothing has committed yet.
+    pub fn committed(&self) -> Option<EpochId> {
+        (self.system.raw() > 1).then(|| self.system.prev())
+    }
+
+    /// The most recent persisted (recoverable) epoch — `PersistedEID`.
+    pub fn persisted(&self) -> EpochId {
+        self.persisted
+    }
+
+    /// Whether committing now would grow the live window past the EID tag
+    /// width. This is the §IV-A backpressure signal: when it reads `true`
+    /// the scheme must persist (ACS catch-up, log flush) before opening
+    /// another epoch, because in-cache EID tags could no longer
+    /// distinguish the oldest unpersisted epoch from the newest.
+    pub fn commit_would_overflow(&self) -> bool {
+        !wraparound_safe(self.persisted, self.system.next(), self.eid_bits)
+    }
+
+    /// Commits the executing epoch; a new epoch begins executing.
+    /// Returns the epoch that just committed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the post-commit live window would overflow the EID tag
+    /// width (§IV-A). Hardware would have to stall the pipeline here;
+    /// callers can query [`commit_would_overflow`](Self::commit_would_overflow)
+    /// first to apply backpressure instead.
+    pub fn commit(&mut self) -> EpochId {
+        assert!(
+            !self.commit_would_overflow(),
+            "committing {} with persisted {} overflows {}-bit EID tags (§IV-A): \
+             persist before opening another epoch",
+            self.system,
+            self.persisted,
+            self.eid_bits
+        );
+        let committed = self.system;
+        self.system = self.system.next();
+        committed
+    }
+
+    /// Marks `epoch` persisted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `epoch` is not committed yet, regresses persistence, or
+    /// the resulting live window would overflow the EID tag width.
+    pub fn persist(&mut self, epoch: EpochId) {
+        assert!(
+            epoch < self.system,
+            "cannot persist the executing epoch {epoch}"
+        );
+        assert!(
+            epoch >= self.persisted,
+            "persistence cannot regress from {} to {epoch}",
+            self.persisted
+        );
+        self.persisted = epoch;
+        assert!(
+            wraparound_safe(self.persisted, self.system, self.eid_bits),
+            "live window {}..{} overflows {}-bit EID tags",
+            self.persisted,
+            self.system,
+            self.eid_bits
+        );
+    }
+
+    /// Number of committed-but-unpersisted epochs in flight.
+    pub fn in_flight(&self) -> u64 {
+        self.system.raw() - 1 - self.persisted.raw()
+    }
+
+    /// Resets to post-recovery state: execution resumes in the epoch after
+    /// the persisted one.
+    pub fn resume_after_recovery(&mut self) {
+        self.system = self.persisted.next();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,5 +310,114 @@ mod tests {
     fn display() {
         assert_eq!(EpochId(7).to_string(), "E7");
         assert_eq!(EpochId(7).tag(4).to_string(), "T0x7/4b");
+    }
+
+    #[test]
+    fn initial_state() {
+        let t = EpochTracker::new(4);
+        assert_eq!(t.system(), EpochId(1));
+        assert_eq!(t.persisted(), EpochId::ZERO);
+        assert_eq!(t.committed(), None);
+        assert_eq!(t.in_flight(), 0);
+    }
+
+    #[test]
+    fn commit_advances_system() {
+        let mut t = EpochTracker::new(4);
+        assert_eq!(t.commit(), EpochId(1));
+        assert_eq!(t.system(), EpochId(2));
+        assert_eq!(t.committed(), Some(EpochId(1)));
+        assert_eq!(t.in_flight(), 1);
+    }
+
+    #[test]
+    fn persist_catches_up() {
+        let mut t = EpochTracker::new(4);
+        for _ in 0..5 {
+            t.commit();
+        }
+        assert_eq!(t.in_flight(), 5);
+        t.persist(EpochId(2));
+        assert_eq!(t.persisted(), EpochId(2));
+        assert_eq!(t.in_flight(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot persist the executing epoch")]
+    fn persisting_executing_epoch_panics() {
+        let mut t = EpochTracker::new(4);
+        t.persist(EpochId(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot regress")]
+    fn persistence_regression_panics() {
+        let mut t = EpochTracker::new(4);
+        for _ in 0..4 {
+            t.commit();
+        }
+        t.persist(EpochId(3));
+        t.persist(EpochId(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows 2-bit EID tags")]
+    fn commit_past_the_tag_window_panics() {
+        let mut t = EpochTracker::new(2); // window of 4
+        t.commit(); // system 1 -> 2, window 2
+        t.commit(); // system 2 -> 3, window 3
+        t.commit(); // system 3 -> 4 would need window 4 — overflow
+    }
+
+    #[test]
+    fn commit_backpressure_query_tracks_the_window() {
+        let mut t = EpochTracker::new(2); // window of 4
+        assert!(!t.commit_would_overflow());
+        t.commit();
+        t.commit();
+        // system = 3, persisted = 0: one more commit needs window 4.
+        assert!(t.commit_would_overflow());
+        // Persisting an epoch shrinks the window and releases backpressure.
+        t.persist(EpochId(1));
+        assert!(!t.commit_would_overflow());
+        assert_eq!(t.commit(), EpochId(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows")]
+    fn persist_still_checks_the_window() {
+        // Belt and braces: even if a caller bypassed commit-time
+        // enforcement (e.g. state restored by hand), persist re-checks.
+        let mut t = EpochTracker {
+            system: EpochId(7),
+            persisted: EpochId::ZERO,
+            eid_bits: 2,
+        };
+        t.persist(EpochId(1));
+    }
+
+    #[test]
+    fn resume_after_recovery_rewinds_system() {
+        let mut t = EpochTracker::new(8);
+        for _ in 0..10 {
+            t.commit();
+        }
+        t.persist(EpochId(6));
+        t.resume_after_recovery();
+        assert_eq!(t.system(), EpochId(7));
+        assert_eq!(t.in_flight(), 0);
+    }
+
+    #[test]
+    fn recovered_resumes_after_the_persisted_epoch() {
+        let t = EpochTracker::recovered(EpochId(9), 63);
+        assert_eq!(t.system(), EpochId(10));
+        assert_eq!(t.persisted(), EpochId(9));
+        assert_eq!(t.committed(), Some(EpochId(9)));
+        assert_eq!(t.in_flight(), 0);
+        assert_eq!(
+            EpochTracker::new(4),
+            EpochTracker::recovered(EpochId::ZERO, 4)
+        );
     }
 }

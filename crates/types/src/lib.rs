@@ -5,8 +5,14 @@
 //!
 //! * [`addr`] — strongly-typed physical addresses at byte, cache-line,
 //!   sub-block, and page granularity.
-//! * [`epoch`] — epoch identifiers ([`EpochId`]) and the 4-bit hardware tag
-//!   analysis ([`epoch::TaggedEid`]).
+//! * [`epoch`] — epoch identifiers ([`EpochId`]), the 4-bit hardware tag
+//!   analysis ([`epoch::TaggedEid`]), and Table I's epoch-state tracker
+//!   ([`EpochTracker`]).
+//! * [`undo`], [`buffer`], [`bloom`] — the PiCL protocol kernel shared by
+//!   the simulator (`picl`) and the store engine (`picl-store`): the
+//!   `(ValidFrom, ValidTill)` undo entry and its capture rule
+//!   ([`undo::undo_range`]), the coalescing undo buffer, and the bloom
+//!   filter that guards in-place write-backs against volatile entries.
 //! * [`time`] — simulation clock types ([`Cycle`]) and nanosecond/cycle
 //!   conversion at a configured core frequency.
 //! * [`config`] — the system configuration mirroring Table IV of the paper,
@@ -30,20 +36,26 @@
 //! ```
 
 pub mod addr;
+pub mod bloom;
+pub mod buffer;
 pub mod config;
 pub mod epoch;
 pub mod hash;
 pub mod rng;
 pub mod stats;
 pub mod time;
+pub mod undo;
 
 pub use addr::{
     Address, LineAddr, PageAddr, SubBlockAddr, LINE_BYTES, PAGE_BYTES, SUB_BLOCK_BYTES,
 };
+pub use bloom::BloomFilter;
+pub use buffer::UndoBuffer;
 pub use config::SystemConfig;
-pub use epoch::EpochId;
+pub use epoch::{EpochId, EpochTracker};
 pub use rng::Rng;
 pub use time::Cycle;
+pub use undo::UndoEntry;
 
 /// Identifier of a core (hardware thread) in the simulated system.
 ///

@@ -7,8 +7,8 @@
 //!
 //! - [`session`] — the serving layer. [`session::ServeKv`] shares one
 //!   engine between many client sessions: lookups run lock-free against
-//!   the engine's sharded image (optimistic, seqlock-validated record
-//!   assembly with a writer-exclusion fallback), while mutations take
+//!   the engine's per-line seqlocked image (optimistic, version-validated
+//!   record assembly with a writer-exclusion fallback), while mutations take
 //!   only their key's shard lock (one lock per engine image shard,
 //!   escalating to all shards in index order when a record needs lines
 //!   outside its home shard). Epoch commits are group commits: the

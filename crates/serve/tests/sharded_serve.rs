@@ -30,10 +30,23 @@ fn serve_kv(cfg: EngineConfig, cadence: u64, sessions: usize, telemetry: Telemet
 /// rewriting continuation slots (the reads that can stay contended).
 const HAMMER_LENS: [usize; 3] = [40, 100, 220];
 
+/// Decrements the live-reader count when a hammer reader ends, by
+/// return or by panic, so a failing reader stops the writer instead of
+/// leaving the test spinning.
+struct CheckOut<'a>(&'a AtomicUsize);
+
+impl Drop for CheckOut<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Release);
+    }
+}
+
 /// One writer hammers a single spanning key while readers burn through
-/// their optimistic retries; every read must resolve to a value or a
-/// consistent miss — never `Corrupt`. The pre-fix `lookup_with_fallback`
-/// reported corruption whenever the optimistic rounds were exhausted.
+/// their optimistic retries; every read must resolve to a whole value
+/// the writer wrote (one of `HAMMER_LENS`, every byte equal) — never
+/// `Corrupt`, and never a torn line or record. The pre-fix
+/// `lookup_with_fallback` reported corruption whenever the optimistic
+/// rounds were exhausted.
 fn hammer_one_key(backend: &dyn Backend, readers: usize) {
     let key = b"hot-key";
     backend.put(0, key, &[1u8; 220]).unwrap();
@@ -51,13 +64,22 @@ fn hammer_one_key(backend: &dyn Backend, readers: usize) {
         });
         for r in 0..readers {
             s.spawn(move || {
+                let _checkout = CheckOut(live_readers);
                 for _ in 0..2_000 {
                     let got = backend
                         .get(1 + r, key)
                         .expect("a racing writer must never surface as Corrupt");
-                    assert!(got.is_some(), "the key is never deleted");
+                    let value = got.expect("the key is never deleted");
+                    assert!(
+                        HAMMER_LENS.contains(&value.len()),
+                        "torn length {}",
+                        value.len()
+                    );
+                    assert!(
+                        value.iter().all(|&b| b == value[0]),
+                        "torn value: {value:?}"
+                    );
                 }
-                live_readers.fetch_sub(1, Ordering::Release);
             });
         }
     });

@@ -41,23 +41,24 @@
 //! *protocol mutex* with a logical tick clock — every telemetry emission
 //! happens under it, so the exported event stream is totally ordered and
 //! passes `picl audit` even with real threads racing. The volatile image
-//! itself is split out into sharded `RwLock`s: reads take only their
-//! shard's read lock (no protocol mutex at all), writes take the
-//! protocol mutex for the whole operation (the undo append and the image
-//! update must be atomic against a commit), and the persister does its
-//! media I/O with *no* locks held — it bloom-probes and snapshots each
-//! line under the protocol mutex, then writes the snapshots back off to
-//! the side while the front end keeps executing. The snapshot discipline
+//! sits outside it, behind one seqlock per line: reads take no lock at
+//! all (a copy that raced a write retries), writes take the protocol
+//! mutex for the whole operation (the undo append and the image update
+//! must be atomic against a commit, and the mutex is what serializes
+//! image writers), and the persister does its media I/O with *no* locks
+//! held — it bloom-probes and snapshots each line under the protocol
+//! mutex, then writes the snapshots back off to the side while the front
+//! end keeps executing. The snapshot discipline
 //! keeps undo-before-writeback intact: every undo entry covering a
 //! snapshotted line is durable (forced drain) at snapshot time, and any
 //! image write landing after the snapshot logs a pre-image that chains
 //! from the snapshot value, so rollback to the advancing frontier is
-//! correct whether or not those later entries survive. Lock order is
-//! protocol mutex, then shard.
+//! correct whether or not those later entries survive. The protocol mutex
+//! is the only lock: nothing is taken after it.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock};
+use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 use picl_telemetry::{EventKind, Telemetry};
 use picl_types::hash::FastSet;
@@ -228,57 +229,74 @@ pub struct CommitTicket {
     pub window_full: bool,
 }
 
-/// How many `RwLock` shards the volatile image splits into. Sixteen is
-/// plenty to keep reader collisions rare at the session counts a single
-/// store serves, while keeping the persister's snapshot loop cheap.
+/// How many line-range partitions the serving layer's key-shard
+/// mutation locks use ([`Engine::image_shard_of_line`]). The image itself
+/// takes no locks; sixteen keeps writer collisions rare at the session
+/// counts a single store serves.
 const IMAGE_SHARDS: usize = 16;
 
-/// The volatile image, sharded so concurrent readers never touch the
-/// protocol mutex. Each shard owns a contiguous line range.
-struct ImageShards {
-    lines_per_shard: usize,
-    shards: Vec<RwLock<Vec<u8>>>,
+/// 64-bit words per line.
+const LINE_WORDS: usize = LINE / 8;
+
+/// The volatile image: one seqlock per line, so reads never take a lock.
+/// A line is 8 `AtomicU64` words guarded by an `AtomicU32` sequence
+/// number that is odd while a write is in flight. Writers must be
+/// serialized — they run under the protocol mutex, or during `open`
+/// before the engine is shared.
+struct Image {
+    words: Box<[AtomicU64]>,
+    seqs: Box<[AtomicU32]>,
 }
 
-impl ImageShards {
-    fn new(lines: u32, mut image: Vec<u8>) -> ImageShards {
-        let lines = lines as usize;
-        debug_assert_eq!(image.len(), lines * LINE);
-        let shard_count = IMAGE_SHARDS.min(lines.max(1));
-        let lines_per_shard = lines.div_ceil(shard_count);
-        let mut shards = Vec::with_capacity(shard_count);
-        for _ in 0..shard_count {
-            let take = (lines_per_shard * LINE).min(image.len());
-            let rest = image.split_off(take);
-            shards.push(RwLock::new(image));
-            image = rest;
-        }
-        ImageShards {
-            lines_per_shard,
-            shards,
+impl Image {
+    /// An image holding `bytes`, a whole number of lines.
+    fn new(bytes: &[u8]) -> Image {
+        debug_assert_eq!(bytes.len() % LINE, 0);
+        let word = |b: &[u8]| AtomicU64::new(u64::from_le_bytes(b.try_into().expect("8 bytes")));
+        Image {
+            words: bytes.chunks_exact(8).map(word).collect(),
+            seqs: (0..bytes.len() / LINE).map(|_| AtomicU32::new(0)).collect(),
         }
     }
 
-    fn locate(&self, line: u32) -> (usize, usize) {
-        let line = line as usize;
-        (
-            line / self.lines_per_shard,
-            (line % self.lines_per_shard) * LINE,
-        )
-    }
-
+    /// Reads one line: retries until it sees an even sequence number that
+    /// is unchanged after the copy, so the copy is never torn.
     fn read(&self, line: u32) -> [u8; LINE] {
-        let (shard, at) = self.locate(line);
-        let data = self.shards[shard].read().expect("image shard poisoned");
+        let line = line as usize;
+        let seq = &self.seqs[line];
+        let words = &self.words[line * LINE_WORDS..(line + 1) * LINE_WORDS];
         let mut out = [0u8; LINE];
-        out.copy_from_slice(&data[at..at + LINE]);
-        out
+        loop {
+            let before = seq.load(Ordering::Acquire);
+            if before & 1 == 0 {
+                for (bytes, word) in out.chunks_exact_mut(8).zip(words) {
+                    bytes.copy_from_slice(&word.load(Ordering::Relaxed).to_le_bytes());
+                }
+                // Pairs with the writer's release fence: if any word came
+                // from a later write, the odd sequence number it stored
+                // first is visible to the re-check below.
+                fence(Ordering::Acquire);
+                if seq.load(Ordering::Relaxed) == before {
+                    return out;
+                }
+            }
+            std::hint::spin_loop();
+        }
     }
 
     fn write(&self, line: u32, data: &[u8; LINE]) {
-        let (shard, at) = self.locate(line);
-        let mut shard = self.shards[shard].write().expect("image shard poisoned");
-        shard[at..at + LINE].copy_from_slice(data);
+        let line = line as usize;
+        let seq = &self.seqs[line];
+        let words = &self.words[line * LINE_WORDS..(line + 1) * LINE_WORDS];
+        let before = seq.load(Ordering::Relaxed);
+        debug_assert!(before & 1 == 0, "concurrent image writers");
+        seq.store(before.wrapping_add(1), Ordering::Relaxed);
+        fence(Ordering::Release);
+        for (word, bytes) in words.iter().zip(data.chunks_exact(8)) {
+            let bytes = bytes.try_into().expect("8-byte chunk");
+            word.store(u64::from_le_bytes(bytes), Ordering::Relaxed);
+        }
+        seq.store(before.wrapping_add(2), Ordering::Release);
     }
 }
 
@@ -342,8 +360,10 @@ struct Shared {
     cfg: EngineConfig,
     telemetry: Telemetry,
     state: Mutex<Inner>,
-    /// The volatile image, sharded for lock-free-of-the-mutex reads.
-    image: ImageShards,
+    /// The volatile image; reads take no lock.
+    image: Image,
+    /// Lines per key-shard partition ([`Engine::image_shard_of_line`]).
+    lines_per_shard: usize,
     /// Mirrors `Inner::dead` so the read path can check for death
     /// without taking the protocol mutex.
     dead_flag: AtomicBool,
@@ -671,7 +691,7 @@ impl Engine {
             };
             medium.persist(0, &sb.encode())?;
             medium.fence()?;
-            let image = vec![0u8; geometry.lines as usize * LINE];
+            let image = Image::new(&vec![0u8; geometry.lines as usize * LINE]);
             (geometry, 1, EpochId::ZERO, 0, image, OpenReport::default())
         } else {
             let sb = Superblock::decode(&head).map_err(StoreError::Corrupt)?;
@@ -683,8 +703,11 @@ impl Engine {
                     geometry.total_len()
                 )));
             }
-            let mut image = vec![0u8; geometry.lines as usize * LINE];
-            medium.read(DATA_OFFSET, &mut image)?;
+            let image = {
+                let mut bytes = vec![0u8; geometry.lines as usize * LINE];
+                medium.read(DATA_OFFSET, &mut bytes)?;
+                Image::new(&bytes)
+            };
             let blocks = scan_log(medium.as_ref(), &sb)?;
             let point = EpochId(sb.persisted_eid);
             let mut tick = 1u64;
@@ -698,8 +721,7 @@ impl Engine {
                 for entry in block.entries.iter().rev() {
                     if entry.covers(point) {
                         let line = entry.addr.raw() as u32;
-                        let at = line as usize * LINE;
-                        image[at..at + LINE].copy_from_slice(&entry.value);
+                        image.write(line, &entry.value);
                         restored.insert(line);
                         applied += 1;
                     }
@@ -712,10 +734,7 @@ impl Engine {
             let mut lines_restored: Vec<u32> = restored.iter().copied().collect();
             lines_restored.sort_unstable();
             for &line in &lines_restored {
-                let at = line as usize * LINE;
-                let mut data = [0u8; LINE];
-                data.copy_from_slice(&image[at..at + LINE]);
-                medium.persist(geometry.data_off(line), &data)?;
+                medium.persist(geometry.data_off(line), &image.read(line))?;
             }
             medium.fence()?;
             let new_sb = Superblock {
@@ -756,7 +775,8 @@ impl Engine {
             cfg,
             telemetry,
             state: Mutex::new(inner),
-            image: ImageShards::new(geometry.lines, image),
+            image,
+            lines_per_shard: (geometry.lines as usize).div_ceil(IMAGE_SHARDS),
             dead_flag: AtomicBool::new(false),
             work: Condvar::new(),
             done: Condvar::new(),
@@ -785,9 +805,10 @@ impl Engine {
         self.shared.geometry
     }
 
-    /// Reads one line from the volatile image. Takes only the line's
-    /// image-shard read lock — never the protocol mutex — so concurrent
-    /// sessions read in parallel with writers and the persister.
+    /// Reads one line from the volatile image. Takes no lock: the line's
+    /// seqlock retries a copy that raced a write, so concurrent sessions
+    /// read in parallel with writers and the persister and never see a
+    /// torn line.
     ///
     /// # Errors
     ///
@@ -950,10 +971,11 @@ impl Engine {
         self.shared.check_alive(&st)
     }
 
-    /// How many shards the volatile image splits into. The serving layer
-    /// reuses this granularity for its key-shard mutation locks.
+    /// How many contiguous line ranges the table is partitioned into for
+    /// the serving layer's key-shard mutation locks. The image itself
+    /// takes no locks.
     pub fn image_shard_count(&self) -> usize {
-        self.shared.image.shards.len()
+        IMAGE_SHARDS.min(self.shared.geometry.lines as usize)
     }
 
     /// Which image shard owns `line`.
@@ -963,7 +985,7 @@ impl Engine {
     /// Panics if `line` is out of range.
     pub fn image_shard_of_line(&self, line: u32) -> usize {
         assert!(line < self.shared.geometry.lines, "line out of range");
-        self.shared.image.locate(line).0
+        line as usize / self.shared.lines_per_shard
     }
 
     /// The `[start, end)` line range owned by `shard` (empty for the
@@ -973,9 +995,9 @@ impl Engine {
     ///
     /// Panics if `shard >= image_shard_count()`.
     pub fn image_shard_span(&self, shard: usize) -> (u32, u32) {
-        assert!(shard < self.shared.image.shards.len(), "shard out of range");
+        assert!(shard < self.image_shard_count(), "shard out of range");
         let lines = self.shared.geometry.lines as usize;
-        let per = self.shared.image.lines_per_shard;
+        let per = self.shared.lines_per_shard;
         let start = (shard * per).min(lines);
         let end = ((shard + 1) * per).min(lines);
         (start as u32, end as u32)
@@ -1298,6 +1320,66 @@ mod tests {
     }
 
     #[test]
+    fn image_holds_exactly_its_lines() {
+        // 1000 lines split unevenly over the 16 key-shard partitions; both
+        // the fresh and the recovered image hold one line's words and one
+        // sequence number per line, and nothing more.
+        let cfg = EngineConfig {
+            lines: 1000,
+            log_blocks: 160,
+            ..EngineConfig::default()
+        };
+        let check = |engine: &Engine| {
+            let image = &engine.shared.image;
+            assert_eq!(image.words.len(), 1000 * LINE_WORDS);
+            assert_eq!(std::mem::size_of_val(&*image.words), 1000 * LINE);
+            assert_eq!(image.seqs.len(), 1000);
+        };
+        let medium = medium_for(&cfg);
+        let (engine, _) =
+            Engine::open(Arc::clone(&medium) as _, cfg.clone(), Telemetry::off()).unwrap();
+        check(&engine);
+        engine.close().unwrap();
+        let survivor = Arc::new(CountingMedium::from_image(medium.surviving_image()));
+        let (reopened, report) = Engine::open(survivor, cfg, Telemetry::off()).unwrap();
+        assert!(report.recovered);
+        check(&reopened);
+    }
+
+    #[test]
+    fn concurrent_reads_never_see_a_torn_line() {
+        let cfg = small_cfg();
+        let medium = medium_for(&cfg);
+        let (engine, _) = Engine::open(medium, cfg, Telemetry::off()).unwrap();
+        engine.write_line(5, &line_of(0xAA)).unwrap();
+        let done = AtomicBool::new(false);
+        let start = std::sync::Barrier::new(3);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait();
+                    loop {
+                        let got = engine.read_line(5).unwrap();
+                        assert!(got.iter().all(|&b| b == got[0]), "torn line: {got:?}");
+                        if done.load(Ordering::Acquire) {
+                            break;
+                        }
+                    }
+                });
+            }
+            start.wait();
+            // 2M writes: at 200k, an image with the seqlock re-check
+            // removed passed three runs in four with optimizations on.
+            for i in 0..2_000_000u32 {
+                let fill = if i % 2 == 0 { 0x55 } else { 0xAA };
+                engine.write_line(5, &line_of(fill)).unwrap();
+            }
+            done.store(true, Ordering::Release);
+        });
+        engine.close().unwrap();
+    }
+
+    #[test]
     fn medium_death_surfaces_as_errors_everywhere() {
         let cfg = small_cfg();
         let medium = medium_for(&cfg);
@@ -1318,12 +1400,31 @@ mod tests {
 
     #[test]
     fn corrupt_superblock_is_rejected() {
-        let cfg = small_cfg();
-        let medium = medium_for(&cfg);
-        medium.persist(0, &[0xFFu8; 64]).unwrap();
-        medium.fence().unwrap();
-        let err = Engine::open(medium, cfg, Telemetry::off()).unwrap_err();
-        assert!(matches!(err, StoreError::Corrupt(_)), "{err:?}");
+        // A version-1 superblock is well formed, but its log blocks carry
+        // the old checksum and would all read as torn: opening it would
+        // silently skip the rollback.
+        let mut v1 = Superblock {
+            geometry: Geometry {
+                lines: 64,
+                log_blocks: 16,
+            },
+            persisted_eid: 3,
+            generation: 1,
+            log_start_seq: 0,
+            log_head_seq: 2,
+        }
+        .encode();
+        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let sum = picl_types::hash::fnv1a_64(&v1[..56]);
+        v1[56..].copy_from_slice(&sum.to_le_bytes());
+        for head in [[0xFFu8; 64], v1] {
+            let cfg = small_cfg();
+            let medium = medium_for(&cfg);
+            medium.persist(0, &head).unwrap();
+            medium.fence().unwrap();
+            let err = Engine::open(medium, cfg, Telemetry::off()).unwrap_err();
+            assert!(matches!(err, StoreError::Corrupt(_)), "{err:?}");
+        }
     }
 
     #[test]

@@ -24,8 +24,10 @@ use picl_types::{EpochId, LineAddr, LINE_BYTES};
 pub const SB_MAGIC: u64 = u64::from_le_bytes(*b"PICLSTO1");
 /// Log block magic: `PICLLOG1`.
 pub const LOG_MAGIC: u64 = u64::from_le_bytes(*b"PICLLOG1");
-/// Layout version.
-pub const VERSION: u32 = 1;
+/// Layout version. Version 2 checksums log blocks over 8-byte words;
+/// every version-1 log block would read as torn, so a version-1 file is
+/// rejected instead of opened without its rollback.
+pub const VERSION: u32 = 2;
 
 /// Superblock size on media.
 pub const SB_BYTES: u64 = 64;
@@ -52,6 +54,8 @@ pub const UNDO_BUFFER_ENTRIES: usize = UNDO_BUFFER_BYTES / ENTRY_BYTES;
 // room for a full buffer drain.
 const _: () = assert!(UNDO_BUFFER_ENTRIES >= 16);
 const _: () = assert!(ENTRIES_PER_BLOCK >= UNDO_BUFFER_ENTRIES);
+// The log-block checksum runs over whole 8-byte words.
+const _: () = assert!(LOG_HEADER_BYTES.is_multiple_of(8) && ENTRY_BYTES.is_multiple_of(8));
 
 /// One multi-undo log entry: the simulator's entry with the full 64-byte
 /// line as its pre-image. `addr` is the line index within the data region.
@@ -192,6 +196,25 @@ pub struct LogBlock {
     pub max_valid_till: EpochId,
 }
 
+/// 64-bit FNV-1a over 8-byte little-endian words: one multiply per word
+/// instead of per byte. Each step is a bijection of the running state,
+/// so changing any one word always changes the digest.
+fn fnv1a_64_words(bytes: &[u8]) -> u64 {
+    // The FNV-1a 64-bit offset basis and prime.
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    debug_assert!(bytes.len().is_multiple_of(8), "a whole number of words");
+    bytes
+        .chunks_exact(8)
+        .fold(OFFSET, |h, w| (h ^ get_u64(w, 0)).wrapping_mul(PRIME))
+}
+
+/// A log block's checksum: the 40 header bytes before it, and the entry
+/// area up to `used`. Both are whole 8-byte words.
+fn log_block_sum(buf: &[u8], used: usize) -> u64 {
+    fnv1a_64_words(&buf[..40]) ^ fnv1a_64_words(&buf[LOG_HEADER_BYTES..used]).rotate_left(1)
+}
+
 /// Serializes one log block.
 ///
 /// # Panics
@@ -219,8 +242,7 @@ pub fn encode_log_block(generation: u64, seq: u64, entries: &[UndoEntry]) -> Vec
         buf[at + 24..at + 24 + LINE_BYTES as usize].copy_from_slice(&e.value);
     }
     let used = LOG_HEADER_BYTES + entries.len() * ENTRY_BYTES;
-    let mut sum = fnv1a_64(&buf[..40]);
-    sum ^= fnv1a_64(&buf[LOG_HEADER_BYTES..used]).rotate_left(1);
+    let sum = log_block_sum(&buf, used);
     put_u64(&mut buf, 40, sum);
     buf
 }
@@ -243,9 +265,7 @@ pub fn decode_log_block(buf: &[u8], generation: u64) -> Option<LogBlock> {
         return None;
     }
     let used = LOG_HEADER_BYTES + count * ENTRY_BYTES;
-    let mut sum = fnv1a_64(&buf[..40]);
-    sum ^= fnv1a_64(&buf[LOG_HEADER_BYTES..used]).rotate_left(1);
-    if get_u64(buf, 40) != sum {
+    if get_u64(buf, 40) != log_block_sum(buf, used) {
         return None;
     }
     let mut entries = Vec::with_capacity(count);
@@ -332,6 +352,13 @@ mod tests {
         assert!(Superblock::decode(&buf[..10])
             .unwrap_err()
             .contains("truncated"));
+        // A well-formed version-1 superblock: its log blocks carry the
+        // old checksum, so the file must not open.
+        let mut v1 = sb.encode();
+        put_u32(&mut v1, 8, 1);
+        let sum = fnv1a_64(&v1[..56]);
+        put_u64(&mut v1, 56, sum);
+        assert!(Superblock::decode(&v1).unwrap_err().contains("version 1"));
     }
 
     #[test]
@@ -349,9 +376,14 @@ mod tests {
     fn log_block_rejects_wrong_generation_and_corruption() {
         let buf = encode_log_block(7, 41, &[entry(0, 0, 1, 1)]);
         assert!(decode_log_block(&buf, 8).is_none(), "stale generation");
-        let mut torn = buf.clone();
-        torn[LOG_HEADER_BYTES + 30] ^= 0xFF; // flip a pre-image byte
-        assert!(decode_log_block(&torn, 7).is_none(), "torn entry");
+        let used = LOG_HEADER_BYTES + ENTRY_BYTES;
+        for at in (LOG_HEADER_BYTES..used).step_by(8) {
+            for flip in [1u64, 0xFF << 48, u64::MAX] {
+                let mut torn = buf.clone();
+                put_u64(&mut torn, at, get_u64(&buf, at) ^ flip);
+                assert!(decode_log_block(&torn, 7).is_none(), "torn word at {at}");
+            }
+        }
         let mut bad_count = buf;
         bad_count[24] = 0;
         assert!(decode_log_block(&bad_count, 7).is_none(), "zero count");

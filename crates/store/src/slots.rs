@@ -81,7 +81,11 @@ const NO_CONT: u32 = u32::MAX;
 pub trait Lines {
     /// Slots in the table.
     fn line_count(&self) -> u32;
-    /// Reads one slot (atomically with respect to concurrent writes).
+    /// Reads one slot. A read racing a write of the same slot must return
+    /// the old or the new bytes whole, never a mix: `lookup` validates
+    /// *across* slots (version bytes, head re-read) but trusts each slot
+    /// copy. The engine keeps this with a per-line seqlock, so reads take
+    /// no lock.
     ///
     /// # Errors
     ///
@@ -261,7 +265,8 @@ fn assemble(
     }
     let ver = head[3];
     let take = vlen.min(HEAD_VALUE_BYTES);
-    let mut value = head[HEAD_VAL_AT..HEAD_VAL_AT + take].to_vec();
+    let mut value = Vec::with_capacity(vlen);
+    value.extend_from_slice(&head[HEAD_VAL_AT..HEAD_VAL_AT + take]);
     let mut remaining = vlen - take;
     for i in 0..cont_count(vlen) {
         let ptr = ptr_at(head, i);

@@ -858,7 +858,8 @@ impl YcsbCell {
     }
 }
 
-/// Slots one record of `value_bytes` occupies (head + continuations).
+/// Slots one record of `value_bytes` occupies at most (head +
+/// continuations): a key shorter than `MAX_KEY_BYTES` may take fewer.
 pub(crate) fn slots_per_record(value_bytes: usize) -> u64 {
     1 + value_bytes
         .saturating_sub(picl_store::slots::HEAD_VALUE_BYTES)

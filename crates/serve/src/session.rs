@@ -951,13 +951,13 @@ mod tests {
                 }
             }
             let mem = Mem(RefCell::new(vec![[0u8; LINE]; 16]));
-            slots::put(&mem, b"torn", &[7u8; 40]).unwrap();
+            slots::put(&mem, b"torn", &[7u8; 100]).unwrap();
             mem.0.into_inner()
         };
         let cont_line = scratch
             .iter()
             .position(|s| s[0] == slots::SLOT_CONT)
-            .expect("a 40-byte value spans into one continuation") as u32;
+            .expect("a 100-byte value spans into one continuation") as u32;
         let store = TornUntilExcluded {
             slots: scratch,
             cont_line,
@@ -969,7 +969,7 @@ mod tests {
         // helper returned Corrupt here without ever retrying.
         let (got, fell_back) =
             lookup_with_fallback(&store, b"torn", || store.calm_guard()).unwrap();
-        assert_eq!(got, Some(vec![7u8; 40]));
+        assert_eq!(got, Some(vec![7u8; 100]));
         assert!(fell_back, "the optimistic rounds were all contended");
     }
 

@@ -314,7 +314,9 @@ struct Inner {
     tags: Vec<EpochId>,
     /// The coalescing undo buffer with its bloom filter.
     buffer: UndoBuffer<[u8; LINE]>,
-    dirty_cur: FastSet<u32>,
+    /// Lines the executing epoch has logged, each once: a line is pushed
+    /// only when its tag moves to the executing epoch.
+    dirty_cur: Vec<u32>,
     queue: VecDeque<EpochWork>,
     log_head_seq: u64,
     log_start_seq: u64,
@@ -336,7 +338,7 @@ impl Inner {
             floor: persisted,
             tags: vec![EpochId::ZERO; lines as usize],
             buffer: UndoBuffer::new(UNDO_BUFFER_ENTRIES, BloomFilter::paper_default()),
-            dirty_cur: FastSet::default(),
+            dirty_cur: Vec::new(),
             queue: VecDeque::new(),
             log_head_seq: 0,
             log_start_seq: 0,
@@ -857,8 +859,9 @@ impl Engine {
             let pre = self.shared.image.read(line);
             let entry = UndoEntry::new(addr, pre, valid_from, valid_till);
             let full = st.buffer.push(entry);
+            debug_assert_ne!(st.tag(line), Some(valid_till), "line {line} logged twice");
             st.tags[line as usize] = valid_till;
-            st.dirty_cur.insert(line);
+            st.dirty_cur.push(line);
             st.stats.undo_entries += 1;
             self.shared.emit(
                 &mut st,
@@ -923,7 +926,7 @@ impl Engine {
         st.stats.commits += 1;
         self.shared
             .emit(&mut st, EventKind::EpochCommit { eid: committed });
-        let mut lines: Vec<u32> = st.dirty_cur.drain().collect();
+        let mut lines = std::mem::take(&mut st.dirty_cur);
         lines.sort_unstable();
         st.queue.push_back(EpochWork {
             eid: committed,
@@ -1400,24 +1403,28 @@ mod tests {
 
     #[test]
     fn corrupt_superblock_is_rejected() {
-        // A version-1 superblock is well formed, but its log blocks carry
-        // the old checksum and would all read as torn: opening it would
-        // silently skip the rollback.
-        let mut v1 = Superblock {
-            geometry: Geometry {
-                lines: 64,
-                log_blocks: 16,
-            },
-            persisted_eid: 3,
-            generation: 1,
-            log_start_seq: 0,
-            log_head_seq: 2,
-        }
-        .encode();
-        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
-        let sum = picl_types::hash::fnv1a_64(&v1[..56]);
-        v1[56..].copy_from_slice(&sum.to_le_bytes());
-        for head in [[0xFFu8; 64], v1] {
+        // Older superblocks are well formed, but a version-1 file's log
+        // blocks carry the old checksum and would all read as torn
+        // (opening it would silently skip the rollback), and a version-2
+        // file's records would decode at the unpacked head's offsets.
+        let older = |version: u32| {
+            let mut sb = Superblock {
+                geometry: Geometry {
+                    lines: 64,
+                    log_blocks: 16,
+                },
+                persisted_eid: 3,
+                generation: 1,
+                log_start_seq: 0,
+                log_head_seq: 2,
+            }
+            .encode();
+            sb[8..12].copy_from_slice(&version.to_le_bytes());
+            let sum = picl_types::hash::fnv1a_64(&sb[..56]);
+            sb[56..].copy_from_slice(&sum.to_le_bytes());
+            sb
+        };
+        for head in [[0xFFu8; 64], older(1), older(2)] {
             let cfg = small_cfg();
             let medium = medium_for(&cfg);
             medium.persist(0, &head).unwrap();

@@ -26,8 +26,10 @@ pub const SB_MAGIC: u64 = u64::from_le_bytes(*b"PICLSTO1");
 pub const LOG_MAGIC: u64 = u64::from_le_bytes(*b"PICLLOG1");
 /// Layout version. Version 2 checksums log blocks over 8-byte words;
 /// every version-1 log block would read as torn, so a version-1 file is
-/// rejected instead of opened without its rollback.
-pub const VERSION: u32 = 2;
+/// rejected instead of opened without its rollback. Version 3 packs
+/// record heads (`crate::slots`); a version-2 file's records would decode
+/// at the wrong offsets, so it is rejected too.
+pub const VERSION: u32 = 3;
 
 /// Superblock size on media.
 pub const SB_BYTES: u64 = 64;
@@ -352,13 +354,17 @@ mod tests {
         assert!(Superblock::decode(&buf[..10])
             .unwrap_err()
             .contains("truncated"));
-        // A well-formed version-1 superblock: its log blocks carry the
-        // old checksum, so the file must not open.
-        let mut v1 = sb.encode();
-        put_u32(&mut v1, 8, 1);
-        let sum = fnv1a_64(&v1[..56]);
-        put_u64(&mut v1, 56, sum);
-        assert!(Superblock::decode(&v1).unwrap_err().contains("version 1"));
+        // Well-formed superblocks of older versions: version 1's log
+        // blocks carry the old checksum and version 2's records the
+        // unpacked head, so neither file may open.
+        for old in [1, 2] {
+            let mut buf = sb.encode();
+            put_u32(&mut buf, 8, old);
+            let sum = fnv1a_64(&buf[..56]);
+            put_u64(&mut buf, 56, sum);
+            let err = Superblock::decode(&buf).unwrap_err();
+            assert!(err.contains(&format!("version {old}")), "{err}");
+        }
     }
 
     #[test]

@@ -22,8 +22,10 @@
 //!   persist window, and multi-undo rollback recovery.
 //! - [`slots`] — the slot-level record layout: open addressing with
 //!   values spanning up to five slots via explicit continuation
-//!   pointers, plus the optimistic (seqlock-style) concurrent lookup
-//!   the serving layer builds on.
+//!   pointers, packed heads (only the pointers a record uses, the key at
+//!   its own length, then value bytes, so an 11-byte key with a 100-byte
+//!   value takes two lines), plus the optimistic (seqlock-style)
+//!   concurrent lookup the serving layer builds on.
 //! - [`kv`] — an embedded get/put/delete/scan API whose hash table lives
 //!   entirely in the persistent region (software transparency: the KV
 //!   layer does nothing for durability).

@@ -1,15 +1,23 @@
 //! Slot-level record layout: open addressing with multi-slot spanning
 //! values.
 //!
-//! A record's head slot holds the key, up to 16 value bytes, and explicit
-//! pointers to up to four continuation slots of 60 value bytes each — so
-//! values span `16 + 4*60 = 256` bytes of capacity, capped at
-//! [`MAX_VALUE_BYTES`] (255, the reach of the one-byte length field):
+//! A record's head slot holds only the continuation pointers the record
+//! uses, then the key at its own length, then as many value bytes as fit;
+//! each continuation slot carries 60 more value bytes. Values are capped
+//! at [`MAX_VALUE_BYTES`] (255, the reach of the one-byte length field):
 //!
 //! ```text
-//! head: [ state u8 | klen u8 | vlen u8 | ver u8 | key 28B | 4 x u32 cont ptrs | value 16B ]
-//! cont: [ state u8 | seq  u8 | len  u8 | ver u8 |               payload 60B             ]
+//! head: [ state u8 | klen u8 | vlen u8 | ver u8 | n x u32 cont ptr | key klen B | value <= 60-4n-klen B ]
+//! cont: [ state u8 | seq  u8 | len  u8 | ver u8 |                 payload 60B                      ]
 //! ```
+//!
+//! `n` is `cont_count(klen, vlen)`, the fewest continuations that hold
+//! the value; it is never stored, only derived from the head's own length
+//! bytes. A continuation adds 60 value bytes but costs the head a 4-byte
+//! pointer, so even a 28-byte key with four pointers leaves the head 16
+//! value bytes, and every key and value within the limits fits in at most
+//! `1 + MAX_CONTS` slots. An 11-byte key with a 100-byte value spans two
+//! slots, so each put logs and writes back two lines.
 //!
 //! Heads are probed linearly from `fnv1a_64(key) % lines`; continuation
 //! slots are allocated from any free slot and reached only through the
@@ -59,7 +67,10 @@ pub const SLOT_CONT: u8 = 3;
 
 /// Maximum key length a head slot can hold.
 pub const MAX_KEY_BYTES: usize = 28;
-/// Value bytes stored in the head slot itself.
+/// Value bytes a head slot holds at the least: what is left beside a
+/// [`MAX_KEY_BYTES`] key and [`MAX_CONTS`] pointers. A shorter key or
+/// fewer pointers leave the head more, so sizing a table from this bound
+/// never undercounts a record's slots.
 pub const HEAD_VALUE_BYTES: usize = 16;
 /// Value bytes per continuation slot.
 pub const CONT_VALUE_BYTES: usize = 60;
@@ -69,12 +80,9 @@ pub const MAX_CONTS: usize = 4;
 /// chain could carry 256.
 pub const MAX_VALUE_BYTES: usize = 255;
 
-const KEY_AT: usize = 4;
-const PTRS_AT: usize = KEY_AT + MAX_KEY_BYTES;
-const HEAD_VAL_AT: usize = PTRS_AT + 4 * MAX_CONTS;
-const CONT_VAL_AT: usize = 4;
-/// Pointer slot value for "no continuation".
-const NO_CONT: u32 = u32::MAX;
+/// The four header bytes every slot starts with (state, two lengths,
+/// version); head pointers and continuation payloads follow.
+const HEADER_BYTES: usize = 4;
 
 /// Line-granularity access to the slot table. Implemented by the engine
 /// (undo-logged persistent lines) and by test/baseline backings.
@@ -143,37 +151,59 @@ pub fn check_value(value: &[u8]) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// Continuation slots a value of `vlen` bytes needs.
-fn cont_count(vlen: usize) -> usize {
-    vlen.saturating_sub(HEAD_VALUE_BYTES)
-        .div_ceil(CONT_VALUE_BYTES)
+/// Continuation slots a record with a `klen`-byte key and a `vlen`-byte
+/// value needs: the smallest `n` with `(60 - 4n - klen) + 60n >= vlen`,
+/// since each continuation nets 56 bytes (60 of payload less its 4-byte
+/// head pointer). For `klen <= 28` and `vlen <= 255` this is at most
+/// [`MAX_CONTS`], and never more than the rule `ceil((vlen - 16) / 60)`
+/// that [`HEAD_VALUE_BYTES`] sizes tables by.
+fn cont_count(klen: usize, vlen: usize) -> usize {
+    vlen.saturating_sub(LINE - HEADER_BYTES - klen)
+        .div_ceil(CONT_VALUE_BYTES - 4)
+}
+
+/// A head's `(conts, key_at, value_at)`, derived from the slot's own
+/// length bytes. `lookup` decodes heads a writer may be racing, so `klen`
+/// is clamped to [`MAX_KEY_BYTES`]: with `vlen <= 255` that bounds
+/// `conts` to [`MAX_CONTS`] and every offset to `4 + 16 + 28 = 48`, and a
+/// torn head is caught by the version check and head re-read, never by
+/// an out-of-bounds index.
+fn head_shape(slot: &[u8; LINE]) -> (usize, usize, usize) {
+    let klen = (slot[1] as usize).min(MAX_KEY_BYTES);
+    let conts = cont_count(klen, slot[2] as usize);
+    let key_at = HEADER_BYTES + 4 * conts;
+    (conts, key_at, key_at + klen)
 }
 
 fn head_key(slot: &[u8; LINE]) -> &[u8] {
-    let klen = (slot[1] as usize).min(MAX_KEY_BYTES);
-    &slot[KEY_AT..KEY_AT + klen]
+    let (_, key_at, value_at) = head_shape(slot);
+    &slot[key_at..value_at]
 }
 
 fn ptr_at(slot: &[u8; LINE], i: usize) -> u32 {
-    let at = PTRS_AT + 4 * i;
+    let at = HEADER_BYTES + 4 * i;
     u32::from_le_bytes(slot[at..at + 4].try_into().expect("4 bytes"))
 }
 
-fn encode_head(key: &[u8], value: &[u8], ptrs: &[u32], ver: u8) -> [u8; LINE] {
+/// Encodes a head with exactly `cont_count(key, value)` pointers. Returns
+/// the slot and how many leading value bytes it holds.
+fn encode_head(key: &[u8], value: &[u8], ptrs: &[u32], ver: u8) -> ([u8; LINE], usize) {
+    debug_assert_eq!(ptrs.len(), cont_count(key.len(), value.len()));
     let mut slot = [0u8; LINE];
     slot[0] = SLOT_LIVE;
     slot[1] = key.len() as u8;
     slot[2] = value.len() as u8;
     slot[3] = ver;
-    slot[KEY_AT..KEY_AT + key.len()].copy_from_slice(key);
-    for i in 0..MAX_CONTS {
-        let ptr = ptrs.get(i).copied().unwrap_or(NO_CONT);
-        let at = PTRS_AT + 4 * i;
+    let mut at = HEADER_BYTES;
+    for ptr in ptrs {
         slot[at..at + 4].copy_from_slice(&ptr.to_le_bytes());
+        at += 4;
     }
-    let take = value.len().min(HEAD_VALUE_BYTES);
-    slot[HEAD_VAL_AT..HEAD_VAL_AT + take].copy_from_slice(&value[..take]);
-    slot
+    slot[at..at + key.len()].copy_from_slice(key);
+    at += key.len();
+    let take = value.len().min(LINE - at);
+    slot[at..at + take].copy_from_slice(&value[..take]);
+    (slot, take)
 }
 
 fn encode_cont(seq: usize, chunk: &[u8], ver: u8) -> [u8; LINE] {
@@ -182,7 +212,7 @@ fn encode_cont(seq: usize, chunk: &[u8], ver: u8) -> [u8; LINE] {
     slot[1] = seq as u8;
     slot[2] = chunk.len() as u8;
     slot[3] = ver;
-    slot[CONT_VAL_AT..CONT_VAL_AT + chunk.len()].copy_from_slice(chunk);
+    slot[HEADER_BYTES..HEADER_BYTES + chunk.len()].copy_from_slice(chunk);
     slot
 }
 
@@ -260,17 +290,15 @@ fn assemble(
     head: &[u8; LINE],
 ) -> Result<Option<Vec<u8>>, StoreError> {
     let vlen = head[2] as usize;
-    if vlen > MAX_VALUE_BYTES {
-        return Ok(None);
-    }
     let ver = head[3];
-    let take = vlen.min(HEAD_VALUE_BYTES);
+    let (conts, _, value_at) = head_shape(head);
+    let take = vlen.min(LINE - value_at);
     let mut value = Vec::with_capacity(vlen);
-    value.extend_from_slice(&head[HEAD_VAL_AT..HEAD_VAL_AT + take]);
+    value.extend_from_slice(&head[value_at..value_at + take]);
     let mut remaining = vlen - take;
-    for i in 0..cont_count(vlen) {
+    for i in 0..conts {
         let ptr = ptr_at(head, i);
-        if ptr == NO_CONT || ptr >= store.line_count() {
+        if ptr >= store.line_count() {
             return Ok(None);
         }
         let cont = store.read_slot(ptr)?;
@@ -282,7 +310,7 @@ fn assemble(
         {
             return Ok(None);
         }
-        value.extend_from_slice(&cont[CONT_VAL_AT..CONT_VAL_AT + chunk]);
+        value.extend_from_slice(&cont[HEADER_BYTES..HEADER_BYTES + chunk]);
         remaining -= chunk;
     }
     if store.read_slot(line)? != *head {
@@ -383,14 +411,15 @@ fn write_record(
     ptrs: &[u32],
     ver: u8,
 ) -> Result<(), StoreError> {
-    let mut rest = &value[value.len().min(HEAD_VALUE_BYTES)..];
+    let (head, in_head) = encode_head(key, value, ptrs, ver);
+    let mut rest = &value[in_head..];
     for (i, &ptr) in ptrs.iter().enumerate() {
         let chunk = rest.len().min(CONT_VALUE_BYTES);
         store.write_slot(ptr, &encode_cont(i + 1, &rest[..chunk], ver))?;
         rest = &rest[chunk..];
     }
     debug_assert!(rest.is_empty());
-    store.write_slot(head_line, &encode_head(key, value, ptrs, ver))
+    store.write_slot(head_line, &head)
 }
 
 /// Outcome of a range-confined [`put_within`] attempt.
@@ -441,10 +470,10 @@ pub fn put_within(
 ) -> Result<Placement, StoreError> {
     check_key(key)?;
     check_value(value)?;
-    let new_conts = cont_count(value.len());
+    let new_conts = cont_count(key.len(), value.len());
     match probe(store, key)? {
         Probe::Found { line, slot } => {
-            let old_conts = cont_count(slot[2] as usize);
+            let (old_conts, ..) = head_shape(&slot);
             let old_ptrs: Vec<u32> = (0..old_conts).map(|i| ptr_at(&slot, i)).collect();
             let ver = slot[3].wrapping_add(1);
             let mut ptrs: Vec<u32> = old_ptrs.iter().copied().take(new_conts).collect();
@@ -456,7 +485,7 @@ pub fn put_within(
             }
             write_record(store, line, key, value, &ptrs, ver)?;
             for &surplus in &old_ptrs[new_conts.min(old_conts)..] {
-                if surplus != NO_CONT && surplus < store.line_count() {
+                if surplus < store.line_count() {
                     write_tombstone(store, surplus)?;
                 }
             }
@@ -504,9 +533,9 @@ pub fn delete(store: &impl Lines, key: &[u8]) -> Result<Deletion, StoreError> {
     match probe(store, key)? {
         Probe::Found { line, slot } => {
             write_tombstone(store, line)?;
-            for i in 0..cont_count(slot[2] as usize) {
+            for i in 0..head_shape(&slot).0 {
                 let ptr = ptr_at(&slot, i);
-                if ptr != NO_CONT && ptr < store.line_count() {
+                if ptr < store.line_count() {
                     write_tombstone(store, ptr)?;
                 }
             }
@@ -584,19 +613,73 @@ mod tests {
         }
     }
 
+    fn slots_in_use(store: &MemLines) -> usize {
+        let table = store.0.borrow();
+        table
+            .iter()
+            .filter(|s| matches!(s[0], SLOT_LIVE | SLOT_CONT))
+            .count()
+    }
+
     #[test]
-    fn spanning_round_trip_at_every_boundary() {
-        let store = MemLines::new(64);
-        for len in [0, 1, 15, 16, 17, 76, 77, 136, 196, 224, 254, 255] {
-            let key = format!("k{len}");
-            put(&store, key.as_bytes(), &value_of(len)).unwrap();
-            assert_eq!(
-                get(&store, key.as_bytes()),
-                Some(value_of(len)),
-                "len {len}"
-            );
+    fn every_record_shape_round_trips_in_its_packed_width() {
+        let store = MemLines::new(8);
+        for klen in 1..=MAX_KEY_BYTES {
+            let key: Vec<u8> = (0..klen).map(|i| b'a' + (i % 26) as u8).collect();
+            let ascending = 0..=MAX_VALUE_BYTES;
+            for vlen in ascending.clone().chain(ascending.rev()) {
+                let value: Vec<u8> = value_of(vlen).iter().map(|b| b ^ klen as u8).collect();
+                put(&store, &key, &value).unwrap();
+                assert_eq!(get(&store, &key), Some(value), "klen {klen} vlen {vlen}");
+                let used = slots_in_use(&store);
+                assert_eq!(used, 1 + cont_count(klen, vlen), "klen {klen} vlen {vlen}");
+                // Never wider than the unpacked head (16 value bytes
+                // beside a fixed 28-byte key field and four pointers).
+                assert!(used <= 1 + vlen.saturating_sub(16).div_ceil(60));
+            }
+            delete(&store, &key).unwrap();
         }
+        // The benchmark's record: an 11-byte key with a 100-byte value.
+        assert_eq!(cont_count(11, 100), 1);
         assert!(put(&store, b"big", &value_of(256)).is_err());
+    }
+
+    #[test]
+    fn garbage_heads_never_panic() {
+        // A corrupt head may carry any length bytes and any pointers;
+        // decoding must stay inside the line. Lines 0..8 are continuations
+        // with random sequence, length and version bytes, and the head's
+        // pointer words point among them, so chains get followed too.
+        let store = MemLines::new(9);
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut garbage = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as u8
+        };
+        for line in 0..8 {
+            let mut slot = [0u8; LINE];
+            slot.iter_mut().for_each(|b| *b = garbage());
+            slot[..4].copy_from_slice(&[SLOT_CONT, garbage() % 5, garbage() % 61, 0]);
+            store.write_slot(line, &slot).unwrap();
+        }
+        for klen in 0..=255u8 {
+            for vlen in 0..=255u8 {
+                let mut head = [0u8; LINE];
+                head.iter_mut().for_each(|b| *b = garbage());
+                head[..4].copy_from_slice(&[SLOT_LIVE, klen, vlen, 0]);
+                for i in 0..MAX_CONTS {
+                    let ptr = u32::from(garbage() % 9);
+                    head[4 + 4 * i..8 + 4 * i].copy_from_slice(&ptr.to_le_bytes());
+                }
+                assert!(head_key(&head).len() <= MAX_KEY_BYTES);
+                store.write_slot(8, &head).unwrap();
+                if let Some(value) = assemble(&store, 8, &head).unwrap() {
+                    assert_eq!(value.len(), usize::from(vlen));
+                }
+            }
+        }
     }
 
     #[test]
@@ -670,14 +753,14 @@ mod tests {
         let store = MemLines::new(8);
         put(&store, b"a", &value_of(60)).unwrap(); // head + 1 cont
         put(&store, b"b", &value_of(1)).unwrap();
-        put(&store, b"c", &value_of(100)).unwrap(); // head + 2 conts
+        put(&store, b"c", &value_of(150)).unwrap(); // head + 2 conts
         assert_eq!(get(&store, b"a"), Some(value_of(60)));
         assert_eq!(get(&store, b"b"), Some(value_of(1)));
-        assert_eq!(get(&store, b"c"), Some(value_of(100)));
+        assert_eq!(get(&store, b"c"), Some(value_of(150)));
         delete(&store, b"b").unwrap();
         assert_eq!(
             get(&store, b"c"),
-            Some(value_of(100)),
+            Some(value_of(150)),
             "probes pass tombstones"
         );
         let pairs = scan(&store).unwrap();

@@ -5,6 +5,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use picl_serve::load::{preload, LoadSpec};
 use picl_serve::session::{Backend, FsyncKv, ServeKv, PRELOAD_BATCH};
@@ -109,6 +110,21 @@ fn contended_get_resolves_on_the_fsync_backend() {
     hammer_one_key(&kv, 2);
 }
 
+/// Arrives at a rendezvous of `n` threads and waits for the rest. Panics
+/// after ten seconds, so a thread that died before arriving fails the
+/// test instead of hanging it.
+fn rendezvous(arrived: &AtomicUsize, n: usize) {
+    arrived.fetch_add(1, Ordering::AcqRel);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while arrived.load(Ordering::Acquire) < n {
+        assert!(
+            Instant::now() < deadline,
+            "a thread never reached the rendezvous"
+        );
+        std::thread::yield_now();
+    }
+}
+
 /// Seeded hot-shard hammer: every key of every session lives in ONE
 /// image shard, so all writers fight over a single mutation lock while
 /// group commits keep closing epochs around them. After close, the scan
@@ -148,15 +164,31 @@ fn hot_shard_hammer_stays_consistent() {
 
     // Each session applies a seeded put/delete stream to its own keys;
     // replaying the same stream on a map gives the expected final state.
+    // The stream opens by giving each of the session's keys a 220-byte
+    // value, and no session goes on until all have: 24 live four-line
+    // records cannot fit the 64-line hot shard, so some of those puts
+    // escalate however the sessions interleave.
+    let filled = AtomicUsize::new(0);
     let models: Vec<BTreeMap<Vec<u8>, Vec<u8>>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..4usize)
             .map(|sid| {
                 let kv = &kv;
                 let keys = &session_keys[sid];
+                let filled = &filled;
                 s.spawn(move || {
                     let mut rng = Rng::new(0xB0A7 ^ ((sid as u64) << 8));
                     let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
                     for i in 0..300u64 {
+                        if let Some(key) = keys.get(i as usize) {
+                            let mut val = format!("s{sid}i{i:04}:").into_bytes();
+                            val.resize(220, b'.');
+                            kv.put(sid, key, &val).unwrap();
+                            model.insert(key.clone(), val);
+                            if i as usize + 1 == keys.len() {
+                                rendezvous(filled, 4);
+                            }
+                            continue;
+                        }
                         let key = &keys[rng.below(keys.len() as u64) as usize];
                         if rng.below(100) < 70 {
                             let len = HAMMER_LENS[rng.below(3) as usize];
@@ -198,8 +230,7 @@ fn hot_shard_hammer_stays_consistent() {
     assert_eq!(stripes[hot_shard], 4 * 300, "all keys live in one shard");
     assert!(
         kv.escalation_count() > 0,
-        "220-byte values must overflow a 64-line shard's free slots eventually \
-         or land cross-shard continuations"
+        "the opening 220-byte puts must overflow the 64-line hot shard"
     );
 
     // Commit-hook lower bounds: eids strictly increase, per-session

@@ -14,11 +14,11 @@
 //! appends a `(ValidFrom, ValidTill)` undo entry carrying the line's
 //! pre-image to the coalescing buffer; a full buffer (or an epoch
 //! boundary) drains as one bulk 4 KB log-block write, fenced before the
-//! drain returns. The background persister is the ACS: it walks the dirty
-//! lines of the oldest committed epoch, probes the buffer's bloom filter
-//! and forces a drain on a hit (the probe-before-eviction rule; a false
-//! positive costs one extra drain), and writes lines *in place* — always
-//! ordered behind their undo entries.
+//! drain returns. The background persister is the ACS: it copies the dirty
+//! lines of the committed epochs, probes the buffer's bloom filter and
+//! forces a drain on a hit (the probe-before-eviction rule; a false
+//! positive costs one extra drain), and writes the copies *in place* —
+//! always ordered behind their undo entries.
 //! Once every line of epoch `E` is in place it fences, advances the
 //! superblock's persist frontier, and wakes writers stalled on the
 //! in-order window (`committed - persisted <= window`), which is what
@@ -45,16 +45,27 @@
 //! all (a copy that raced a write retries), writes take the protocol
 //! mutex for the whole operation (the undo append and the image update
 //! must be atomic against a commit, and the mutex is what serializes
-//! image writers), and the persister does its media I/O with *no* locks
-//! held — it bloom-probes and snapshots each line under the protocol
-//! mutex, then writes the snapshots back off to the side while the front
-//! end keeps executing. The snapshot discipline
-//! keeps undo-before-writeback intact: every undo entry covering a
-//! snapshotted line is durable (forced drain) at snapshot time, and any
-//! image write landing after the snapshot logs a pre-image that chains
-//! from the snapshot value, so rollback to the advancing frontier is
-//! correct whether or not those later entries survive. The protocol mutex
-//! is the only lock: nothing is taken after it.
+//! image writers). Writer and commit drains persist and fence their log
+//! block under the mutex. The persister holds it only for bookkeeping,
+//! one cycle at a time:
+//!
+//! 1. *copy* every backlog line through its seqlock, with no lock held;
+//! 2. *probe*, under the mutex once: bloom-probe each line and, on a hit,
+//!    *seal* the buffer — take its entries and reserve their log sequence
+//!    number;
+//! 3. *block fence*, unlocked: persist and fence the sealed block;
+//! 4. *line writes*, unlocked: write the copies in place and fence;
+//! 5. *superblock*: read its fields under the mutex, persist and fence it
+//!    unlocked, then relock to advance the persist frontier.
+//!
+//! Probing after copying keeps undo-before-writeback intact: a writer
+//! pushes its undo entry under the mutex before updating the image, so
+//! every entry behind a copied value is fenced or still buffered at the
+//! probe, and a buffered one is fenced in step 3, before step 4. An image
+//! write landing after the copy logs a pre-image that chains from the
+//! copied value, so rollback to the advancing frontier is correct whether
+//! or not those later entries survive. The protocol mutex is the only
+//! lock: nothing is taken after it.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -71,6 +82,7 @@ use crate::layout::{
     decode_log_block, encode_log_block, Geometry, LogBlock, Superblock, DATA_OFFSET,
     ENTRIES_PER_BLOCK, LOG_BLOCK_BYTES, SB_BYTES, UNDO_BUFFER_ENTRIES,
 };
+use crate::obs::{LockSite, StoreObs};
 use crate::persist::PersistOps;
 
 const LINE: usize = LINE_BYTES as usize;
@@ -356,6 +368,66 @@ impl Inner {
     }
 }
 
+/// The protocol mutex taken at a labelled [`LockSite`]. A timed
+/// acquisition records its wait on the way in and its hold on release.
+struct Locked<'a> {
+    /// `None` only in a `Locked` that [`Locked::wait`] moved out of.
+    guard: Option<MutexGuard<'a, Inner>>,
+    /// The obs set, the site, and the clock reading at acquisition, when
+    /// this acquisition is timed.
+    timer: Option<(&'a StoreObs, LockSite, u64)>,
+}
+
+impl Locked<'_> {
+    /// Records the hold so far, if this acquisition is timed.
+    fn end_hold(&self) {
+        if let Some((obs, site, at)) = self.timer {
+            obs.mutex(site).hold_ns.record(obs.clock.elapsed_ns(at));
+        }
+    }
+
+    /// Ends this hold across a condvar wait; the reacquired mutex starts a
+    /// fresh hold (the reacquisition is not counted as a wait).
+    fn wait(mut self, cv: &Condvar) -> Self {
+        self.end_hold();
+        let timer = self.timer.take();
+        let guard = self.guard.take().expect("protocol mutex held");
+        let guard = cv.wait(guard).expect("store engine poisoned");
+        Locked {
+            guard: Some(guard),
+            timer: timer.map(|(obs, site, _)| (obs, site, obs.clock.now())),
+        }
+    }
+}
+
+impl std::ops::Deref for Locked<'_> {
+    type Target = Inner;
+    fn deref(&self) -> &Inner {
+        self.guard.as_ref().expect("protocol mutex held")
+    }
+}
+
+impl std::ops::DerefMut for Locked<'_> {
+    fn deref_mut(&mut self) -> &mut Inner {
+        self.guard.as_mut().expect("protocol mutex held")
+    }
+}
+
+impl Drop for Locked<'_> {
+    fn drop(&mut self) {
+        self.end_hold();
+    }
+}
+
+/// An undo-buffer drain taken out of the buffer under the protocol
+/// mutex, its log sequence number reserved and accounted, but not yet on
+/// the medium: [`Shared::write_block`] persists and fences it.
+struct Sealed {
+    generation: u64,
+    seq: u64,
+    entries: Vec<UndoEntry<[u8; LINE]>>,
+}
+
 struct Shared {
     medium: Arc<dyn PersistOps>,
     geometry: Geometry,
@@ -375,10 +447,33 @@ struct Shared {
     done: Condvar,
     /// Observability instruments, attached at most once by
     /// [`Engine::enable_obs`]. Hot paths pay one relaxed load when unset.
-    obs: OnceLock<crate::obs::StoreObs>,
+    obs: OnceLock<StoreObs>,
+    /// Runs once between the persister's lock-free copy and its locked
+    /// probe, so a test can race a write into that window.
+    #[cfg(test)]
+    after_copy: Mutex<Option<Box<dyn FnOnce() + Send>>>,
 }
 
 impl Shared {
+    /// Takes the protocol mutex at `site`, timing the wait and the hold
+    /// when obs is attached and the acquisition is sampled.
+    fn lock_at(&self, site: LockSite) -> Locked<'_> {
+        let obs = self.obs.get().filter(|obs| obs.sampled(site));
+        let asked = obs.map(|obs| obs.clock.now());
+        let guard = self.state.lock().expect("store engine poisoned");
+        let timer = obs.zip(asked).map(|(obs, asked)| {
+            let now = obs.clock.now();
+            obs.mutex(site)
+                .wait_ns
+                .record(obs.clock.ns_between(asked, now));
+            (obs, site, now)
+        });
+        Locked {
+            guard: Some(guard),
+            timer,
+        }
+    }
+
     fn emit(&self, st: &mut Inner, kind: EventKind) {
         st.tick += 1;
         self.telemetry.record(Cycle(st.tick), None, kind);
@@ -426,15 +521,18 @@ impl Shared {
         }
     }
 
-    /// Drains the coalescing buffer as one bulk log-block write + fence.
-    /// Caller must have reserved log space (writers gate on
-    /// `log_blocks - 1`, leaving the last slot for the persister's forced
-    /// drains).
-    fn drain(&self, st: &mut Inner, forced: bool) -> Result<(), StoreError> {
+    /// Takes the coalescing buffer's entries as one log block: reserves
+    /// its sequence number and accounts for the drain, leaving the block
+    /// for [`Shared::write_block`]. `None` when the buffer is empty, or
+    /// when the sabotage knob discards the entries instead. Caller must
+    /// have reserved log space (writers gate on `log_blocks - 1`, leaving
+    /// the last slot for the persister's forced drains).
+    fn seal(&self, st: &mut Inner, forced: bool) -> Option<Sealed> {
         if st.buffer.is_empty() {
-            return Ok(());
+            return None;
         }
         let entries = st.buffer.drain();
+        st.stats.drains += 1;
         if self.cfg.sabotage_skip_drain {
             // Sabotage: pretend the drain happened. The entries are gone;
             // a crash now cannot roll their lines back.
@@ -446,8 +544,7 @@ impl Shared {
                     forced,
                 },
             );
-            st.stats.drains += 1;
-            return Ok(());
+            return None;
         }
         debug_assert!(entries.len() <= ENTRIES_PER_BLOCK);
         let seq = st.log_head_seq;
@@ -457,17 +554,10 @@ impl Shared {
             st.log_start_seq,
             self.geometry.log_blocks
         );
-        let block = encode_log_block(st.generation, seq, &entries);
         let max_till = entries.iter().map(|e| e.valid_till).max();
-        let off = self.geometry.log_slot_off(seq);
-        self.medium
-            .persist(off, &block)
-            .and_then(|()| self.medium.fence())
-            .map_err(|e| self.die(st, e.to_string()))?;
         st.log_head_seq = seq + 1;
         st.live_blocks
             .push_back((seq, max_till.unwrap_or_default()));
-        st.stats.drains += 1;
         if forced {
             st.stats.forced_drains += 1;
         }
@@ -487,17 +577,47 @@ impl Shared {
             }
         }
         self.publish_gauges(st);
-        Ok(())
+        Some(Sealed {
+            generation: st.generation,
+            seq,
+            entries,
+        })
     }
 
-    /// Persists a run of consecutive committed epochs in three phases.
-    /// Phase 1, under the protocol mutex: per line, bloom-probe the undo
-    /// buffer (forced drain on a hit — undo-before-eviction) and
-    /// snapshot the line's image bytes. Phase 2, with no locks held:
-    /// write every snapshot in place and fence, while the front end
-    /// keeps executing — this is where the stall knob and the real media
-    /// latency live. Phase 3, relocked: advance the superblock's persist
-    /// frontier and wake stalled writers.
+    /// Persists and fences a sealed block. Needs no lock: the block's
+    /// slot was reserved by [`Shared::seal`].
+    fn write_block(&self, sealed: &Sealed) -> std::io::Result<()> {
+        let block = encode_log_block(sealed.generation, sealed.seq, &sealed.entries);
+        self.medium
+            .persist(self.geometry.log_slot_off(sealed.seq), &block)?;
+        self.medium.fence()
+    }
+
+    /// Drains the coalescing buffer under the protocol mutex: a seal and
+    /// its block write, fenced before the drain returns.
+    fn drain(&self, st: &mut Inner, forced: bool) -> Result<(), StoreError> {
+        match self.seal(st, forced) {
+            Some(sealed) => self
+                .write_block(&sealed)
+                .map_err(|e| self.die(st, e.to_string())),
+            None => Ok(()),
+        }
+    }
+
+    /// Persists a run of consecutive committed epochs. The protocol
+    /// mutex covers only bookkeeping; every medium write and fence runs
+    /// with it free, while the front end keeps executing:
+    ///
+    /// 1. *Copy*, no lock: read every backlog line through its seqlock.
+    /// 2. *Probe*, locked once: bloom-probe the undo buffer for each
+    ///    line. A hit *seals* the buffer (undo-before-eviction; a false
+    ///    positive costs one extra drain).
+    /// 3. *Block fence*, no lock: persist and fence the sealed block.
+    /// 4. *Line writes*, no lock: write every copy in place and fence —
+    ///    this is where the stall knob and the real media latency live.
+    /// 5. *Superblock*: read its fields under the lock, persist and fence
+    ///    it unlocked, then relock to advance the persist frontier and
+    ///    wake stalled writers.
     ///
     /// Taking the whole queued backlog per cycle is the group-persist
     /// half of the serving layer's pipelined group commit: the line
@@ -506,22 +626,35 @@ impl Shared {
     /// in one cycle instead of paying two fences per epoch — which is
     /// what bounds a commit leader's in-order-window wait.
     ///
-    /// Persisting the *snapshots* (not the live lines) is what keeps
-    /// this safe off-lock: all undo entries covering a snapshotted line
-    /// are durable at snapshot time, and any image write that lands
-    /// after the snapshot logs a pre-image chaining from the snapshot
-    /// value, so recovery to any epoch in the run rolls the line to its
-    /// end-of-epoch value whether or not those later entries survive
-    /// the crash.
+    /// Probing *after* the copy is what keeps the copies safe to write:
+    /// a writer pushes its undo entry under the mutex before it updates
+    /// the image, so every entry behind a copied value is, when the
+    /// probe runs, either already fenced or still buffered — and a
+    /// buffered one is sealed and fenced in step 3, before step 4 writes
+    /// any line. An image write landing after the copy logs a pre-image
+    /// chaining from the copied value, so recovery to any epoch in the
+    /// run rolls the line to its end-of-epoch value whether or not those
+    /// later entries survive the crash. Every block below the
+    /// superblock's `log_head_seq` is fenced when its fields are read:
+    /// writer drains fence under the mutex, and the only sealed block
+    /// fenced off it is this cycle's, already fenced in step 3.
     fn persist_epochs(&self, works: Vec<EpochWork>) -> Result<(), StoreError> {
         let cycle_started = std::time::Instant::now();
-        let total: usize = works.iter().map(|w| w.lines.len()).sum();
-        let mut batch: Vec<(u32, [u8; LINE])> = Vec::with_capacity(total);
-        // `(lines, snapshot tick)` per epoch, for the per-epoch events.
+        let batch: Vec<(u32, [u8; LINE])> = works
+            .iter()
+            .flat_map(|work| &work.lines)
+            .map(|&line| (line, self.image.read(line)))
+            .collect();
+        #[cfg(test)]
+        if let Some(pause) = self.after_copy.lock().expect("test hook").take() {
+            pause();
+        }
+        // `(lines, probe tick)` per epoch, for the per-epoch events.
         let mut spans: Vec<(u64, u64)> = Vec::with_capacity(works.len());
-        {
-            let mut st = self.state.lock().expect("store engine poisoned");
+        let sealed = {
+            let mut st = self.lock_at(LockSite::PersisterProbe);
             self.check_alive(&st)?;
+            let mut sealed = None;
             for (i, work) in works.iter().enumerate() {
                 debug_assert_eq!(
                     work.eid.raw(),
@@ -533,58 +666,47 @@ impl Shared {
                     let addr = LineAddr::new(u64::from(line));
                     if st.buffer.eviction_conflicts(addr) {
                         // The line's newest undo entry may still be
-                        // volatile: writing the (possibly newer) image in
+                        // volatile: writing the (possibly newer) copy in
                         // place first would break undo-before-eviction.
-                        // Forced drain on a bloom hit, as the hardware
-                        // does; a false positive costs one extra drain.
+                        // A seal empties the buffer, so a cycle seals at
+                        // most once.
                         self.emit(&mut st, EventKind::BloomCheck { addr, hit: true });
                         st.stats.bloom_hits += 1;
-                        self.drain(&mut st, true)?;
+                        sealed = self.seal(&mut st, true);
                     }
-                    batch.push((line, self.image.read(line)));
                     st.stats.line_writebacks += 1;
                     self.emit(&mut st, EventKind::AcsLineWriteback { addr });
                 }
                 spans.push((work.lines.len() as u64, started));
             }
-        }
-        let stall_at = batch.len() / 2;
-        let mut io: Result<(), std::io::Error> = Ok(());
-        for (i, (line, data)) in batch.iter().enumerate() {
-            if let Err(e) = self.medium.persist(self.geometry.data_off(*line), data) {
-                io = Err(e);
-                break;
+            sealed
+        };
+        let io = self.write_in_place(sealed.as_ref(), &batch);
+        let (last, sb) = {
+            let mut st = self.lock_at(LockSite::PersisterFrontier);
+            if let Err(e) = io {
+                return Err(self.die(&mut st, e.to_string()));
             }
-            if self.cfg.persist_stall_ms > 0 && i + 1 == stall_at {
-                // Hold the mid-persist crash window open (data partially
-                // in place, frontier not yet advanced) for the kill
-                // harness. The front end is NOT blocked: no locks held.
-                std::thread::sleep(std::time::Duration::from_millis(self.cfg.persist_stall_ms));
-            }
-        }
-        if io.is_ok() {
-            io = self.medium.fence();
-        }
-        let mut st = self.state.lock().expect("store engine poisoned");
-        if let Err(e) = io {
-            return Err(self.die(&mut st, e.to_string()));
-        }
-        self.check_alive(&st)?;
-        let last = works.last().map_or(st.epochs.persisted(), |w| w.eid);
-        let sb = Superblock {
-            geometry: self.geometry,
-            persisted_eid: last.raw(),
-            generation: st.generation,
-            log_start_seq: st.log_start_seq,
-            log_head_seq: st.log_head_seq,
+            self.check_alive(&st)?;
+            let last = works.last().map_or(st.epochs.persisted(), |w| w.eid);
+            let sb = Superblock {
+                geometry: self.geometry,
+                persisted_eid: last.raw(),
+                generation: st.generation,
+                log_start_seq: st.log_start_seq,
+                log_head_seq: st.log_head_seq,
+            };
+            (last, sb)
         };
         let sb_result = self
             .medium
             .persist(0, &sb.encode())
             .and_then(|()| self.medium.fence());
+        let mut st = self.lock_at(LockSite::PersisterFrontier);
         if let Err(e) = sb_result {
             return Err(self.die(&mut st, e.to_string()));
         }
+        self.check_alive(&st)?;
         // Only a durable superblock moves the frontier: the tracker
         // cannot move it back.
         st.epochs.persist(last);
@@ -606,13 +728,37 @@ impl Shared {
                 .record(cycle_started.elapsed().as_nanos() as u64);
             obs.backlog_epochs.record(works.len() as u64);
             obs.lines_written.add(batch.len() as u64);
-            // The line-batch fence plus the superblock fence (forced
-            // drains along the way count their own).
+            // The line-batch fence plus the superblock fence (a sealed
+            // block counted its own).
             obs.fences.add(2);
         }
         self.publish_gauges(&st);
         self.done.notify_all();
         Ok(())
+    }
+
+    /// Steps 3 and 4 of a persister cycle, with no lock held: the sealed
+    /// block and its fence, then every copied line in place and one
+    /// fence.
+    fn write_in_place(
+        &self,
+        sealed: Option<&Sealed>,
+        batch: &[(u32, [u8; LINE])],
+    ) -> std::io::Result<()> {
+        if let Some(sealed) = sealed {
+            self.write_block(sealed)?;
+        }
+        let stall_at = batch.len() / 2;
+        for (i, (line, data)) in batch.iter().enumerate() {
+            self.medium.persist(self.geometry.data_off(*line), data)?;
+            if self.cfg.persist_stall_ms > 0 && i + 1 == stall_at {
+                // Hold the mid-persist crash window open (data partially
+                // in place, frontier not yet advanced) for the kill
+                // harness. The front end is NOT blocked: no locks held.
+                std::thread::sleep(std::time::Duration::from_millis(self.cfg.persist_stall_ms));
+            }
+        }
+        self.medium.fence()
     }
 
     fn persister_loop(self: &Arc<Self>) {
@@ -783,6 +929,8 @@ impl Engine {
             work: Condvar::new(),
             done: Condvar::new(),
             obs: OnceLock::new(),
+            #[cfg(test)]
+            after_copy: Mutex::new(None),
         });
         let worker = Arc::clone(&shared);
         let persister = std::thread::Builder::new()
@@ -838,7 +986,7 @@ impl Engine {
     ///
     /// Panics if `line` is out of range.
     pub fn write_line(&self, line: u32, data: &[u8; LINE]) -> Result<(), StoreError> {
-        let mut st = self.lock();
+        let mut st = self.shared.lock_at(LockSite::Writer);
         self.shared.check_alive(&st)?;
         // The epoch's first write to the line logs its pre-image. The
         // rule is re-evaluated after every wait: the epoch may have moved
@@ -851,7 +999,7 @@ impl Engine {
             self.shared.gc(&mut st);
             let live = st.log_head_seq - st.log_start_seq;
             if live >= u64::from(self.shared.geometry.log_blocks) - 1 {
-                st = self.shared.done.wait(st).expect("store engine poisoned");
+                st = st.wait(&self.shared.done);
                 self.shared.check_alive(&st)?;
                 continue;
             }
@@ -906,10 +1054,12 @@ impl Engine {
         Ok(ticket.eid)
     }
 
-    /// Phase one of a commit, entirely under the protocol mutex and never
-    /// blocking on media: drains the undo buffer, publishes the epoch
+    /// Phase one of a commit, entirely under the protocol mutex: drains
+    /// the undo buffer (persisting and fencing its log block, if it holds
+    /// any entries, before the mutex is released), publishes the epoch
     /// boundary, hands the epoch's dirty lines to the persister, and
-    /// begins the next executing epoch. The returned ticket says whether
+    /// begins the next executing epoch. It never waits for the persister.
+    /// The returned ticket says whether
     /// the §IV-A in-order window was full at the boundary — if so, a
     /// caller honoring the RPO bound must [`Engine::wait_window`] before
     /// treating the commit as flow-controlled, but it may do useful work
@@ -919,7 +1069,7 @@ impl Engine {
     ///
     /// Fails after the medium has died.
     pub fn commit_epoch_async(&self) -> Result<CommitTicket, StoreError> {
-        let mut st = self.lock();
+        let mut st = self.shared.lock_at(LockSite::Commit);
         self.shared.check_alive(&st)?;
         self.shared.drain(&mut st, false)?;
         let committed = st.epochs.commit();
@@ -1007,16 +1157,14 @@ impl Engine {
     }
 
     /// Attaches observability instruments: persister cycle timing,
-    /// fence/line counters, window-wait histogram, and the
-    /// epoch-pipeline gauges (open epochs, window occupancy, undo-buffer
-    /// fill, live log blocks). Idempotent per engine — the first
+    /// fence/line counters, window-wait histogram, protocol-mutex wait
+    /// and hold histograms per [`LockSite`], and the epoch-pipeline
+    /// gauges (open epochs, window occupancy, undo-buffer fill, live log
+    /// blocks). Idempotent per engine — the first
     /// registry wins; until called, instrumented paths cost one relaxed
     /// atomic load.
     pub fn enable_obs(&self, registry: &picl_obs::MetricsRegistry) {
-        let _ = self
-            .shared
-            .obs
-            .set(crate::obs::StoreObs::register(registry));
+        let _ = self.shared.obs.set(StoreObs::register(registry));
         self.shared.publish_gauges(&self.lock());
     }
 
@@ -1122,7 +1270,9 @@ fn scan_log(medium: &dyn PersistOps, sb: &Superblock) -> Result<Vec<LogBlock>, S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::persist::CountingMedium;
+    use crate::persist::{CountingMedium, PersistStats};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     fn small_cfg() -> EngineConfig {
         EngineConfig {
@@ -1142,6 +1292,20 @@ mod tests {
 
     fn line_of(b: u8) -> [u8; LINE] {
         [b; LINE]
+    }
+
+    /// Pauses the persister's next cycle between its lock-free copy and
+    /// its locked probe. The receiver hears the pause begin; a send on
+    /// the sender ends it (so does a ten-second timeout, so a failing
+    /// test never hangs).
+    fn pause_after_copy(engine: &Engine) -> (mpsc::Receiver<()>, mpsc::Sender<()>) {
+        let (paused_tx, paused_rx) = mpsc::channel();
+        let (go_tx, go_rx) = mpsc::channel::<()>();
+        *engine.shared.after_copy.lock().unwrap() = Some(Box::new(move || {
+            paused_tx.send(()).unwrap();
+            let _ = go_rx.recv_timeout(Duration::from_secs(10));
+        }));
+        (paused_rx, go_tx)
     }
 
     #[test]
@@ -1240,6 +1404,246 @@ mod tests {
         assert_eq!(report.recovered_to, 1);
         assert!(report.entries_applied >= 1);
         assert_eq!(engine.read_line(0).unwrap(), line_of(1), "epoch 2 undone");
+    }
+
+    #[test]
+    fn a_write_racing_the_copy_is_rolled_back() {
+        // Line 3 ends epoch 1 holding 0x11. The persister copies it; then,
+        // before the probe, epoch 2 overwrites it with 0x22. The probe
+        // must find that write's entry buffered and fence it before the
+        // line write, so a crash once epoch 1 has persisted still
+        // recovers 0x11 — whichever value the copy caught.
+        let cfg = small_cfg();
+        let medium = medium_for(&cfg);
+        let (engine, _) =
+            Engine::open(Arc::clone(&medium) as _, cfg.clone(), Telemetry::off()).unwrap();
+        engine.write_line(3, &line_of(0x11)).unwrap();
+        let (paused, go) = pause_after_copy(&engine);
+        engine.commit_epoch_async().unwrap();
+        paused
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the persister never copied epoch 1");
+        engine.write_line(3, &line_of(0x22)).unwrap();
+        go.send(()).unwrap();
+        engine.drain_persister().unwrap();
+        let stats = engine.stats();
+        // The kill: only fenced bytes survive.
+        let survivor = Arc::new(CountingMedium::from_image(medium.surviving_image()));
+        drop(engine);
+        let (engine, report) = Engine::open(survivor, cfg, Telemetry::off()).unwrap();
+        assert_eq!(report.recovered_to, 1);
+        assert_eq!(
+            engine.read_line(3).unwrap(),
+            line_of(0x11),
+            "line 3 lost its end-of-epoch-1 value"
+        );
+        assert_eq!(stats.forced_drains, 1, "the probe missed the racing entry");
+    }
+
+    /// The persister fences a [`GatedMedium`] parks in.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Fenced {
+        Block,
+        Superblock,
+    }
+
+    #[derive(Default)]
+    struct Gate {
+        /// Fences still to park in, in order.
+        armed: VecDeque<Fenced>,
+        parked: Option<Fenced>,
+        released: bool,
+        /// Parks that ran out of time before the test released them.
+        timed_out: Vec<Fenced>,
+        /// The persister thread's medium ops: `Some(offset)` per persist,
+        /// `None` per fence.
+        ops: Vec<Option<u64>>,
+    }
+
+    /// A medium that parks the persister inside chosen fences until the
+    /// test releases it, or three seconds pass.
+    struct GatedMedium {
+        inner: CountingMedium,
+        /// Where the log region starts; the data region ends there.
+        log_off: u64,
+        gate: Mutex<Gate>,
+        cv: Condvar,
+    }
+
+    impl GatedMedium {
+        fn on_persister() -> bool {
+            std::thread::current().name() == Some("picl-store-persister")
+        }
+
+        /// Blocks until the persister parks in `fence`.
+        fn await_park(&self, fence: Fenced) {
+            let gate = self.gate.lock().unwrap();
+            let (gate, wait) = self
+                .cv
+                .wait_timeout_while(gate, Duration::from_secs(10), |g| g.parked != Some(fence))
+                .unwrap();
+            drop(gate);
+            assert!(
+                !wait.timed_out(),
+                "the persister never reached its {fence:?} fence"
+            );
+        }
+
+        fn release(&self) {
+            self.gate.lock().unwrap().released = true;
+            self.cv.notify_all();
+        }
+    }
+
+    impl PersistOps for GatedMedium {
+        fn persist(&self, offset: u64, data: &[u8]) -> std::io::Result<()> {
+            if Self::on_persister() {
+                self.gate.lock().unwrap().ops.push(Some(offset));
+            }
+            self.inner.persist(offset, data)
+        }
+
+        fn fence(&self) -> std::io::Result<()> {
+            if Self::on_persister() {
+                let mut gate = self.gate.lock().unwrap();
+                let fence = match gate.ops.last() {
+                    Some(Some(0)) => Some(Fenced::Superblock),
+                    Some(Some(off)) if *off >= self.log_off => Some(Fenced::Block),
+                    _ => None,
+                };
+                gate.ops.push(None);
+                if fence.is_some() && gate.armed.front().copied() == fence {
+                    gate.armed.pop_front();
+                    gate.parked = fence;
+                    self.cv.notify_all();
+                    let (mut gate, wait) = self
+                        .cv
+                        .wait_timeout_while(gate, Duration::from_secs(3), |g| !g.released)
+                        .unwrap();
+                    if wait.timed_out() {
+                        gate.timed_out.extend(fence);
+                    }
+                    gate.released = false;
+                    gate.parked = None;
+                }
+            }
+            self.inner.fence()
+        }
+
+        fn read(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
+            self.inner.read(offset, buf)
+        }
+
+        fn len(&self) -> u64 {
+            self.inner.len()
+        }
+
+        fn stats(&self) -> PersistStats {
+            self.inner.stats()
+        }
+    }
+
+    #[test]
+    fn persister_fences_run_with_the_mutex_free() {
+        // The persister parks inside its forced block's fence, then inside
+        // the superblock's; each time a write must complete before the
+        // park is released. A write that needed the protocol mutex while
+        // the persister held it would run the park out of time.
+        let cfg = small_cfg();
+        let geometry = Geometry {
+            lines: cfg.lines,
+            log_blocks: cfg.log_blocks,
+        };
+        let medium = Arc::new(GatedMedium {
+            inner: CountingMedium::new(geometry.total_len()),
+            log_off: geometry.log_slot_off(0),
+            gate: Mutex::default(),
+            cv: Condvar::new(),
+        });
+        let (engine, _) = Engine::open(Arc::clone(&medium) as _, cfg, Telemetry::off()).unwrap();
+        for line in 0..4 {
+            engine.write_line(line, &line_of(1)).unwrap();
+        }
+        medium
+            .gate
+            .lock()
+            .unwrap()
+            .armed
+            .extend([Fenced::Block, Fenced::Superblock]);
+        let (paused, go) = pause_after_copy(&engine);
+        engine.commit_epoch_async().unwrap();
+        paused
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the persister never copied epoch 1");
+        // Epoch 2 rewrites a copied line: the probe must seal its entry.
+        engine.write_line(0, &line_of(2)).unwrap();
+        go.send(()).unwrap();
+        for (fence, line) in [(Fenced::Block, 10), (Fenced::Superblock, 11)] {
+            medium.await_park(fence);
+            engine.write_line(line, &line_of(3)).unwrap();
+            medium.release();
+        }
+        engine.drain_persister().unwrap();
+        let gate = medium.gate.lock().unwrap();
+        assert!(
+            gate.timed_out.is_empty(),
+            "a write waited out the persister's {:?} fence: the protocol mutex was held across it",
+            gate.timed_out
+        );
+        let block_fence = gate
+            .ops
+            .windows(2)
+            .position(|w| matches!(w, [Some(off), None] if *off >= medium.log_off))
+            .expect("the persister fenced no forced block")
+            + 1;
+        let line_writes: Vec<usize> = (0..gate.ops.len())
+            .filter(|&i| matches!(gate.ops[i], Some(off) if (DATA_OFFSET..medium.log_off).contains(&off)))
+            .collect();
+        assert_eq!(line_writes.len(), 4, "ops: {:?}", gate.ops);
+        assert!(
+            line_writes.iter().all(|&i| i > block_fence),
+            "a line was written in place before the sealed block's fence: {:?}",
+            gate.ops
+        );
+        drop(gate);
+        engine.close().unwrap();
+    }
+
+    #[test]
+    fn mutex_timers_cover_every_site() {
+        let cfg = small_cfg();
+        let medium = medium_for(&cfg);
+        let (engine, _) = Engine::open(medium, cfg, Telemetry::off()).unwrap();
+        let registry = picl_obs::MetricsRegistry::new();
+        engine.enable_obs(&registry);
+        for e in 0..4u8 {
+            for line in 0..16 {
+                engine.write_line(line, &line_of(e)).unwrap();
+            }
+            engine.commit_epoch().unwrap();
+        }
+        engine.drain_persister().unwrap();
+        let snap = registry.snapshot();
+        let count = |name: &str, site: LockSite| {
+            let h = snap.histogram(name, &[("site", site.label())]);
+            h.unwrap_or_else(|| panic!("{name}{{site={}}} missing", site.label()))
+                .count()
+        };
+        let timed = |site| {
+            let waits = count("picl_store_mutex_wait_ns", site);
+            assert_eq!(waits, count("picl_store_mutex_hold_ns", site), "{site:?}");
+            waits
+        };
+        // 64 writes from one thread hold exactly 64 / 8 sampled ones.
+        assert_eq!(
+            timed(LockSite::Writer),
+            64 / crate::obs::WRITER_SAMPLE_EVERY
+        );
+        assert_eq!(timed(LockSite::Commit), 4);
+        let cycles = timed(LockSite::PersisterProbe);
+        assert!((1..=4).contains(&cycles), "{cycles} persister cycles");
+        assert_eq!(timed(LockSite::PersisterFrontier), 2 * cycles);
+        engine.close().unwrap();
     }
 
     #[test]

@@ -163,19 +163,6 @@ fn paper_cell(scale: f64) -> (String, Simulation) {
     ("PiCL/W0 x8 paper".to_owned(), sim)
 }
 
-/// Multi-lane variants of the paper cell: identical workload, decode fanned
-/// out to N lane threads. The differential check inside [`run_cell`] then
-/// enforces that laned decode reproduces the reference report bit-for-bit.
-fn lane_cells(scale: f64) -> Vec<(String, Simulation)> {
-    [2usize, 4]
-        .into_iter()
-        .map(|lanes| {
-            let (_, sim) = paper_cell(scale);
-            (format!("PiCL/W0 x8 lanes{lanes}"), sim.decode_lanes(lanes))
-        })
-        .collect()
-}
-
 /// Runs one cell on both paths, enforcing the differential check.
 fn run_cell(label: &str, sim: &Simulation) -> Result<CellResult, ArgError> {
     let timed = |reference: bool| -> Result<(RunReport, f64), ArgError> {
@@ -227,10 +214,6 @@ fn peak_rss_kb() -> u64 {
         .unwrap_or(0)
 }
 
-pub(crate) fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// Renders the `picl-bench-v1` document.
 fn to_json(mode: &str, cells: &[CellResult], total_seconds: f64) -> String {
     let mut out = String::new();
@@ -244,9 +227,9 @@ fn to_json(mode: &str, cells: &[CellResult], total_seconds: f64) -> String {
              \"cores\": {}, \"instructions\": {}, \"events_per_sec\": {:.1}, \
              \"reference_events_per_sec\": {:.1}, \"speedup\": {:.3}, \
              \"rss_delta_kb\": {}, \"identical\": true}}{}\n",
-            escape(&cell.label),
-            escape(&cell.scheme),
-            escape(&cell.workload),
+            json_escape(&cell.label),
+            json_escape(&cell.scheme),
+            json_escape(&cell.workload),
             cell.cores,
             cell.instructions,
             cell.events_per_sec,
@@ -266,32 +249,26 @@ fn to_json(mode: &str, cells: &[CellResult], total_seconds: f64) -> String {
     out
 }
 
-/// Pulls `(label, events_per_sec)` pairs out of a committed bench JSON.
-///
-/// A full JSON parser is overkill for the one document this command
-/// itself emits: each cell object puts `events_per_sec` right after its
-/// `label`, so a linear scan recovers the pairs.
-fn committed_cells(json: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(pos) = rest.find("\"label\": \"") {
-        let after = &rest[pos + "\"label\": \"".len()..];
-        let Some(end) = after.find('"') else { break };
-        let label = after[..end].to_owned();
-        let tail = &after[end..];
-        if let Some(vpos) = tail.find("\"events_per_sec\": ") {
-            let digits = &tail[vpos + "\"events_per_sec\": ".len()..];
-            let number: String = digits
-                .chars()
-                .take_while(|c| c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E'))
-                .collect();
-            if let Ok(value) = number.parse::<f64>() {
-                out.push((label, value));
-            }
-        }
-        rest = tail;
+/// Pulls `(label, events_per_sec)` pairs out of a committed
+/// `picl-bench-v1` document.
+fn committed_cells(json: &str) -> Result<Vec<(String, f64)>, String> {
+    let doc = Value::parse(json).map_err(|e| format!("not valid JSON: {e}"))?;
+    if doc.field_str("schema")? != "picl-bench-v1" {
+        return Err("schema is not picl-bench-v1".into());
     }
-    out
+    doc.get("cells")
+        .and_then(Value::as_arr)
+        .ok_or("no \"cells\" array")?
+        .iter()
+        .map(|cell| {
+            let label = cell.field_str("label")?;
+            let events_per_sec = cell
+                .get("events_per_sec")
+                .and_then(Value::as_f64)
+                .ok_or_else(|| format!("cell {label:?} has no numeric \"events_per_sec\""))?;
+            Ok((label.to_owned(), events_per_sec))
+        })
+        .collect()
 }
 
 /// Fails if this run's events/sec regressed more than 20% (geometric mean
@@ -299,13 +276,7 @@ fn committed_cells(json: &str) -> Vec<(String, f64)> {
 fn check_regression(path: &str, cells: &[CellResult]) -> Result<(), ArgError> {
     let committed =
         std::fs::read_to_string(path).map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
-    validate_json(&committed).map_err(|e| ArgError(format!("{path} is not valid JSON: {e}")))?;
-    if !committed.contains("\"schema\": \"picl-bench-v1\"") {
-        return Err(ArgError(format!(
-            "{path} does not declare the picl-bench-v1 schema"
-        )));
-    }
-    let baseline = committed_cells(&committed);
+    let baseline = committed_cells(&committed).map_err(|e| ArgError(format!("{path}: {e}")))?;
     let mut log_ratio_sum = 0.0;
     let mut matched = 0usize;
     for cell in cells {
@@ -360,7 +331,6 @@ pub fn cmd_bench(args: &Args) -> Result<(), ArgError> {
     let mut matrix = quick_cells(scale);
     if !quick {
         matrix.push(paper_cell(scale));
-        matrix.extend(lane_cells(scale));
     }
     let bench_cells: Vec<BenchCell> = matrix
         .into_iter()
@@ -456,7 +426,7 @@ mod tests {
                     rss_delta_kb: 64,
                 },
                 CellResult {
-                    label: "B/y x2".into(),
+                    label: "B/\"y\" x2".into(),
                     scheme: "B".into(),
                     workload: "y".into(),
                     cores: 2,
@@ -469,11 +439,15 @@ mod tests {
             1.0,
         );
         validate_json(&json).unwrap();
-        let cells = committed_cells(&json);
+        let cells = committed_cells(&json).unwrap();
         assert_eq!(
             cells,
-            vec![("A/x x1".to_owned(), 1000.0), ("B/y x2".to_owned(), 2000.0)]
+            vec![
+                ("A/x x1".to_owned(), 1000.0),
+                ("B/\"y\" x2".to_owned(), 2000.0)
+            ]
         );
+        assert!(committed_cells(&json.replace("picl-bench-v1", "other")).is_err());
     }
 
     #[test]

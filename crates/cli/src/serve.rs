@@ -33,13 +33,11 @@ use picl_serve::{
 use picl_store::workload::Op;
 use picl_store::{EngineConfig, FileMedium, Geometry, StoreError, UNDO_BUFFER_ENTRIES};
 use picl_telemetry::export::jsonl_to_string;
-use picl_telemetry::json::validate_json;
-use picl_telemetry::json::Value;
+use picl_telemetry::json::{escape as json_escape, validate_json, Value};
 use picl_telemetry::Telemetry;
 use picl_types::stats::Histogram;
 
 use crate::args::{ArgError, Args};
-use crate::bench::escape as json_escape;
 use crate::commands::campaign_options;
 
 /// Usage text for `picl serve help`.

@@ -13,9 +13,6 @@
 //! recovered — the end-to-end crash-consistency check the paper's FPGA
 //! prototype performed with micro-benchmarks (§V).
 
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
-use std::thread::JoinHandle;
-
 use picl::os::boundary_handler_line;
 use picl_cache::hierarchy::AccessType;
 use picl_cache::{ConsistencyScheme, Hierarchy};
@@ -33,37 +30,21 @@ use crate::report::RunReport;
 const WORKLOAD_LINE_LIMIT: u64 = 1 << 40;
 
 /// Events decoded per [`TraceSource::fill`] call. Large enough to amortize
-/// the per-batch virtual dispatch and channel traffic, small enough that
-/// decode-ahead stays a few tens of KiB per core.
+/// the per-batch virtual dispatch, small enough that a core's decoded
+/// batch stays a few tens of KiB.
 const DECODE_CHUNK: usize = 1024;
-
-/// Where a core's decoded event batches come from.
-enum Feed {
-    /// Decode on the simulation thread, one chunk at a time.
-    Inline(Box<dyn TraceSource + Send>),
-    /// Batches are decoded ahead of time by a lane thread and arrive over
-    /// a bounded channel; drained batches are sent back for reuse.
-    Lane {
-        rx: Receiver<EventBatch>,
-        recycle: Sender<EventBatch>,
-    },
-    /// Detached during shutdown; no further events may be requested.
-    Closed,
-}
 
 struct Core {
     clock: Cycle,
     instructions: u64,
-    feed: Feed,
+    src: Box<dyn TraceSource + Send>,
     batch: EventBatch,
     pos: usize,
 }
 
 impl Core {
-    /// The next event of this core's stream, refilling the batch when the
-    /// current one is exhausted. The canonical event order is identical
-    /// whatever the feed: a core's stream is always decoded sequentially
-    /// in chunk order by exactly one producer.
+    /// The next event of this core's stream, refilling the batch from the
+    /// core's own source when the current one is exhausted.
     #[inline]
     fn next_event(&mut self) -> TraceEvent {
         if self.pos == self.batch.len() {
@@ -76,62 +57,8 @@ impl Core {
 
     #[cold]
     fn refill(&mut self) {
-        match &mut self.feed {
-            Feed::Inline(src) => src.fill(&mut self.batch, DECODE_CHUNK),
-            Feed::Lane { rx, recycle } => {
-                let fresh = rx.recv().expect("decode lane disconnected");
-                let spent = std::mem::replace(&mut self.batch, fresh);
-                // The lane may already have exited; a failed recycle only
-                // costs the allocation.
-                let _ = recycle.send(spent);
-            }
-            Feed::Closed => panic!("event requested from a closed feed"),
-        }
+        self.src.fill(&mut self.batch, DECODE_CHUNK);
         self.pos = 0;
-    }
-}
-
-/// One decode lane's share of the cores: the trace source it advances plus
-/// the channels to its consumer.
-struct LaneCore {
-    src: Box<dyn TraceSource + Send>,
-    tx: SyncSender<EventBatch>,
-    recycle: Receiver<EventBatch>,
-    pending: Option<EventBatch>,
-    closed: bool,
-}
-
-/// Decode-lane thread body: round-robin over the owned cores, keeping each
-/// core's bounded channel topped up. Sends never block — a full channel
-/// parks the batch in `pending` — so one budget-exhausted core can never
-/// wedge a lane that other cores are still draining.
-fn lane_main(mut cores: Vec<LaneCore>) {
-    loop {
-        let mut progressed = false;
-        let mut live = 0usize;
-        for lc in cores.iter_mut() {
-            if lc.closed {
-                continue;
-            }
-            live += 1;
-            if lc.pending.is_none() {
-                let mut batch = lc.recycle.try_recv().unwrap_or_default();
-                lc.src.fill(&mut batch, DECODE_CHUNK);
-                lc.pending = Some(batch);
-            }
-            let batch = lc.pending.take().expect("pending batch present");
-            match lc.tx.try_send(batch) {
-                Ok(()) => progressed = true,
-                Err(mpsc::TrySendError::Full(b)) => lc.pending = Some(b),
-                Err(mpsc::TrySendError::Disconnected(_)) => lc.closed = true,
-            }
-        }
-        if live == 0 {
-            break;
-        }
-        if !progressed {
-            std::thread::sleep(std::time::Duration::from_micros(100));
-        }
     }
 }
 
@@ -204,8 +131,6 @@ pub struct Machine {
     /// where later pushes overwrite earlier ones, matching the final
     /// logical value without a per-line image lookup.
     pending_dirty: Vec<(LineAddr, u64)>,
-    /// Decode-lane threads, when enabled; joined on drop.
-    lane_handles: Vec<JoinHandle<()>>,
     /// Reused across crash validations.
     diff_scratch: Vec<LineAddr>,
     token: u64,
@@ -255,10 +180,10 @@ impl Machine {
             scheme,
             cores: traces
                 .into_iter()
-                .map(|trace| Core {
+                .map(|src| Core {
                     clock: Cycle::ZERO,
                     instructions: 0,
-                    feed: Feed::Inline(trace),
+                    src,
                     batch: EventBatch::with_capacity(DECODE_CHUNK),
                     pos: 0,
                 })
@@ -266,7 +191,6 @@ impl Machine {
             logical: MainMemory::new(),
             snapshots,
             pending_dirty: Vec::new(),
-            lane_handles: Vec::new(),
             diff_scratch: Vec::new(),
             token: 0,
             instr_since_boundary: 0,
@@ -277,57 +201,6 @@ impl Machine {
         }
     }
 
-    /// Moves trace decoding onto `lanes` background threads (clamped to
-    /// the core count; 0 is a no-op that keeps decoding inline).
-    ///
-    /// Cores are assigned to lanes round-robin; each core's source is
-    /// still advanced sequentially by exactly one producer and its batches
-    /// arrive in decode order, so simulation results are bit-identical to
-    /// inline decoding for every lane count. Call before running.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lanes were already enabled on this machine.
-    pub fn set_decode_lanes(&mut self, lanes: usize) {
-        assert!(self.lane_handles.is_empty(), "decode lanes already enabled");
-        if lanes == 0 {
-            return;
-        }
-        let lanes = lanes.min(self.cores.len());
-        let mut shares: Vec<Vec<LaneCore>> = (0..lanes).map(|_| Vec::new()).collect();
-        for (i, core) in self.cores.iter_mut().enumerate() {
-            let Feed::Inline(src) = std::mem::replace(&mut core.feed, Feed::Closed) else {
-                unreachable!("fresh machine cores decode inline");
-            };
-            // Capacity 2 gives double buffering: the lane decodes the next
-            // chunk while the simulator drains the current one. A partially
-            // drained inline batch (if any) finishes first, so the stream
-            // position is preserved across the switch.
-            let (tx, rx) = mpsc::sync_channel(2);
-            let (recycle_tx, recycle_rx) = mpsc::channel();
-            core.feed = Feed::Lane {
-                rx,
-                recycle: recycle_tx,
-            };
-            shares[i % lanes].push(LaneCore {
-                src,
-                tx,
-                recycle: recycle_rx,
-                pending: None,
-                closed: false,
-            });
-        }
-        for share in shares {
-            self.lane_handles
-                .push(std::thread::spawn(move || lane_main(share)));
-        }
-    }
-
-    /// Number of decode-lane threads currently attached (0 = inline).
-    pub fn decode_lanes(&self) -> usize {
-        self.lane_handles.len()
-    }
-
     /// Turns tracing on: events from the scheme, the hierarchy, and the
     /// NVM flow into per-core rings of `ring_capacity` events each, and
     /// gauges (undo-buffer fill, NVM queue depth, LLC dirty-line census,
@@ -336,18 +209,8 @@ impl Machine {
     /// Returns a handle the caller snapshots to drain the recording.
     pub fn enable_telemetry(&mut self, ring_capacity: usize, sample_interval: u64) -> Telemetry {
         let telemetry = Telemetry::new(self.cores.len(), ring_capacity);
-        self.hier.set_telemetry(telemetry.clone());
-        self.mem.set_telemetry(telemetry.clone());
-        self.scheme.attach_telemetry(telemetry.clone());
-        telemetry.record(
-            self.now(),
-            None,
-            EventKind::EpochBegin {
-                eid: self.scheme.system_eid(),
-            },
-        );
+        self.attach_telemetry(telemetry.clone());
         self.sampler = Some(Sampler::new(sample_interval));
-        self.telemetry = telemetry.clone();
         telemetry
     }
 
@@ -373,6 +236,13 @@ impl Machine {
         // The sink must be in place before the initial EpochBegin is
         // recorded, or the auditor would tap mid-lifecycle.
         let handle = picl_audit::AuditHandle::attach(&telemetry, audit_cfg);
+        self.attach_telemetry(telemetry);
+        handle
+    }
+
+    /// Routes the hierarchy's, the memory's and the scheme's events into
+    /// `telemetry` and records the open epoch as its first event.
+    fn attach_telemetry(&mut self, telemetry: Telemetry) {
         self.hier.set_telemetry(telemetry.clone());
         self.mem.set_telemetry(telemetry.clone());
         self.scheme.attach_telemetry(telemetry.clone());
@@ -384,7 +254,6 @@ impl Machine {
             },
         );
         self.telemetry = telemetry;
-        handle
     }
 
     /// Snapshots every gauge into the recorder's time series.
@@ -570,24 +439,7 @@ impl Machine {
 
     /// Forces an epoch boundary now (the OS timer interrupt).
     pub fn epoch_boundary(&mut self) {
-        // The OS boundary handler checkpoints each core's register file
-        // with ordinary cacheable stores (§V-A) before the commit.
-        for i in 0..self.cores.len() {
-            let line = boundary_handler_line(CoreId(i));
-            let token = self.next_token();
-            self.logical_write(line, token);
-            let at = self.cores[i].clock;
-            self.hier.access(
-                CoreId(i),
-                line,
-                AccessType::Store { new_value: token },
-                self.scheme.as_mut(),
-                &mut self.mem,
-                at,
-            );
-            self.cores[i].clock += 1u64;
-        }
-
+        self.checkpoint_registers(self.cores.len());
         let now = self.now();
         let outcome = self
             .scheme
@@ -691,7 +543,15 @@ impl Machine {
     /// the cache and PiCL bumps `SystemEID` — has not happened. This is
     /// the mid-flush interleaving that point crash checks miss.
     pub fn crash_mid_boundary(&mut self, cores_done: usize) -> CrashReport {
-        for i in 0..cores_done.min(self.cores.len()) {
+        self.checkpoint_registers(cores_done.min(self.cores.len()));
+        self.crash()
+    }
+
+    /// The OS boundary handler's first step for cores `0..cores`: each
+    /// core checkpoints its register file with ordinary cacheable stores
+    /// (§V-A), in core order, before the commit.
+    fn checkpoint_registers(&mut self, cores: usize) {
+        for i in 0..cores {
             let line = boundary_handler_line(CoreId(i));
             let token = self.next_token();
             self.logical_write(line, token);
@@ -706,7 +566,6 @@ impl Machine {
             );
             self.cores[i].clock += 1u64;
         }
-        self.crash()
     }
 
     /// Produces the run report.
@@ -724,24 +583,6 @@ impl Machine {
             scheme_stats: stats,
             nvm: self.mem.stats().clone(),
             hierarchy: self.hier.stats().clone(),
-        }
-    }
-}
-
-impl Drop for Machine {
-    fn drop(&mut self) {
-        if self.lane_handles.is_empty() {
-            return;
-        }
-        // Dropping each core's receiver makes the lanes observe
-        // disconnection on their next send attempt and exit.
-        for core in &mut self.cores {
-            if matches!(core.feed, Feed::Lane { .. }) {
-                core.feed = Feed::Closed;
-            }
-        }
-        for handle in self.lane_handles.drain(..) {
-            let _ = handle.join();
         }
     }
 }

@@ -171,7 +171,6 @@ pub struct Simulation {
     footprint_scale: f64,
     keep_snapshots: bool,
     reference_mode: bool,
-    decode_lanes: usize,
 }
 
 impl Simulation {
@@ -186,7 +185,6 @@ impl Simulation {
             footprint_scale: 1.0,
             keep_snapshots: false,
             reference_mode: false,
-            decode_lanes: 0,
         }
     }
 
@@ -249,14 +247,6 @@ impl Simulation {
         self
     }
 
-    /// Decodes traces on `n` background lane threads (0 = inline,
-    /// default). Results are bit-identical for every lane count; `picl
-    /// bench` checks exactly that on its multi-lane cells.
-    pub fn decode_lanes(mut self, n: usize) -> Simulation {
-        self.decode_lanes = n;
-        self
-    }
-
     /// Builds the machine without running it (for crash-injection tests).
     ///
     /// # Errors
@@ -274,9 +264,6 @@ impl Simulation {
         let mut machine = Machine::new(cfg, scheme, traces, spec.label(), self.keep_snapshots);
         if self.reference_mode {
             machine.set_reference_mode(true);
-        }
-        if self.decode_lanes > 0 {
-            machine.set_decode_lanes(self.decode_lanes);
         }
         Ok(machine)
     }

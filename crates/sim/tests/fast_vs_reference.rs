@@ -12,7 +12,8 @@
 
 use proptest::prelude::*;
 
-use picl_sim::{SchemeKind, Simulation, WorkloadSpec};
+use picl_sim::{RunReport, SchemeKind, Simulation, WorkloadSpec};
+use picl_trace::mixes::table_v_mixes;
 use picl_trace::spec::SpecBenchmark;
 use picl_types::SystemConfig;
 
@@ -91,6 +92,34 @@ proptest! {
             fast, reference,
             "crash reports diverged: {:?} at {} seed {}",
             scheme, at, seed
+        );
+    }
+}
+
+fn run_w0_mix(scheme: SchemeKind, reference: bool) -> RunReport {
+    let mut cfg = SystemConfig::paper_multicore(8);
+    cfg.epoch.epoch_len_instructions = 2_000;
+    Simulation::builder(cfg)
+        .scheme(scheme)
+        .workload_spec(WorkloadSpec::mix(&table_v_mixes()[0]))
+        .instructions_per_core(20_000)
+        .seed(42)
+        .footprint_scale(0.02)
+        .keep_snapshots(true)
+        .reference_mode(reference)
+        .run()
+        .expect("simulation runs")
+}
+
+/// The proptests above are single-core; this pins the eight-core W0 mix,
+/// where the laggard scheduler interleaves cores over shared LLC and NVM.
+#[test]
+fn eight_core_mix_matches_reference_scan() {
+    for scheme in [SchemeKind::Ideal, SchemeKind::Picl] {
+        assert_eq!(
+            run_w0_mix(scheme, false),
+            run_w0_mix(scheme, true),
+            "{scheme:?}: eight-core W0 report diverged from reference"
         );
     }
 }

@@ -32,7 +32,7 @@ commands:
   analyze     offline trace analytics: epoch critical path, stall
               attribution, NVM bandwidth and queue-depth percentiles
   sweep       sweep a PiCL parameter (acs-gap | buffer | bloom | epoch)
-  bench       wall-clock perf harness: pinned matrix + differential check
+  bench       fast-vs-reference differential over a pinned matrix
   record      capture a synthetic workload to a trace file
   replay      simulate from a recorded trace file
   store       the executable PiCL storage engine (see `picl store help`):
@@ -40,7 +40,7 @@ commands:
   serve       concurrent serving front-end (see `picl serve help`):
               run | torture
   ycsb        YCSB-style load benchmark: zipfian keys, A/B/C mixes,
-              multi- vs single-session PiCL (and optionally the
+              multi-session PiCL (and optionally the
               fdatasync-per-mutation baseline), audited event streams
   obs         operator tooling for the serving metrics (see
               `picl obs help`): scrape | check | print | diff | overhead
@@ -71,10 +71,9 @@ audit / analyze flags:
   --json FILE           (audit) also write an audit-report-v1 JSON report
 
 bench flags:
-  --quick               skip the 8-core paper cell (the CI smoke matrix)
-  --out FILE            results JSON path (default BENCH_8.json)
-  --check FILE          validate FILE's picl-bench-v1 schema and fail if
-                        this run's events/sec falls >20% below it
+  --quick               skip the 8-core paper cell and its >=10x
+                        fast-over-reference speed check (the CI smoke matrix)
+  --out FILE            also write the picl-bench-v2 JSON report to FILE
   --scale F             scale instruction/epoch budgets (default 1.0)
 
 crashlab flags:
@@ -98,7 +97,7 @@ ycsb flags:
   --ops-per-epoch N     mutations per epoch (default 64)
   --window N            in-order persist window = RPO bound (default 4)
   --baseline            also run the fdatasync-per-mutation store
-  --out FILE            picl-serve-v1 report path (default BENCH_10.json)
+  --out FILE            also write the picl-serve-v2 JSON report to FILE
   --path FILE           store-file base path (default: under the temp dir)
   --telemetry PREFIX    export the multi-session cell's event stream
 
@@ -1140,44 +1139,17 @@ mod tests {
     }
 
     #[test]
-    fn bench_quick_emits_valid_json_and_checks_regressions() {
+    fn bench_quick_emits_valid_json() {
         let dir = std::env::temp_dir().join("picl_cli_bench_test");
         std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join("b.json").to_str().unwrap().to_owned();
         dispatch(&Args::parse(["bench", "--quick", "--scale", "0.02", "--out", &out]).unwrap())
             .unwrap();
         let json = std::fs::read_to_string(&out).unwrap();
-        assert!(json.contains("\"schema\": \"picl-bench-v1\""));
+        assert!(json.contains("\"schema\": \"picl-bench-v2\""));
         assert!(json.contains("\"speedup\""));
         assert!(json.contains("\"identical\": true"));
-
-        // A committed baseline with tiny events/sec always passes…
-        let slow = json.replace("_per_sec\": ", "_per_sec\": 0.000001, \"was\": ");
-        let slow_path = dir.join("slow.json").to_str().unwrap().to_owned();
-        std::fs::write(&slow_path, &slow).unwrap();
-        dispatch(
-            &Args::parse([
-                "bench", "--quick", "--scale", "0.02", "--out", &out, "--check", &slow_path,
-            ])
-            .unwrap(),
-        )
-        .unwrap();
-
-        // …and one with absurdly high numbers fails the 20% gate.
-        let fast = json.replace("_per_sec\": ", "_per_sec\": 1e30, \"was\": ");
-        let fast_path = dir.join("fast.json").to_str().unwrap().to_owned();
-        std::fs::write(&fast_path, &fast).unwrap();
-        let err = dispatch(
-            &Args::parse([
-                "bench", "--quick", "--scale", "0.02", "--out", &out, "--check", &fast_path,
-            ])
-            .unwrap(),
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("regressed"), "{err}");
-        for p in [&out, &slow_path, &fast_path] {
-            std::fs::remove_file(p).ok();
-        }
+        std::fs::remove_file(&out).ok();
     }
 
     #[test]

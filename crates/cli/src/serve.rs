@@ -12,11 +12,10 @@
 //!   require every recovery to be prefix-consistent per session within
 //!   the RPO bound.
 //! - `ycsb` — the load benchmark: zipfian key popularity, A/B/C mixes,
-//!   closed- or open-loop arrivals. Runs a multi-session cell and a
-//!   same-op-count single-session cell (plus, with `--baseline`, the
-//!   fdatasync-per-mutation store) through the campaign executor,
-//!   audits the PiCL cells' event streams in-process, and emits a
-//!   `picl-serve-v1` JSON report.
+//!   closed- or open-loop arrivals. Runs a multi-session PiCL cell (plus,
+//!   with `--baseline`, the fdatasync-per-mutation store) through the
+//!   campaign executor, audits the PiCL cell's event stream in-process,
+//!   and renders a `picl-serve-v2` JSON report (written with `--out`).
 
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -250,7 +249,6 @@ fn serve_run(args: &Args) -> Result<(), ArgError> {
         .map_err(|e| ArgError(format!("final commit: {e}")))?;
 
     let counts = kv.session_counts();
-    let stalls = kv.commit_stalls();
     let (_, committed, persisted) = kv.engine().frontiers();
     let live = kv.scan().map_err(|e| ArgError(format!("scan: {e}")))?.len();
     let stats = kv
@@ -270,13 +268,23 @@ fn serve_run(args: &Args) -> Result<(), ArgError> {
         stats.forced_drains,
         stats.window_stalls
     );
-    if let Some(p99) = stalls.percentile_interpolated(99.0) {
-        println!(
-            "epoch-commit stall: p50 {:.3} ms, p99 {:.3} ms over {} commits",
-            stalls.percentile_interpolated(50.0).unwrap_or(0.0) / 1e6,
-            p99 / 1e6,
-            stalls.count()
-        );
+    if let Some(reg) = &registry {
+        let snap = reg.snapshot();
+        let ms = |name: &str, p: f64| {
+            snap.histogram(name, &[])
+                .and_then(|h| h.percentile_interpolated(p))
+                .map_or(0.0, |ns| ns / 1e6)
+        };
+        if let Some(publish) = snap.histogram("picl_serve_commit_publish_ns", &[]) {
+            println!(
+                "epoch-commit stall: publish p50 {:.3} ms, p99 {:.3} ms over {} commits; \
+                 window wait p99 {:.3} ms",
+                ms("picl_serve_commit_publish_ns", 50.0),
+                ms("picl_serve_commit_publish_ns", 99.0),
+                publish.count(),
+                ms("picl_serve_commit_window_ns", 99.0)
+            );
+        }
     }
     if let Some(prefix) = args.get("telemetry") {
         crate::commands::export_telemetry(prefix, &telemetry.snapshot())?;
@@ -397,6 +405,11 @@ struct ObsSummary {
     persister_cycle_p99_ms: f64,
     /// Persist fences issued (epoch batches + superblock updates).
     fences: u64,
+    /// Group-commit leader's boundary publish under every shard lock.
+    commit_publish_p99_us: f64,
+    /// Leader's in-order-window stall, over commits that found the
+    /// window full (0 when none did).
+    commit_window_p99_us: f64,
 }
 
 impl ObsSummary {
@@ -405,7 +418,8 @@ impl ObsSummary {
             "{{\"get_p50_us\": {}, \"get_p99_us\": {}, \"get_p999_us\": {}, \
              \"put_p50_us\": {}, \"put_p99_us\": {}, \"put_p999_us\": {}, \
              \"contended_gets\": {}, \"escalations\": {}, \"escalation_rate\": {}, \
-             \"persister_cycles\": {}, \"persister_cycle_p99_ms\": {}, \"fences\": {}}}",
+             \"persister_cycles\": {}, \"persister_cycle_p99_ms\": {}, \"fences\": {}, \
+             \"commit_publish_p99_us\": {}, \"commit_window_p99_us\": {}}}",
             self.get_p50_us,
             self.get_p99_us,
             self.get_p999_us,
@@ -417,7 +431,9 @@ impl ObsSummary {
             self.escalation_rate,
             self.persister_cycles,
             self.persister_cycle_p99_ms,
-            self.fences
+            self.fences,
+            self.commit_publish_p99_us,
+            self.commit_window_p99_us
         )
     }
 
@@ -440,6 +456,8 @@ impl ObsSummary {
             persister_cycles: node.field_u64("persister_cycles")?,
             persister_cycle_p99_ms: float("persister_cycle_p99_ms")?,
             fences: node.field_u64("fences")?,
+            commit_publish_p99_us: float("commit_publish_p99_us")?,
+            commit_window_p99_us: float("commit_window_p99_us")?,
         })
     }
 }
@@ -469,6 +487,10 @@ fn obs_summary(snap: &picl_obs::Snapshot) -> ObsSummary {
         .unwrap_or(0);
     let shard_ops = snap.counter_total("picl_serve_shard_ops_total");
     let cycles = snap.histogram("picl_store_persister_cycle_ns", &[]);
+    let commit_p99_us = |name: &str| {
+        snap.histogram(name, &[])
+            .map_or(0.0, |h| h.percentile_defined(99.0) / 1e3)
+    };
     ObsSummary {
         get_p50_us: us(&get, 50.0),
         get_p99_us: us(&get, 99.0),
@@ -494,6 +516,8 @@ fn obs_summary(snap: &picl_obs::Snapshot) -> ObsSummary {
         persister_cycles: cycles.map_or(0, Histogram::count),
         persister_cycle_p99_ms: cycles.map_or(0.0, |h| h.percentile_defined(99.0) / 1e6),
         fences: snap.counter("picl_store_fences_total", &[]).unwrap_or(0),
+        commit_publish_p99_us: commit_p99_us("picl_serve_commit_publish_ns"),
+        commit_window_p99_us: commit_p99_us("picl_serve_commit_window_ns"),
     }
 }
 
@@ -572,9 +596,6 @@ struct YcsbResult {
     p50_us: f64,
     p99_us: f64,
     p999_us: f64,
-    /// p99 of the group-commit leader's full commit cost in nanoseconds —
-    /// boundary publish plus any in-order-window wait (0 for fsync).
-    commit_stall_p99_ns: f64,
     /// Key-shard mutation locks the serving layer ran with (0 for fsync,
     /// which serializes on one table lock).
     shards: usize,
@@ -604,7 +625,7 @@ impl CellPayload for YcsbResult {
              \"reads\": {}, \"updates\": {}, \"preload_s\": {}, \
              \"preload_keys_per_s\": {}, \"elapsed_s\": {}, \
              \"throughput\": {}, \"p50_us\": {}, \"p99_us\": {}, \"p999_us\": {}, \
-             \"commit_stall_p99_ns\": {}, \"shards\": {}, \"audit_events\": {}, \
+             \"shards\": {}, \"audit_events\": {}, \
              \"audit_dropped\": {}, \"audit_violations\": {}, \
              \"obs\": {obs}, \"tenants\": [{tenants}]}}",
             json_escape(&self.label),
@@ -620,7 +641,6 @@ impl CellPayload for YcsbResult {
             self.p50_us,
             self.p99_us,
             self.p999_us,
-            self.commit_stall_p99_ns,
             self.shards,
             self.audit_events,
             self.audit_dropped,
@@ -651,7 +671,6 @@ impl CellPayload for YcsbResult {
             p50_us: float("p50_us")?,
             p99_us: float("p99_us")?,
             p999_us: float("p999_us")?,
-            commit_stall_p99_ns: float("commit_stall_p99_ns")?,
             shards: v
                 .get("shards")
                 .and_then(Value::as_usize)
@@ -773,7 +792,6 @@ impl YcsbCell {
         let report = run_load(&kv, &self.spec).map_err(|e| ArgError(format!("load: {e}")))?;
         kv.commit()
             .map_err(|e| ArgError(format!("final commit: {e}")))?;
-        let stalls = kv.commit_stalls();
         let shards = kv.shard_count();
         kv.close().map_err(|e| ArgError(format!("close: {e}")))?;
 
@@ -808,7 +826,6 @@ impl YcsbCell {
             p50_us,
             p99_us,
             p999_us,
-            commit_stall_p99_ns: stalls.percentile_interpolated(99.0).unwrap_or(0.0),
             shards,
             audit_events: snap.events.len() as u64,
             audit_dropped: snap.dropped,
@@ -845,7 +862,6 @@ impl YcsbCell {
             p50_us,
             p99_us,
             p999_us,
-            commit_stall_p99_ns: 0.0,
             shards: 0,
             audit_events: 0,
             audit_dropped: 0,
@@ -864,11 +880,11 @@ pub(crate) fn slots_per_record(value_bytes: usize) -> u64 {
         .div_ceil(picl_store::slots::CONT_VALUE_BYTES) as u64
 }
 
-/// Renders the `picl-serve-v1` document.
-fn serve_report_json(spec: &LoadSpec, cells: &[YcsbResult], speedup: f64) -> String {
+/// Renders the `picl-serve-v2` document.
+fn serve_report_json(spec: &LoadSpec, cells: &[YcsbResult]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"picl-serve-v1\",\n");
+    out.push_str("  \"schema\": \"picl-serve-v2\",\n");
     out.push_str(&format!("  \"mix\": \"{}\",\n", spec.mix.label()));
     out.push_str(&format!(
         "  \"arrival\": \"{}\",\n",
@@ -887,16 +903,13 @@ fn serve_report_json(spec: &LoadSpec, cells: &[YcsbResult], speedup: f64) -> Str
         ));
     }
     out.push_str("  ],\n");
-    // Top-level operator summary: the multi-session PiCL cell's registry
-    // view, so dashboards don't have to dig through the cell array.
+    // Top-level operator summary: the PiCL cell's registry view, so
+    // dashboards don't have to dig through the cell array.
     let obs = cells
         .iter()
-        .filter(|c| c.backend == "picl" && c.sessions > 1)
-        .chain(cells.iter())
         .find_map(|c| c.obs.as_ref())
         .map_or_else(|| "null".to_owned(), ObsSummary::encode);
-    out.push_str(&format!("  \"obs\": {obs},\n"));
-    out.push_str(&format!("  \"speedup_multi_over_single\": {speedup:.3}\n"));
+    out.push_str(&format!("  \"obs\": {obs}\n"));
     out.push_str("}\n");
     out
 }
@@ -953,8 +966,6 @@ pub fn cmd_ycsb(args: &Args) -> Result<(), ArgError> {
     };
     spec.validate()
         .map_err(|e| ArgError(format!("load spec: {e}")))?;
-    // The multi and single cells run the same total op count.
-    let cell_total = spec.ops_per_session * sessions as u64;
 
     // Auto-size the table: every key at its spanning footprint, at most
     // half full, unless the user pinned the geometry.
@@ -990,30 +1001,15 @@ pub fn cmd_ycsb(args: &Args) -> Result<(), ArgError> {
     }
     let telemetry_prefix = args.get("telemetry").map(str::to_owned);
 
-    let mut cells = vec![
-        YcsbCell {
-            label: format!("picl x{sessions}"),
-            backend: "picl",
-            store_path: base.with_extension("multi.store"),
-            spec: spec.clone(),
-            cfg: cfg.clone(),
-            ops_per_epoch,
-            telemetry_prefix: telemetry_prefix.clone(),
-        },
-        YcsbCell {
-            label: "picl x1".into(),
-            backend: "picl",
-            store_path: base.with_extension("single.store"),
-            spec: LoadSpec {
-                sessions: 1,
-                ops_per_session: cell_total,
-                ..spec.clone()
-            },
-            cfg: cfg.clone(),
-            ops_per_epoch,
-            telemetry_prefix: None,
-        },
-    ];
+    let mut cells = vec![YcsbCell {
+        label: format!("picl x{sessions}"),
+        backend: "picl",
+        store_path: base.with_extension("multi.store"),
+        spec: spec.clone(),
+        cfg: cfg.clone(),
+        ops_per_epoch,
+        telemetry_prefix,
+    }];
     if args.is_set("baseline") {
         cells.push(YcsbCell {
             label: format!("fsync x{sessions}"),
@@ -1042,20 +1038,13 @@ pub fn cmd_ycsb(args: &Args) -> Result<(), ArgError> {
         .collect();
 
     println!(
-        "{:<12}{:>9}{:>12}{:>12}{:>11}{:>11}{:>12}{:>12}",
-        "cell", "ops", "ops/s", "preload/s", "p50 us", "p99 us", "p99.9 us", "stall99 ms"
+        "{:<12}{:>9}{:>12}{:>12}{:>11}{:>11}{:>12}",
+        "cell", "ops", "ops/s", "preload/s", "p50 us", "p99 us", "p99.9 us"
     );
     for r in &results {
         println!(
-            "{:<12}{:>9}{:>12.0}{:>12.0}{:>11.1}{:>11.1}{:>12.1}{:>12.3}",
-            r.label,
-            r.ops,
-            r.throughput,
-            r.preload_keys_per_s,
-            r.p50_us,
-            r.p99_us,
-            r.p999_us,
-            r.commit_stall_p99_ns / 1e6
+            "{:<12}{:>9}{:>12.0}{:>12.0}{:>11.1}{:>11.1}{:>12.1}",
+            r.label, r.ops, r.throughput, r.preload_keys_per_s, r.p50_us, r.p99_us, r.p999_us
         );
     }
     if !failures.is_empty() {
@@ -1070,53 +1059,51 @@ pub fn cmd_ycsb(args: &Args) -> Result<(), ArgError> {
         )));
     }
 
-    let multi = results
+    let picl = results
         .iter()
-        .find(|r| r.backend == "picl" && r.sessions == sessions)
-        .ok_or_else(|| ArgError("multi-session cell missing from results".into()))?;
-    let single = results
-        .iter()
-        .find(|r| r.backend == "picl" && r.sessions == 1)
-        .ok_or_else(|| ArgError("single-session cell missing from results".into()))?;
-    let speedup = multi.throughput / single.throughput.max(1e-9);
+        .find(|r| r.backend == "picl")
+        .ok_or_else(|| ArgError("PiCL cell missing from results".into()))?;
     println!(
-        "{} sessions vs 1: {speedup:.2}x aggregate throughput ({} audit events, \
-         {} dropped, {} violations)",
-        sessions, multi.audit_events, multi.audit_dropped, multi.audit_violations
+        "{}: {} audit events, {} dropped, {} violations",
+        picl.label, picl.audit_events, picl.audit_dropped, picl.audit_violations
     );
-    if !multi.tenants.is_empty() {
-        println!("per-tenant breakdown ({}):", multi.label);
+    if !picl.tenants.is_empty() {
+        println!("per-tenant breakdown ({}):", picl.label);
         println!(
             "{:<10}{:>9}{:>9}{:>11}{:>11}{:>12}",
             "session", "reads", "updates", "p50 us", "p99 us", "p99.9 us"
         );
-        for t in &multi.tenants {
+        for t in &picl.tenants {
             println!(
                 "{:<10}{:>9}{:>9}{:>11.1}{:>11.1}{:>12.1}",
                 t.session, t.reads, t.updates, t.p50_us, t.p99_us, t.p999_us
             );
         }
     }
-    if let Some(o) = &multi.obs {
+    if let Some(o) = &picl.obs {
         println!(
             "obs: get p99 {:.1} us, put p99 {:.1} us, {} escalations \
-             ({:.4} per shard op), {} persister cycles (p99 {:.3} ms), {} fences",
+             ({:.4} per shard op), {} persister cycles (p99 {:.3} ms), {} fences, \
+             commit publish p99 {:.1} us, window wait p99 {:.1} us",
             o.get_p99_us,
             o.put_p99_us,
             o.escalations,
             o.escalation_rate,
             o.persister_cycles,
             o.persister_cycle_p99_ms,
-            o.fences
+            o.fences,
+            o.commit_publish_p99_us,
+            o.commit_window_p99_us
         );
     }
 
-    let json = serve_report_json(&spec, &results, speedup);
+    let json = serve_report_json(&spec, &results);
     validate_json(&json).map_err(|e| ArgError(format!("emitted JSON invalid: {e}")))?;
-    let out_path = args.get_or("out", "BENCH_10.json");
-    std::fs::write(out_path, &json)
-        .map_err(|e| ArgError(format!("cannot write {out_path}: {e}")))?;
-    println!("wrote {out_path} ({} cells)", results.len());
+    if let Some(out_path) = args.get("out") {
+        std::fs::write(out_path, &json)
+            .map_err(|e| ArgError(format!("cannot write {out_path}: {e}")))?;
+        println!("wrote {out_path} ({} cells)", results.len());
+    }
 
     let violations: u64 = results.iter().map(|r| r.audit_violations).sum();
     if violations > 0 {
@@ -1212,13 +1199,11 @@ mod tests {
         ]))
         .unwrap();
         let json = std::fs::read_to_string(&out).unwrap();
-        assert!(json.contains("\"schema\": \"picl-serve-v1\""), "{json}");
-        assert!(json.contains("\"speedup_multi_over_single\""), "{json}");
+        assert!(json.contains("\"schema\": \"picl-serve-v2\""), "{json}");
         assert!(json.contains("\"audit_violations\": 0"), "{json}");
-        assert!(json.contains("\"commit_stall_p99_ns\""), "{json}");
         assert!(json.contains("\"shards\": 16"), "{json}");
         assert!(json.contains("picl x4"), "{json}");
-        assert!(json.contains("picl x1"), "{json}");
+        assert!(!json.contains("picl x1"), "{json}");
 
         // Schema check for the obs/tenants sections: every PiCL cell
         // carries an operator summary and one tenant row per session, and
@@ -1234,6 +1219,8 @@ mod tests {
             "put_p999_us",
             "escalation_rate",
             "persister_cycle_p99_ms",
+            "commit_publish_p99_us",
+            "commit_window_p99_us",
         ] {
             assert!(
                 top_obs.get(key).and_then(Value::as_f64).is_some(),
@@ -1242,8 +1229,11 @@ mod tests {
         }
         assert!(top_obs.field_u64("persister_cycles").unwrap() > 0, "{json}");
         assert!(top_obs.field_u64("fences").unwrap() > 0, "{json}");
+        // Mix A commits many epochs, so the leader's publish was timed.
+        let publish = top_obs.get("commit_publish_p99_us").and_then(Value::as_f64);
+        assert!(publish.is_some_and(|us| us > 0.0), "{json}");
         let cells = doc.get("cells").and_then(Value::as_arr).unwrap();
-        assert_eq!(cells.len(), 2);
+        assert_eq!(cells.len(), 1);
         for cell in cells {
             let decoded = YcsbResult::decode(cell).unwrap();
             assert!(decoded.obs.is_some(), "{json}");

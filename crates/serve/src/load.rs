@@ -323,24 +323,43 @@ impl LoadReport {
 /// same trade the engine's latency medium makes for `emulate_latency_ns`.
 const SPIN_SLACK_NS: u64 = 1_000_000;
 
-/// Blocks until `start.elapsed()` reaches `at` nanoseconds: sleeps while
-/// the deadline is far, then yield-spins the final [`SPIN_SLACK_NS`]
-/// stretch so open-loop schedules hold to microseconds instead of
-/// drifting by whole milliseconds.
-fn pace_until(start: &Instant, at: u64) {
-    loop {
-        let now = start.elapsed().as_nanos() as u64;
-        if now >= at {
-            return;
-        }
-        let left = at - now;
-        if left > SPIN_SLACK_NS {
-            std::thread::sleep(Duration::from_nanos(left - SPIN_SLACK_NS));
-        } else {
-            // Yield, not a raw spin hint: paced sessions outnumber cores
-            // in CI, and a hoarding spinner would add the very
-            // scheduling-quantum lateness this path removes.
-            std::thread::yield_now();
+/// The time source the load driver schedules, issues and times ops on,
+/// in nanoseconds from an arbitrary origin. [`run_load`] uses the wall
+/// clock; a test can substitute a virtual one and assert an open-loop
+/// schedule exactly.
+trait Clock: Sync {
+    /// The current time in nanoseconds.
+    fn now_ns(&self) -> u64;
+    /// Blocks until [`Clock::now_ns`] reaches `at`.
+    fn pace_until(&self, at: u64);
+}
+
+/// Wall-clock nanoseconds since the wrapped instant.
+struct WallClock(Instant);
+
+impl Clock for WallClock {
+    fn now_ns(&self) -> u64 {
+        self.0.elapsed().as_nanos() as u64
+    }
+
+    /// Sleeps while the deadline is far, then yield-spins the final
+    /// [`SPIN_SLACK_NS`] stretch so open-loop schedules hold to
+    /// microseconds instead of drifting by whole milliseconds.
+    fn pace_until(&self, at: u64) {
+        loop {
+            let now = self.now_ns();
+            if now >= at {
+                return;
+            }
+            let left = at - now;
+            if left > SPIN_SLACK_NS {
+                std::thread::sleep(Duration::from_nanos(left - SPIN_SLACK_NS));
+            } else {
+                // Yield, not a raw spin hint: paced sessions outnumber
+                // cores in CI, and a hoarding spinner would add the very
+                // scheduling-quantum lateness this path removes.
+                std::thread::yield_now();
+            }
         }
     }
 }
@@ -380,11 +399,28 @@ fn next_arrival_ns(arrival: Arrival, sessions: usize, prev_ns: u64, rng: &mut Rn
 ///
 /// Propagates the first store failure from any session.
 pub fn run_load(backend: &(dyn Backend + Sync), spec: &LoadSpec) -> Result<LoadReport, StoreError> {
+    run_load_on(backend, spec, &WallClock(Instant::now()))
+}
+
+/// Each session's RNG seed, derived from the spec's seed.
+fn session_seeds(spec: &LoadSpec) -> Vec<u64> {
+    let mut seeder = Rng::new(spec.seed ^ 0xC0DE_5EED_F00D_BAAD);
+    (0..spec.sessions).map(|_| seeder.next_u64()).collect()
+}
+
+/// [`run_load`] on an explicit [`Clock`]. Every time the report holds
+/// (schedule, lateness, latency, elapsed) is relative to the clock's
+/// reading when the session threads start.
+fn run_load_on(
+    backend: &(dyn Backend + Sync),
+    spec: &LoadSpec,
+    clock: &dyn Clock,
+) -> Result<LoadReport, StoreError> {
     spec.validate()?;
     let zipf = Zipf::new(spec.keys, spec.theta);
-    let mut seeder = Rng::new(spec.seed ^ 0xC0DE_5EED_F00D_BAAD);
-    let seeds: Vec<u64> = (0..spec.sessions).map(|_| seeder.next_u64()).collect();
-    let start = Instant::now();
+    let seeds = session_seeds(spec);
+    let start = clock.now_ns();
+    let since_start = || clock.now_ns().saturating_sub(start);
     type SessionOutcome = (Histogram, Histogram, u64, u64, u64);
     let outcomes: Vec<Result<SessionOutcome, StoreError>> = std::thread::scope(|s| {
         let handles: Vec<_> = seeds
@@ -409,12 +445,11 @@ pub fn run_load(backend: &(dyn Backend + Sync), spec: &LoadSpec) -> Result<LoadR
                         ) {
                             Some(at) => {
                                 scheduled_ns = at;
-                                pace_until(&start, at);
-                                let now = start.elapsed().as_nanos() as u64;
-                                pacing.record(now.saturating_sub(at));
+                                clock.pace_until(start + at);
+                                pacing.record(since_start().saturating_sub(at));
                                 at
                             }
-                            None => start.elapsed().as_nanos() as u64,
+                            None => since_start(),
                         };
                         let key = key_for_id(scramble(zipf.sample(&mut rng), spec.keys));
                         if rng.chance(spec.mix.read_fraction()) {
@@ -424,8 +459,7 @@ pub fn run_load(backend: &(dyn Backend + Sync), spec: &LoadSpec) -> Result<LoadR
                             backend.put(sid, &key, &make_value(spec.value_bytes, sid, i))?;
                             updates += 1;
                         }
-                        let done = start.elapsed().as_nanos() as u64;
-                        latency.record(done.saturating_sub(issue_base));
+                        latency.record(since_start().saturating_sub(issue_base));
                     }
                     let cpu_ns = match (cpu0, thread_cpu_ns()) {
                         (Some(a), Some(b)) => b.saturating_sub(a),
@@ -440,7 +474,7 @@ pub fn run_load(backend: &(dyn Backend + Sync), spec: &LoadSpec) -> Result<LoadR
             .map(|h| h.join().expect("session thread panicked"))
             .collect()
     });
-    let elapsed = start.elapsed();
+    let elapsed = Duration::from_nanos(since_start());
     let mut latency = Histogram::new();
     let mut pacing = Histogram::new();
     let mut reads = 0u64;
@@ -587,32 +621,81 @@ mod tests {
         );
     }
 
+    /// A virtual clock: pacing returns at once, moves time forward to
+    /// the target, and logs it.
+    #[derive(Default)]
+    struct VirtualClock {
+        now: AtomicU64,
+        paced: Mutex<Vec<u64>>,
+    }
+
+    impl Clock for VirtualClock {
+        fn now_ns(&self) -> u64 {
+            self.now.load(Ordering::SeqCst)
+        }
+        fn pace_until(&self, at: u64) {
+            self.now.fetch_max(at, Ordering::SeqCst);
+            self.paced.lock().unwrap().push(at);
+        }
+    }
+
     #[test]
     fn open_loop_paces_arrivals() {
-        let probe = Probe::default();
+        let rate = 2_000.0;
         let spec = LoadSpec {
             sessions: 2,
             ops_per_session: 50,
             keys: 100,
             mix: MixPreset::C,
-            arrival: Arrival::Poisson { rate: 2_000.0 },
+            arrival: Arrival::Poisson { rate },
             ..LoadSpec::default()
         };
-        let report = run_load(&probe, &spec).unwrap();
+
+        // The schedule, on a virtual clock: every op is paced to exactly
+        // its session's Poisson arrival time. Rebuild those times from the
+        // seed, drawing in the driver's order: interarrival gap, key, mix.
+        let zipf = Zipf::new(spec.keys, spec.theta);
+        let mut expected = Vec::new();
+        for seed in session_seeds(&spec) {
+            let mut rng = Rng::new(seed);
+            let mut at = 0u64;
+            for _ in 0..spec.ops_per_session {
+                let u = rng.unit_f64().min(1.0 - 1e-12);
+                at += (-(1.0 - u).ln() / (rate / spec.sessions as f64) * 1e9) as u64;
+                zipf.sample(&mut rng);
+                rng.chance(spec.mix.read_fraction());
+                expected.push(at);
+            }
+        }
+        let clock = VirtualClock::default();
+        let report = run_load_on(&Probe::default(), &spec, &clock).unwrap();
+        let mut paced = clock.paced.into_inner().unwrap();
+        paced.sort_unstable();
+        expected.sort_unstable();
+        assert_eq!(
+            paced, expected,
+            "issue times differ from the seed's schedule"
+        );
         assert_eq!(report.ops, 100);
-        // 100 ops at 2000/s aggregate is ~50 ms of schedule; a closed
-        // loop over the no-op probe would finish in microseconds.
+        assert_eq!(report.elapsed, Duration::from_nanos(expected[99]));
+        // Each session's share is 1000/s: its mean gap is ~1 ms.
+        let mean_gap_ns = expected[99] as f64 / spec.ops_per_session as f64;
+        assert!(
+            (700_000.0..1_300_000.0).contains(&mean_gap_ns),
+            "mean gap {mean_gap_ns} ns"
+        );
+
+        // On the wall clock: the run takes at least most of its ~50 ms
+        // schedule (a closed loop over the no-op probe would finish in
+        // microseconds), and every op records its pacing lateness.
+        let report = run_load(&Probe::default(), &spec).unwrap();
+        assert_eq!(report.ops, 100);
         assert!(
             report.elapsed >= Duration::from_millis(20),
             "elapsed {:?}",
             report.elapsed
         );
-        // Pacing accuracy: every op got a lateness sample, and the bulk
-        // of them issued within the spin slack of their schedule —
-        // millisecond-granularity sleeps would blow through this bound.
         assert_eq!(report.pacing_late_ns.count(), 100);
-        let p90 = report.pacing_late_ns.p90().unwrap_or(0.0);
-        assert!(p90 < 200_000.0, "open-loop pacing {p90} ns late at p90");
     }
 
     #[test]

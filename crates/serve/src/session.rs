@@ -49,7 +49,6 @@ use picl_store::kv::KvPairs;
 use picl_store::persist::PersistOps;
 use picl_store::slots::{self, Deletion, Lines, Lookup, Placement};
 use picl_telemetry::Telemetry;
-use picl_types::stats::Histogram;
 use picl_types::LINE_BYTES;
 
 use crate::obs::ServeObs;
@@ -149,7 +148,6 @@ pub struct ServeKv {
     escalations: AtomicU64,
     session_ops: Vec<AtomicU64>,
     commit_hook: Option<CommitHook>,
-    commit_stall_ns: Mutex<Histogram>,
     /// Highest epoch acknowledged through the commit hook. Leaders ack
     /// strictly in eid order, and only after their in-order-window wait:
     /// an acknowledged epoch is therefore always within `window` of the
@@ -213,7 +211,6 @@ impl ServeKv {
                 escalations: AtomicU64::new(0),
                 session_ops: (0..sessions).map(|_| AtomicU64::new(0)).collect(),
                 commit_hook: None,
-                commit_stall_ns: Mutex::new(Histogram::new()),
                 acked: Mutex::new(committed),
                 acked_cv: Condvar::new(),
                 obs: None,
@@ -278,17 +275,6 @@ impl ServeKv {
             .collect()
     }
 
-    /// Wall-clock nanoseconds each epoch commit cost its leader (phase-one
-    /// drain + the in-order-window stall when the window was full). The
-    /// tail of this histogram is the epoch-persist stall a writer can
-    /// observe; followers never wait on it.
-    pub fn commit_stalls(&self) -> Histogram {
-        self.commit_stall_ns
-            .lock()
-            .expect("stall histogram poisoned")
-            .clone()
-    }
-
     fn bump(&self, session: usize) {
         self.session_ops[session].fetch_add(1, Ordering::Release);
     }
@@ -325,34 +311,33 @@ impl ServeKv {
     /// boundary instead would let a crash during the wait lose more
     /// epochs than the RPO bound admits to an observer of the hook.
     ///
-    /// The stall histogram records the commit's own cost — the timer
-    /// starts once the shard locks are held, so it covers the phase-one
-    /// boundary publish plus any in-order-window wait, not the queueing
-    /// behind in-flight mutations (which followers no longer pay at
-    /// all) and not the ack sequencing behind earlier leaders.
+    /// With metrics on, the commit's own cost is recorded in two parts:
+    /// the phase-one boundary publish (timed once the shard locks are
+    /// held, so not the queueing behind in-flight mutations) and any
+    /// in-order-window wait. The ack sequencing behind earlier leaders is
+    /// timed separately.
     fn lead_commit(&self) -> Result<u64, StoreError> {
         let obs = self.obs.as_deref();
-        let (t0, ticket, counts) = {
+        let (ticket, counts) = {
             let _all = self.lock_all();
-            let t0 = Instant::now();
+            let t0 = obs.map(|_| Instant::now());
             let ticket = self.engine.commit_epoch_async()?;
             let counts = self.commit_hook.is_some().then(|| self.session_counts());
-            if let Some(o) = obs {
+            if let (Some(o), Some(t0)) = (obs, t0) {
                 o.commit_publish_ns.record(t0.elapsed().as_nanos() as u64);
             }
-            (t0, ticket, counts)
+            (ticket, counts)
         };
         let waited = if ticket.window_full {
-            let w0 = Instant::now();
+            let w0 = obs.map(|_| Instant::now());
             let waited = self.engine.wait_window(ticket);
-            if let Some(o) = obs {
+            if let (Some(o), Some(w0)) = (obs, w0) {
                 o.commit_window_ns.record(w0.elapsed().as_nanos() as u64);
             }
             waited
         } else {
             Ok(())
         };
-        let ns = t0.elapsed().as_nanos() as u64;
         {
             // Take the ack turn even on a dead engine — skipping it would
             // wedge every later leader behind a hole in the eid sequence.
@@ -373,10 +358,6 @@ impl ServeKv {
             self.acked_cv.notify_all();
         }
         waited?;
-        self.commit_stall_ns
-            .lock()
-            .expect("stall histogram poisoned")
-            .record(ns);
         Ok(ticket.eid)
     }
 
@@ -756,6 +737,7 @@ mod tests {
     use super::*;
     use picl_store::layout::Geometry;
     use picl_store::persist::CountingMedium;
+    use picl_types::stats::Histogram;
 
     fn open_serve(sessions: usize, mutations_per_epoch: u64) -> (ServeKv, Arc<CountingMedium>) {
         let cfg = EngineConfig {

@@ -79,7 +79,6 @@ pub fn campaign_options() -> CampaignOptions {
             .filter(|dir| !dir.is_empty())
             .map(std::path::PathBuf::from),
         progress: true,
-        ..CampaignOptions::default()
     }
 }
 

@@ -15,8 +15,6 @@
 //! * **A watchdog** — an optional per-cell wall-clock timeout
 //!   ([`CampaignOptions::cell_timeout`]) turns a hung cell into
 //!   [`CellOutcome::TimedOut`].
-//! * **Bounded retry** — [`CampaignOptions::retries`] re-attempts
-//!   transiently failing cells before recording a failure.
 //! * **Durable checkpoints** — completed cells stream to a JSONL
 //!   [`store::CheckpointStore`] keyed by a content hash of the cell spec;
 //!   a re-launched campaign resumes and re-runs only missing or failed
@@ -25,10 +23,13 @@
 //! * **Progress** — a throttled stderr reporter (done/total, cells/sec,
 //!   ETA, failures) replaces silent multi-minute runs.
 //!
+//! There is no retry: [`CampaignCell::execute`] is a pure function of the
+//! cell, so a second attempt could only repeat the first one's panic.
+//!
 //! The executor is generic: `picl-sim` runs [`RunReport`] cells on it
-//! (`run_experiments`), `picl-crashlab` runs crash trials, and the `picl`
-//! CLI exposes it as `--resume DIR`, `--cell-timeout SECS`, and
-//! `--keep-going`.
+//! (`run_experiments_with`), `picl-crashlab` runs crash trials, and the
+//! `picl` CLI exposes it on `sweep` and `crashlab` as `--resume DIR`,
+//! `--cell-timeout SECS`, and `--keep-going`.
 //!
 //! [`RunReport`]: https://docs.rs/picl-sim
 //!
@@ -104,7 +105,7 @@ impl CellPayload for u64 {
 /// One unit of batch work: a self-describing, deterministic cell.
 ///
 /// Cells must be cheap to clone (the watchdog moves a clone into the
-/// attempt thread) and `execute` must be a pure function of the cell —
+/// watchdog thread) and `execute` must be a pure function of the cell —
 /// the resume contract assumes re-running a cell reproduces its payload.
 pub trait CampaignCell: Clone + Send + Sync + 'static {
     /// The result this cell produces.
@@ -133,8 +134,6 @@ pub struct CampaignOptions {
     pub threads: usize,
     /// Per-cell wall-clock timeout (None = no watchdog).
     pub cell_timeout: Option<Duration>,
-    /// Extra attempts after a failed or timed-out first attempt.
-    pub retries: u32,
     /// `true`: run every cell even after failures (record them per-cell).
     /// `false`: stop claiming new cells after the first failure; already
     /// running cells finish and are checkpointed.
@@ -150,7 +149,6 @@ impl Default for CampaignOptions {
         CampaignOptions {
             threads: 0,
             cell_timeout: None,
-            retries: 0,
             keep_going: true,
             checkpoint: None,
             progress: false,
@@ -165,19 +163,15 @@ pub enum CellOutcome<P> {
     Done(P),
     /// Loaded from the checkpoint store (resume hit); not re-run.
     Cached(P),
-    /// Every attempt panicked; the batch survived.
+    /// The cell panicked; the batch survived.
     Failed {
-        /// The last panic message.
+        /// The panic message.
         message: String,
-        /// Attempts made (1 + retries).
-        attempts: u32,
     },
-    /// Every attempt outlived the watchdog.
+    /// The cell outlived the watchdog.
     TimedOut {
         /// The configured timeout.
         timeout: Duration,
-        /// Attempts made (1 + retries).
-        attempts: u32,
     },
     /// Never claimed: an earlier failure aborted the campaign
     /// (`keep_going = false`).
@@ -210,13 +204,10 @@ impl<P> CellOutcome<P> {
     pub fn failure_message(&self) -> Option<String> {
         match self {
             CellOutcome::Done(_) | CellOutcome::Cached(_) => None,
-            CellOutcome::Failed { message, attempts } => {
-                Some(format!("failed after {attempts} attempt(s): {message}"))
+            CellOutcome::Failed { message } => Some(format!("failed: {message}")),
+            CellOutcome::TimedOut { timeout } => {
+                Some(format!("timed out after {:.1}s", timeout.as_secs_f64()))
             }
-            CellOutcome::TimedOut { timeout, attempts } => Some(format!(
-                "timed out after {attempts} attempt(s) of {:.1}s",
-                timeout.as_secs_f64()
-            )),
             CellOutcome::NotRun => Some("not run (campaign aborted early)".into()),
         }
     }
@@ -231,9 +222,9 @@ pub struct CampaignRun<P> {
     pub done: usize,
     /// Cells served from the checkpoint store.
     pub cached: usize,
-    /// Cells that failed every attempt.
+    /// Cells that panicked.
     pub failed: usize,
-    /// Cells that timed out every attempt.
+    /// Cells that outlived the watchdog.
     pub timed_out: usize,
     /// Cells never claimed (fail-fast abort).
     pub not_run: usize,
@@ -247,15 +238,6 @@ impl<P> CampaignRun<P> {
         self.failed == 0 && self.timed_out == 0 && self.not_run == 0
     }
 
-    /// `(index, label-free message)` for every cell without a payload.
-    pub fn failures(&self) -> Vec<(usize, String)> {
-        self.outcomes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, o)| o.failure_message().map(|m| (i, m)))
-            .collect()
-    }
-
     /// All payloads in input order, or an aggregate error naming every
     /// cell that has none.
     ///
@@ -263,15 +245,16 @@ impl<P> CampaignRun<P> {
     ///
     /// Returns one message listing each failed/timed-out/not-run cell.
     pub fn payloads(self) -> Result<Vec<P>, String> {
-        let failures = self.failures();
-        if !failures.is_empty() {
-            let lines: Vec<String> = failures
-                .iter()
-                .map(|(i, m)| format!("  cell #{i}: {m}"))
-                .collect();
+        let lines: Vec<String> = self
+            .outcomes
+            .iter()
+            .enumerate()
+            .filter_map(|(i, o)| o.failure_message().map(|m| format!("  cell #{i}: {m}")))
+            .collect();
+        if !lines.is_empty() {
             return Err(format!(
                 "{} of {} cell(s) produced no result:\n{}",
-                failures.len(),
+                lines.len(),
                 self.outcomes.len(),
                 lines.join("\n")
             ));
@@ -284,22 +267,18 @@ impl<P> CampaignRun<P> {
     }
 }
 
-/// How one attempt of one cell ended.
-enum Attempt<P> {
-    Ok(P),
-    Panicked(String),
-    TimedOut,
-}
-
-/// Runs `cell` once, isolated; with a timeout the attempt runs on a
+/// Runs `cell` once, isolated; with a timeout the cell runs on a
 /// detached thread so the watchdog can give up on it. A timed-out thread
 /// is abandoned (Rust threads cannot be killed); its eventual result is
 /// discarded.
-fn attempt_cell<C: CampaignCell>(cell: &C, timeout: Option<Duration>) -> Attempt<C::Payload> {
+fn run_isolated<C: CampaignCell>(cell: &C, timeout: Option<Duration>) -> CellOutcome<C::Payload> {
+    let failed = |panic: &(dyn std::any::Any + Send)| CellOutcome::Failed {
+        message: panic_message(panic),
+    };
     match timeout {
         None => match catch_unwind(AssertUnwindSafe(|| cell.execute())) {
-            Ok(p) => Attempt::Ok(p),
-            Err(panic) => Attempt::Panicked(panic_message(panic.as_ref())),
+            Ok(p) => CellOutcome::Done(p),
+            Err(panic) => failed(panic.as_ref()),
         },
         Some(limit) => {
             let (tx, rx) = std::sync::mpsc::sync_channel(1);
@@ -310,9 +289,9 @@ fn attempt_cell<C: CampaignCell>(cell: &C, timeout: Option<Duration>) -> Attempt
                 let _ = tx.send(result);
             });
             match rx.recv_timeout(limit) {
-                Ok(Ok(p)) => Attempt::Ok(p),
-                Ok(Err(panic)) => Attempt::Panicked(panic_message(&panic)),
-                Err(_) => Attempt::TimedOut,
+                Ok(Ok(p)) => CellOutcome::Done(p),
+                Ok(Err(panic)) => failed(panic.as_ref()),
+                Err(_) => CellOutcome::TimedOut { timeout: limit },
             }
         }
     }
@@ -387,7 +366,6 @@ pub fn run_cells<C: CampaignCell>(
     let abort = AtomicBool::new(false);
     let results: Mutex<&mut Vec<Option<CellOutcome<C::Payload>>>> = Mutex::new(&mut outcomes);
     let shared_store = Mutex::new(store.as_mut());
-    let attempts_per_cell = 1 + opts.retries;
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
@@ -401,28 +379,7 @@ pub fn run_cells<C: CampaignCell>(
                 let key = keys[idx];
                 let spec = cell.spec_string();
 
-                let mut outcome = None;
-                for _ in 0..attempts_per_cell {
-                    match attempt_cell(cell, opts.cell_timeout) {
-                        Attempt::Ok(p) => {
-                            outcome = Some(CellOutcome::Done(p));
-                            break;
-                        }
-                        Attempt::Panicked(message) => {
-                            outcome = Some(CellOutcome::Failed {
-                                message,
-                                attempts: attempts_per_cell,
-                            });
-                        }
-                        Attempt::TimedOut => {
-                            outcome = Some(CellOutcome::TimedOut {
-                                timeout: opts.cell_timeout.unwrap_or_default(),
-                                attempts: attempts_per_cell,
-                            });
-                        }
-                    }
-                }
-                let outcome = outcome.expect("at least one attempt ran");
+                let outcome = run_isolated(cell, opts.cell_timeout);
 
                 // Checkpoint before publishing: a crash between the two
                 // at worst re-runs one already-persisted cell.
@@ -560,9 +517,8 @@ mod tests {
         assert_eq!(run.outcomes[0].payload(), Some(&4));
         assert_eq!(run.outcomes[2].payload(), Some(&9));
         match &run.outcomes[1] {
-            CellOutcome::Failed { message, attempts } => {
+            CellOutcome::Failed { message } => {
                 assert!(message.contains("injected fault"), "{message}");
-                assert_eq!(*attempts, 1);
             }
             other => panic!("unexpected: {other:?}"),
         }
@@ -596,7 +552,11 @@ mod tests {
 
     #[test]
     fn watchdog_trips_on_slow_cell() {
-        let cells = vec![TestCell::Square(5), TestCell::Sleep(60_000)];
+        let cells = vec![
+            TestCell::Square(5),
+            TestCell::Sleep(60_000),
+            TestCell::Panic("watched fault"),
+        ];
         let run = run_cells(
             &cells,
             &CampaignOptions {
@@ -608,21 +568,9 @@ mod tests {
         assert_eq!(run.done, 1);
         assert_eq!(run.timed_out, 1);
         assert!(matches!(run.outcomes[1], CellOutcome::TimedOut { .. }));
-    }
-
-    #[test]
-    fn retries_cover_repeated_failure() {
-        let cells = vec![TestCell::Panic("always broken")];
-        let run = run_cells(
-            &cells,
-            &CampaignOptions {
-                retries: 2,
-                ..CampaignOptions::default()
-            },
-        )
-        .unwrap();
-        match &run.outcomes[0] {
-            CellOutcome::Failed { attempts, .. } => assert_eq!(*attempts, 3),
+        // A panic on the watchdog's thread keeps its message.
+        match &run.outcomes[2] {
+            CellOutcome::Failed { message } => assert!(message.contains("watched fault")),
             other => panic!("unexpected: {other:?}"),
         }
     }

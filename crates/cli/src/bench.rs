@@ -17,16 +17,13 @@
 
 use std::time::Instant;
 
-use picl_campaign::{run_cells, CellPayload};
 use picl_sim::{RunReport, SchemeKind, Simulation, WorkloadSpec};
-use picl_telemetry::json::Value;
 use picl_telemetry::json::{escape as json_escape, validate_json};
 use picl_trace::mixes::table_v_mixes;
 use picl_trace::spec::SpecBenchmark;
 use picl_types::SystemConfig;
 
 use crate::args::{ArgError, Args};
-use crate::commands::campaign_options;
 
 /// Instructions per core for each quick-matrix cell (before `--scale`).
 const QUICK_INSTRUCTIONS: u64 = 1_000_000;
@@ -62,68 +59,6 @@ struct CellResult {
 impl CellResult {
     fn speedup(&self) -> f64 {
         self.events_per_sec / self.reference_events_per_sec.max(1e-9)
-    }
-}
-
-/// Bench cells checkpoint their measurements; a resumed `picl bench`
-/// reuses the recorded numbers verbatim instead of re-timing.
-impl CellPayload for CellResult {
-    fn encode(&self) -> String {
-        format!(
-            "{{\"label\": \"{}\", \"scheme\": \"{}\", \"workload\": \"{}\", \
-             \"cores\": {}, \"instructions\": {}, \"events_per_sec\": {}, \
-             \"reference_events_per_sec\": {}}}",
-            json_escape(&self.label),
-            json_escape(&self.scheme),
-            json_escape(&self.workload),
-            self.cores,
-            self.instructions,
-            self.events_per_sec,
-            self.reference_events_per_sec
-        )
-    }
-
-    fn decode(v: &Value) -> Result<CellResult, String> {
-        let float = |key: &str| {
-            v.get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("missing or non-numeric field {key:?}"))
-        };
-        Ok(CellResult {
-            label: v.field_str("label")?.to_owned(),
-            scheme: v.field_str("scheme")?.to_owned(),
-            workload: v.field_str("workload")?.to_owned(),
-            cores: v
-                .get("cores")
-                .and_then(Value::as_usize)
-                .ok_or("missing or non-integer field \"cores\"")?,
-            instructions: v.field_u64("instructions")?,
-            events_per_sec: float("events_per_sec")?,
-            reference_events_per_sec: float("reference_events_per_sec")?,
-        })
-    }
-}
-
-/// One schedulable bench cell: a label plus the pinned simulation.
-#[derive(Clone)]
-struct BenchCell {
-    label: String,
-    sim: Simulation,
-}
-
-impl picl_campaign::CampaignCell for BenchCell {
-    type Payload = CellResult;
-
-    fn spec_string(&self) -> String {
-        format!("bench {} {:?}", self.label, self.sim)
-    }
-
-    fn label(&self) -> String {
-        self.label.clone()
-    }
-
-    fn execute(&self) -> CellResult {
-        run_cell(&self.label, &self.sim).unwrap_or_else(|e| panic!("{}", e))
     }
 }
 
@@ -246,17 +181,13 @@ fn to_json(mode: &str, cells: &[CellResult], total_seconds: f64) -> String {
     out
 }
 
-/// `picl bench [--quick] [--out FILE] [--scale F] [--resume DIR]
-/// [--cell-timeout SECS] [--keep-going]`.
+/// `picl bench [--quick] [--out FILE] [--scale F]`.
+///
+/// Every cell is simulated on both paths in every run, one after the
+/// other: cells time wall-clock, so they must not compete for cores, and
+/// the differential is a gate, so no run may skip it.
 pub fn cmd_bench(args: &Args) -> Result<(), ArgError> {
-    args.expect_only(&[
-        "quick",
-        "out",
-        "scale",
-        "resume",
-        "cell-timeout",
-        "keep-going",
-    ])?;
+    args.expect_only(&["quick", "out", "scale"])?;
     let quick = args.is_set("quick");
     let scale = args.float_or("scale", 1.0)?;
     if scale.is_nan() || scale <= 0.0 {
@@ -267,35 +198,15 @@ pub fn cmd_bench(args: &Args) -> Result<(), ArgError> {
     if !quick {
         matrix.push(paper_cell(scale));
     }
-    let bench_cells: Vec<BenchCell> = matrix
-        .into_iter()
-        .map(|(label, sim)| BenchCell { label, sim })
-        .collect();
-
-    // One worker: cells time wall-clock, so they must not compete for
-    // cores. The executor still adds panic isolation, the watchdog, and
-    // checkpoint/resume.
-    let mut opts = campaign_options(args)?;
-    opts.threads = 1;
-
-    let started = Instant::now();
-    let run = run_cells(&bench_cells, &opts).map_err(ArgError)?;
-    let total_seconds = started.elapsed().as_secs_f64();
-    if run.cached > 0 {
-        println!("resumed {} cell(s) from the checkpoint store", run.cached);
-    }
 
     println!(
         "{:<22}{:>10}{:>14}{:>14}{:>9}",
         "cell", "instr", "events/s", "ref ev/s", "speedup"
     );
-    let failures = run.failures();
-    let cells: Vec<CellResult> = run
-        .outcomes
-        .into_iter()
-        .filter_map(picl_campaign::CellOutcome::into_payload)
-        .collect();
-    for cell in &cells {
+    let started = Instant::now();
+    let mut cells = Vec::with_capacity(matrix.len());
+    for (label, sim) in &matrix {
+        let cell = run_cell(label, sim)?;
         println!(
             "{:<22}{:>10}{:>14.0}{:>14.0}{:>8.2}x",
             cell.label,
@@ -304,18 +215,9 @@ pub fn cmd_bench(args: &Args) -> Result<(), ArgError> {
             cell.reference_events_per_sec,
             cell.speedup()
         );
+        cells.push(cell);
     }
-    if !failures.is_empty() {
-        let lines: Vec<String> = failures
-            .iter()
-            .map(|(i, m)| format!("  {}: {m}", bench_cells[*i].label))
-            .collect();
-        return Err(ArgError(format!(
-            "{} bench cell(s) produced no measurement:\n{}",
-            failures.len(),
-            lines.join("\n")
-        )));
-    }
+    let total_seconds = started.elapsed().as_secs_f64();
 
     let json = to_json(if quick { "quick" } else { "full" }, &cells, total_seconds);
     validate_json(&json).map_err(|e| ArgError(format!("emitted JSON invalid: {e}")))?;
@@ -340,6 +242,7 @@ pub fn cmd_bench(args: &Args) -> Result<(), ArgError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use picl_telemetry::json::Value;
 
     fn cell(label: &str, events_per_sec: f64, reference_events_per_sec: f64) -> CellResult {
         CellResult {
@@ -351,24 +254,6 @@ mod tests {
             events_per_sec,
             reference_events_per_sec,
         }
-    }
-
-    #[test]
-    fn cell_payload_round_trips() {
-        let cell = cell("PiCL/\"gcc\" x1", 123_456.789, 98_765.432_1);
-        let encoded = cell.encode();
-        validate_json(&encoded).unwrap();
-        let decoded = CellResult::decode(&Value::parse(&encoded).unwrap()).unwrap();
-        assert_eq!(decoded.label, cell.label);
-        assert_eq!(decoded.scheme, cell.scheme);
-        assert_eq!(decoded.workload, cell.workload);
-        assert_eq!(decoded.cores, cell.cores);
-        assert_eq!(decoded.instructions, cell.instructions);
-        assert_eq!(decoded.events_per_sec, cell.events_per_sec);
-        assert_eq!(
-            decoded.reference_events_per_sec,
-            cell.reference_events_per_sec
-        );
     }
 
     #[test]

@@ -101,7 +101,7 @@ ycsb flags:
   --path FILE           store-file base path (default: under the temp dir)
   --telemetry PREFIX    export the multi-session cell's event stream
 
-campaign flags (sweep, bench, crashlab, ycsb):
+campaign flags (sweep, crashlab):
   --resume DIR          checkpoint finished cells into DIR; relaunching
                         with the same DIR re-runs only missing/failed ones
   --cell-timeout SECS   per-cell wall-clock watchdog (fractions allowed)
@@ -161,8 +161,9 @@ const COMMON_FLAGS: &[&str] = &[
     "footprint-scale",
 ];
 
-/// Flags shared by every campaign-backed command (`sweep`, `bench`,
-/// `crashlab`).
+/// Flags shared by the campaign-backed commands (`sweep`, `crashlab`).
+/// `bench` and `ycsb` take none: their differential and audit gates run
+/// in full on every invocation, and their cells time wall-clock.
 const CAMPAIGN_FLAGS: &[&str] = &["resume", "cell-timeout", "keep-going"];
 
 /// Parses the shared campaign-executor flags into a policy: checkpoint
@@ -1156,6 +1157,17 @@ mod tests {
     fn bench_rejects_nonpositive_scale() {
         let args = Args::parse(["bench", "--quick", "--scale", "0"]).unwrap();
         assert!(dispatch(&args).is_err());
+        // The differential always runs: no flag replays or skips a cell.
+        for flags in [
+            &["--resume", "/nonexistent"][..],
+            &["--cell-timeout", "5"],
+            &["--keep-going"],
+        ] {
+            let mut raw = vec!["bench", "--quick"];
+            raw.extend_from_slice(flags);
+            let err = dispatch(&Args::parse(raw).unwrap()).unwrap_err();
+            assert!(err.to_string().contains("unknown flag"), "{err}");
+        }
     }
 
     #[test]

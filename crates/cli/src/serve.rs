@@ -13,8 +13,8 @@
 //!   the RPO bound.
 //! - `ycsb` — the load benchmark: zipfian key popularity, A/B/C mixes,
 //!   closed- or open-loop arrivals. Runs a multi-session PiCL cell (plus,
-//!   with `--baseline`, the fdatasync-per-mutation store) through the
-//!   campaign executor, audits the PiCL cell's event stream in-process,
+//!   with `--baseline`, the fdatasync-per-mutation store) one after the
+//!   other, audits the PiCL cell's event stream in-process on every run,
 //!   and renders a `picl-serve-v2` JSON report (written with `--out`).
 
 use std::io::Write as _;
@@ -22,7 +22,6 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-use picl_campaign::{run_cells, CellPayload};
 use picl_crashlab::Target;
 use picl_obs::SnapValue;
 use picl_serve::{
@@ -32,12 +31,11 @@ use picl_serve::{
 use picl_store::workload::Op;
 use picl_store::{EngineConfig, FileMedium, Geometry, StoreError, UNDO_BUFFER_ENTRIES};
 use picl_telemetry::export::jsonl_to_string;
-use picl_telemetry::json::{escape as json_escape, validate_json, Value};
+use picl_telemetry::json::{escape as json_escape, validate_json};
 use picl_telemetry::Telemetry;
 use picl_types::stats::Histogram;
 
 use crate::args::{ArgError, Args};
-use crate::commands::campaign_options;
 
 /// Usage text for `picl serve help`.
 const SERVE_USAGE: &str = "\
@@ -307,83 +305,13 @@ fn serve_run(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// `picl store run --threads N`: the same seeded smoke workload, but
-/// sharded across N session threads over one shared store.
-pub(crate) fn store_run_threads(args: &Args, threads: usize) -> Result<(), ArgError> {
-    if args.get("workload").is_some() {
-        return Err(ArgError(
-            "--workload runs a single scripted stream; use --threads 1 with it".into(),
-        ));
-    }
-    if args.get("medium").is_some_and(|m| m != "file") {
-        return Err(ArgError(
-            "--medium latency is single-threaded; use --threads 1 with it".into(),
-        ));
-    }
-    let cfg = crate::store::engine_config(args)?;
-    let (kv, telemetry) = open_serve_kv(args, &cfg, threads)?;
-    let seed = args.count_or("seed", 1)?;
-    let total_ops = args.count_or("ops", 200)?;
-    let key_space = args.count_or("key-space", 16)?;
-    let per_thread = (total_ops / threads as u64).max(1);
-    let outcomes: Vec<Result<(), StoreError>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|tid| {
-                let kv = &kv;
-                s.spawn(move || {
-                    // Distinct seeds per thread; shared key space, so the
-                    // threads genuinely contend for the same records.
-                    let ops =
-                        picl_store::generate(seed ^ ((tid as u64) << 32), per_thread, key_space);
-                    for op in &ops {
-                        apply_serve_op(kv, tid, op)?;
-                    }
-                    Ok(())
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
-    });
-    for outcome in outcomes {
-        outcome.map_err(|e| ArgError(format!("workload: {e}")))?;
-    }
-    kv.commit()
-        .map_err(|e| ArgError(format!("final commit: {e}")))?;
-    let (_, committed, persisted) = kv.engine().frontiers();
-    let live = kv.scan().map_err(|e| ArgError(format!("scan: {e}")))?.len();
-    let stats = kv
-        .close()
-        .map_err(|e| ArgError(format!("close store: {e}")))?;
-    println!(
-        "ran {} ops on {} threads ({} live keys): {} epochs committed, {} persisted \
-         (RPO bound {} epoch[s]), {} undo entries, {} drains ({} forced), {} window stalls",
-        per_thread * threads as u64,
-        threads,
-        live,
-        committed,
-        persisted,
-        cfg.window,
-        stats.undo_entries,
-        stats.drains,
-        stats.forced_drains,
-        stats.window_stalls
-    );
-    if let Some(prefix) = args.get("telemetry") {
-        crate::commands::export_telemetry(prefix, &telemetry.snapshot())?;
-    }
-    Ok(())
-}
-
 // ---------------------------------------------------------------------------
 // picl ycsb
 // ---------------------------------------------------------------------------
 
 /// Registry-derived operator summary of one PiCL cell (absent for the
 /// fsync baseline, which runs without the instrumented serving layer).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct ObsSummary {
     /// Get sojourn percentiles in microseconds, merged across the
     /// hit/miss/contended outcome series.
@@ -435,30 +363,6 @@ impl ObsSummary {
             self.commit_publish_p99_us,
             self.commit_window_p99_us
         )
-    }
-
-    fn decode(node: &Value) -> Result<ObsSummary, String> {
-        let float = |key: &str| {
-            node.get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("obs: missing or non-numeric field {key:?}"))
-        };
-        Ok(ObsSummary {
-            get_p50_us: float("get_p50_us")?,
-            get_p99_us: float("get_p99_us")?,
-            get_p999_us: float("get_p999_us")?,
-            put_p50_us: float("put_p50_us")?,
-            put_p99_us: float("put_p99_us")?,
-            put_p999_us: float("put_p999_us")?,
-            contended_gets: node.field_u64("contended_gets")?,
-            escalations: node.field_u64("escalations")?,
-            escalation_rate: float("escalation_rate")?,
-            persister_cycles: node.field_u64("persister_cycles")?,
-            persister_cycle_p99_ms: float("persister_cycle_p99_ms")?,
-            fences: node.field_u64("fences")?,
-            commit_publish_p99_us: float("commit_publish_p99_us")?,
-            commit_window_p99_us: float("commit_window_p99_us")?,
-        })
     }
 }
 
@@ -522,7 +426,7 @@ fn obs_summary(snap: &picl_obs::Snapshot) -> ObsSummary {
 }
 
 /// Per-session (tenant) slice of a cell's timed phase.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct TenantRow {
     session: usize,
     reads: u64,
@@ -539,25 +443,6 @@ impl TenantRow {
              \"p50_us\": {}, \"p99_us\": {}, \"p999_us\": {}}}",
             self.session, self.reads, self.updates, self.p50_us, self.p99_us, self.p999_us
         )
-    }
-
-    fn decode(node: &Value) -> Result<TenantRow, String> {
-        let float = |key: &str| {
-            node.get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("tenant: missing or non-numeric field {key:?}"))
-        };
-        Ok(TenantRow {
-            session: node
-                .get("session")
-                .and_then(Value::as_usize)
-                .ok_or("tenant: missing or non-integer field \"session\"")?,
-            reads: node.field_u64("reads")?,
-            updates: node.field_u64("updates")?,
-            p50_us: float("p50_us")?,
-            p99_us: float("p99_us")?,
-            p999_us: float("p999_us")?,
-        })
     }
 }
 
@@ -579,7 +464,7 @@ fn tenant_rows(report: &LoadReport) -> Vec<TenantRow> {
 }
 
 /// One measured YCSB cell.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct YcsbResult {
     label: String,
     backend: String,
@@ -608,7 +493,8 @@ struct YcsbResult {
     tenants: Vec<TenantRow>,
 }
 
-impl CellPayload for YcsbResult {
+impl YcsbResult {
+    /// One cell of the `picl-serve-v2` report's `cells` array.
     fn encode(&self) -> String {
         let obs = self
             .obs
@@ -647,54 +533,9 @@ impl CellPayload for YcsbResult {
             self.audit_violations
         )
     }
-
-    fn decode(v: &Value) -> Result<YcsbResult, String> {
-        let float = |key: &str| {
-            v.get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("missing or non-numeric field {key:?}"))
-        };
-        Ok(YcsbResult {
-            label: v.field_str("label")?.to_owned(),
-            backend: v.field_str("backend")?.to_owned(),
-            sessions: v
-                .get("sessions")
-                .and_then(Value::as_usize)
-                .ok_or("missing or non-integer field \"sessions\"")?,
-            ops: v.field_u64("ops")?,
-            reads: v.field_u64("reads")?,
-            updates: v.field_u64("updates")?,
-            preload_s: float("preload_s")?,
-            preload_keys_per_s: float("preload_keys_per_s")?,
-            elapsed_s: float("elapsed_s")?,
-            throughput: float("throughput")?,
-            p50_us: float("p50_us")?,
-            p99_us: float("p99_us")?,
-            p999_us: float("p999_us")?,
-            shards: v
-                .get("shards")
-                .and_then(Value::as_usize)
-                .ok_or("missing or non-integer field \"shards\"")?,
-            audit_events: v.field_u64("audit_events")?,
-            audit_dropped: v.field_u64("audit_dropped")?,
-            audit_violations: v.field_u64("audit_violations")?,
-            obs: match v.get("obs") {
-                None | Some(Value::Null) => None,
-                Some(node) => Some(ObsSummary::decode(node)?),
-            },
-            tenants: v
-                .get("tenants")
-                .and_then(Value::as_arr)
-                .unwrap_or(&[])
-                .iter()
-                .map(TenantRow::decode)
-                .collect::<Result<Vec<_>, _>>()?,
-        })
-    }
 }
 
-/// One schedulable YCSB cell.
-#[derive(Clone)]
+/// One YCSB cell: a backend, its store file, and the load to run.
 struct YcsbCell {
     label: String,
     /// `picl` (epoch-logged engine) or `fsync` (per-mutation fdatasync).
@@ -705,36 +546,6 @@ struct YcsbCell {
     ops_per_epoch: u64,
     /// Export prefix for this cell's telemetry, if requested.
     telemetry_prefix: Option<String>,
-}
-
-impl picl_campaign::CampaignCell for YcsbCell {
-    type Payload = YcsbResult;
-
-    fn spec_string(&self) -> String {
-        format!(
-            "ycsb {} {} s{} o{} k{} t{} m{} v{} seed{} {} e{} w{}",
-            self.label,
-            self.backend,
-            self.spec.sessions,
-            self.spec.ops_per_session,
-            self.spec.keys,
-            self.spec.theta,
-            self.spec.mix.label(),
-            self.spec.value_bytes,
-            self.spec.seed,
-            self.spec.arrival.label(),
-            self.ops_per_epoch,
-            self.cfg.window,
-        )
-    }
-
-    fn label(&self) -> String {
-        self.label.clone()
-    }
-
-    fn execute(&self) -> YcsbResult {
-        self.run().unwrap_or_else(|e| panic!("{}", e.0))
-    }
 }
 
 fn percentiles_us(report: &LoadReport) -> (f64, f64, f64) {
@@ -939,9 +750,6 @@ pub fn cmd_ycsb(args: &Args) -> Result<(), ArgError> {
         "out",
         "baseline",
         "telemetry",
-        "resume",
-        "cell-timeout",
-        "keep-going",
     ])?;
     let sessions = args.count_or("sessions", 4)? as usize;
     if sessions == 0 {
@@ -1022,41 +830,22 @@ pub fn cmd_ycsb(args: &Args) -> Result<(), ArgError> {
         });
     }
 
-    // One worker: cells time wall-clock and spawn their own session
-    // threads; the executor adds panic isolation and checkpoint/resume.
-    let mut opts = campaign_options(args)?;
-    opts.threads = 1;
-    let run = run_cells(&cells, &opts).map_err(ArgError)?;
-    if run.cached > 0 {
-        println!("resumed {} cell(s) from the checkpoint store", run.cached);
-    }
-    let failures = run.failures();
-    let results: Vec<YcsbResult> = run
-        .outcomes
-        .into_iter()
-        .filter_map(picl_campaign::CellOutcome::into_payload)
-        .collect();
-
+    // One cell at a time: cells time wall-clock and spawn their own
+    // session threads, and every run serves and audits afresh.
     println!(
         "{:<12}{:>9}{:>12}{:>12}{:>11}{:>11}{:>12}",
         "cell", "ops", "ops/s", "preload/s", "p50 us", "p99 us", "p99.9 us"
     );
-    for r in &results {
+    let mut results = Vec::with_capacity(cells.len());
+    for cell in &cells {
+        let r = cell
+            .run()
+            .map_err(|e| ArgError(format!("ycsb cell {}: {}", cell.label, e.0)))?;
         println!(
             "{:<12}{:>9}{:>12.0}{:>12.0}{:>11.1}{:>11.1}{:>12.1}",
             r.label, r.ops, r.throughput, r.preload_keys_per_s, r.p50_us, r.p99_us, r.p999_us
         );
-    }
-    if !failures.is_empty() {
-        let lines: Vec<String> = failures
-            .iter()
-            .map(|(i, m)| format!("  {}: {m}", cells[*i].label))
-            .collect();
-        return Err(ArgError(format!(
-            "{} ycsb cell(s) produced no measurement:\n{}",
-            failures.len(),
-            lines.join("\n")
-        )));
+        results.push(r);
     }
 
     let picl = results
@@ -1117,6 +906,7 @@ pub fn cmd_ycsb(args: &Args) -> Result<(), ArgError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use picl_telemetry::json::Value;
 
     fn temp_path(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("picl-cli-serve-{}", std::process::id()));
@@ -1206,8 +996,8 @@ mod tests {
         assert!(!json.contains("picl x1"), "{json}");
 
         // Schema check for the obs/tenants sections: every PiCL cell
-        // carries an operator summary and one tenant row per session, and
-        // the whole document round-trips through the campaign decoder.
+        // carries an operator summary and one tenant row per session whose
+        // reads and updates add up to the cell's ops.
         let doc = Value::parse(&json).unwrap();
         let top_obs = doc.get("obs").unwrap();
         for key in [
@@ -1235,11 +1025,18 @@ mod tests {
         let cells = doc.get("cells").and_then(Value::as_arr).unwrap();
         assert_eq!(cells.len(), 1);
         for cell in cells {
-            let decoded = YcsbResult::decode(cell).unwrap();
-            assert!(decoded.obs.is_some(), "{json}");
-            assert_eq!(decoded.tenants.len(), decoded.sessions, "{json}");
-            let tenant_ops: u64 = decoded.tenants.iter().map(|t| t.reads + t.updates).sum();
-            assert_eq!(tenant_ops, decoded.ops, "{json}");
+            assert!(
+                cell.get("obs").is_some_and(|o| !matches!(o, Value::Null)),
+                "{json}"
+            );
+            let tenants = cell.get("tenants").and_then(Value::as_arr).unwrap();
+            let sessions = cell.get("sessions").and_then(Value::as_usize).unwrap();
+            assert_eq!(tenants.len(), sessions, "{json}");
+            let tenant_ops: u64 = tenants
+                .iter()
+                .map(|t| t.field_u64("reads").unwrap() + t.field_u64("updates").unwrap())
+                .sum();
+            assert_eq!(tenant_ops, cell.field_u64("ops").unwrap(), "{json}");
         }
         let _ = std::fs::remove_file(&out);
     }
@@ -1249,6 +1046,17 @@ mod tests {
         assert!(cmd_ycsb(&parse(&["ycsb", "--mix", "z"])).is_err());
         assert!(cmd_ycsb(&parse(&["ycsb", "--arrival", "warp"])).is_err());
         assert!(cmd_ycsb(&parse(&["ycsb", "--sessions", "0"])).is_err());
+        // The audit gate always runs: no flag replays or skips a cell.
+        for flags in [
+            &["--resume", "/nonexistent"][..],
+            &["--cell-timeout", "5"],
+            &["--keep-going"],
+        ] {
+            let mut raw = vec!["ycsb"];
+            raw.extend_from_slice(flags);
+            let err = cmd_ycsb(&parse(&raw)).unwrap_err();
+            assert!(err.to_string().contains("unknown flag"), "{err}");
+        }
     }
 
     #[test]

@@ -50,9 +50,6 @@ run flags:
                         the seeded workload
   --medium MODE         file | latency (latency injects Makalu-style NVM
                         delays: 340ns/persist, 500ns/fence; default file)
-  --threads N           run the seeded workload on N concurrent sessions
-                        over one shared store (default 1; not combinable
-                        with --workload or --medium latency)
   --progress            stream flushed `commit <eid> ops n0,n1,...` lines
                         (ops applied per session) to stdout
   --telemetry PREFIX    export the engine's event stream (audit-ready)
@@ -107,7 +104,7 @@ pub(crate) fn required_path(args: &Args) -> Result<PathBuf, ArgError> {
         .ok_or_else(|| ArgError("--path is required".into()))
 }
 
-pub(crate) fn engine_config(args: &Args) -> Result<EngineConfig, ArgError> {
+fn engine_config(args: &Args) -> Result<EngineConfig, ArgError> {
     let cfg = EngineConfig {
         lines: args.count_or("lines", 1024)? as u32,
         log_blocks: args.count_or("log-blocks", 160)? as u32,
@@ -159,7 +156,7 @@ fn write_commit_line(eid: u64, counts: &[u64]) -> std::io::Result<()> {
     stdout.flush()
 }
 
-/// The `--progress` commit hook for the multi-session paths.
+/// The `--progress` commit hook for `serve run`'s sessions.
 pub(crate) fn progress_hook() -> CommitHook {
     Box::new(|eid, counts| {
         let _ = write_commit_line(eid, counts);
@@ -179,23 +176,9 @@ fn store_run(args: &Args) -> Result<(), ArgError> {
         "persist-stall-ms",
         "workload",
         "medium",
-        "threads",
         "progress",
         "telemetry",
     ])?;
-    match args.count_or("threads", 1)? {
-        0 => {
-            return Err(ArgError(
-                "--threads 0 makes no sense; need at least one session (default 1)".into(),
-            ))
-        }
-        1 => {}
-        n => {
-            let threads = usize::try_from(n)
-                .map_err(|_| ArgError(format!("--threads {n} is absurdly large")))?;
-            return crate::serve::store_run_threads(args, threads);
-        }
-    }
     let path = required_path(args)?;
     let cfg = engine_config(args)?;
     let ops_per_epoch = args.count_or("ops-per-epoch", 8)?;
@@ -466,42 +449,6 @@ mod tests {
 
     fn parse(raw: &[&str]) -> Args {
         Args::parse(raw.iter().copied()).unwrap()
-    }
-
-    #[test]
-    fn run_rejects_zero_threads_and_serves_on_many() {
-        let path = temp_store("threads.store");
-        let p = path.display().to_string();
-        let err = cmd_store(&parse(&["store", "run", "--path", &p, "--threads", "0"])).unwrap_err();
-        assert!(err.to_string().contains("--threads 0"), "{err}");
-        // --workload is a single scripted stream; it cannot shard.
-        assert!(cmd_store(&parse(&[
-            "store",
-            "run",
-            "--path",
-            &p,
-            "--threads",
-            "2",
-            "--workload",
-            "w.txt",
-        ]))
-        .is_err());
-        cmd_store(&parse(&[
-            "store",
-            "run",
-            "--path",
-            &p,
-            "--threads",
-            "3",
-            "--ops",
-            "90",
-            "--ops-per-epoch",
-            "6",
-        ]))
-        .unwrap();
-        // The store file a threaded run leaves behind reopens cleanly.
-        cmd_store(&parse(&["store", "dump", "--path", &p])).unwrap();
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -111,7 +111,6 @@ fn every_progress_line_parses_as_a_commit_line() {
     let dir = scratch();
     let runs = [
         ("store run --ops 60", 1),
-        ("store run --ops 60 --threads 3", 3),
         ("serve run --sessions 3 --ops-per-session 30", 3),
     ];
     for (i, (label, sessions)) in runs.into_iter().enumerate() {

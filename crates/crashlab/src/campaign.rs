@@ -226,7 +226,7 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignReport {
 }
 
 /// Runs the full campaign under an explicit executor policy: checkpoint
-/// directory (resume), per-trial wall-clock timeout, retries, fail-fast,
+/// directory (resume), per-trial wall-clock timeout, fail-fast,
 /// progress reporting. `opts.threads` takes precedence over
 /// `config.threads` when nonzero.
 ///

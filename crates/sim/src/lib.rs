@@ -45,6 +45,4 @@ pub use machine::{CrashReport, Machine};
 pub use picl_campaign::{CampaignOptions, CellOutcome};
 pub use report::RunReport;
 pub use report_json::{decode_report, encode_report};
-pub use runner::{
-    run_experiments, run_experiments_with, Experiment, SchemeKind, Simulation, WorkloadSpec,
-};
+pub use runner::{run_experiments_with, Experiment, SchemeKind, Simulation, WorkloadSpec};

@@ -330,24 +330,10 @@ impl picl_campaign::CampaignCell for Experiment {
     }
 }
 
-/// Runs a batch of experiments on `threads` worker threads, returning
-/// reports in the input order.
-///
-/// Cells are fault-isolated: one panicking experiment no longer kills its
-/// siblings. Every other cell still completes, and this function then
-/// panics with a per-cell failure summary (callers that need partial
-/// results or checkpoint/resume use [`run_experiments_with`]).
-pub fn run_experiments(experiments: &[Experiment], threads: usize) -> Vec<RunReport> {
-    let opts = picl_campaign::CampaignOptions {
-        threads: threads.max(1),
-        ..picl_campaign::CampaignOptions::default()
-    };
-    run_experiments_with(experiments, &opts)
-        .unwrap_or_else(|message| panic!("experiment campaign failed: {message}"))
-}
-
-/// Runs a batch of experiments under a full campaign policy — checkpoint
-/// directory, resume, per-cell timeout, retries, progress reporting.
+/// Runs a batch of experiments under a campaign policy — worker threads,
+/// checkpoint directory and resume, per-cell timeout, progress reporting
+/// — returning reports in the input order. Cells are fault-isolated: one
+/// panicking experiment does not kill its siblings.
 ///
 /// # Errors
 ///
@@ -465,7 +451,11 @@ mod tests {
                 footprint_scale: 0.05,
             })
             .collect();
-        let reports = run_experiments(&experiments, 3);
+        let opts = picl_campaign::CampaignOptions {
+            threads: 3,
+            ..picl_campaign::CampaignOptions::default()
+        };
+        let reports = run_experiments_with(&experiments, &opts).unwrap();
         assert_eq!(reports.len(), 3);
         assert_eq!(reports[0].scheme, "Ideal");
         assert_eq!(reports[1].scheme, "PiCL");

@@ -1,7 +1,9 @@
 //! Cross-crate integration tests: whole simulations through the public
 //! API, checking the paper's qualitative results hold end-to-end.
 
-use picl_repro::sim::{run_experiments, Experiment, SchemeKind, Simulation, WorkloadSpec};
+use picl_repro::sim::{
+    run_experiments_with, CampaignOptions, Experiment, SchemeKind, Simulation, WorkloadSpec,
+};
 use picl_repro::trace::mixes::table_v_mixes;
 use picl_repro::trace::spec::SpecBenchmark;
 use picl_repro::types::SystemConfig;
@@ -168,7 +170,11 @@ fn multicore_mix_preserves_ordering() {
             footprint_scale: 0.25,
         });
     }
-    let reports = run_experiments(&experiments, 3);
+    let opts = CampaignOptions {
+        threads: 3,
+        ..CampaignOptions::default()
+    };
+    let reports = run_experiments_with(&experiments, &opts).unwrap();
     assert_eq!(reports[0].cores, 8);
     let picl = reports[1].normalized_to(&reports[0]);
     let frm = reports[2].normalized_to(&reports[0]);

@@ -277,12 +277,10 @@ impl std::fmt::Display for AnalyticsDisplay<'_> {
         if a.queue_depth.is_empty() {
             writeln!(f, "nvm queue depth: no samples")?;
         } else {
+            let [p50, p90, p99] = [50.0, 90.0, 99.0].map(|p| a.queue_depth.percentile_defined(p));
             writeln!(
                 f,
-                "nvm queue depth: p50 {} p90 {} p99 {} max {}",
-                opt_f64(a.queue_depth.p50()),
-                opt_f64(a.queue_depth.p90()),
-                opt_f64(a.queue_depth.p99()),
+                "nvm queue depth: p50 {p50:.1} p90 {p90:.1} p99 {p99:.1} max {}",
                 a.queue_depth.max().unwrap_or(0)
             )?;
         }

@@ -19,7 +19,7 @@
 //!   failing cell (default: finish every sibling, then report).
 
 use picl_sim::{
-    run_experiments_with, CampaignOptions, Experiment, RunReport, SchemeKind, WorkloadSpec,
+    run_experiments_with, CampaignOptions, RunReport, SchemeKind, Simulation, WorkloadSpec,
 };
 use picl_types::SystemConfig;
 
@@ -90,7 +90,7 @@ pub fn campaign_options() -> CampaignOptions {
 /// Panics with the aggregated per-cell failure list — but only after
 /// every healthy sibling has finished (and, with `PICL_RESUME`, been
 /// checkpointed), so a relaunch re-runs just the failed cells.
-pub fn run_grid(experiments: &[Experiment]) -> Vec<RunReport> {
+pub fn run_grid(experiments: &[Simulation]) -> Vec<RunReport> {
     run_experiments_with(experiments, &campaign_options())
         .unwrap_or_else(|message| panic!("figure campaign failed: {message}"))
 }
@@ -101,18 +101,17 @@ pub fn grid(
     workloads: &[WorkloadSpec],
     schemes: &[SchemeKind],
     instructions_per_core: u64,
-) -> Vec<Experiment> {
+) -> Vec<Simulation> {
     let mut out = Vec::with_capacity(workloads.len() * schemes.len());
     for w in workloads {
         for &s in schemes {
-            out.push(Experiment {
-                cfg: cfg.clone(),
-                scheme: s,
-                workload: w.clone(),
-                instructions_per_core,
-                seed: seed(),
-                footprint_scale: 1.0,
-            });
+            out.push(
+                Simulation::builder(cfg.clone())
+                    .scheme(s)
+                    .workload_spec(w.clone())
+                    .instructions_per_core(instructions_per_core)
+                    .seed(seed()),
+            );
         }
     }
     out
@@ -191,6 +190,7 @@ pub fn banner(what: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use picl_sim::CampaignCell;
     use picl_trace::spec::SpecBenchmark;
 
     #[test]
@@ -208,9 +208,9 @@ mod tests {
         ];
         let g = grid(&cfg, &ws, &SchemeKind::ALL, 1000);
         assert_eq!(g.len(), 12);
-        assert_eq!(g[0].workload.label(), "mcf");
-        assert_eq!(g[0].scheme, SchemeKind::Ideal);
-        assert_eq!(g[11].scheme, SchemeKind::Picl);
+        assert_eq!(g[0].label(), "Ideal on mcf");
+        assert_eq!(g[5].label(), "PiCL on mcf");
+        assert_eq!(g[11].label(), "PiCL on lbm");
     }
 
     #[test]

@@ -98,9 +98,11 @@ impl CheckpointStore {
         let mut records = HashMap::new();
         let mut skipped_lines = 0usize;
         let fresh = !path.exists();
+        let mut torn_tail = false;
         if !fresh {
             let contents = std::fs::read_to_string(&path)
                 .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+            torn_tail = !contents.is_empty() && !contents.ends_with('\n');
             for line in contents.lines() {
                 if line.trim().is_empty() {
                     continue;
@@ -122,6 +124,10 @@ impl CheckpointStore {
         if fresh {
             writeln!(file, "{{\"schema\": \"{STORE_SCHEMA}\"}}")
                 .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        } else if torn_tail {
+            // End the torn line, so the next record starts on its own
+            // line instead of being glued onto the fragment.
+            writeln!(file).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
         }
         Ok(CheckpointStore {
             path,
@@ -336,9 +342,17 @@ mod tests {
         contents.push_str("{\"key\": \"dead\", \"status\": \"do");
         std::fs::write(&path, contents).unwrap();
 
-        let store = CheckpointStore::open(&dir).unwrap();
+        let mut store = CheckpointStore::open(&dir).unwrap();
         assert_eq!(store.skipped_lines(), 1);
         assert!(matches!(store.lookup(key), Some(StoredStatus::Done(_))));
+
+        // A record appended after the torn tail survives the next load.
+        let next = CellKey::of("next");
+        store.record_done(next, "next", "2").unwrap();
+        drop(store);
+        let store = CheckpointStore::open(&dir).unwrap();
+        assert_eq!(store.skipped_lines(), 1);
+        assert!(matches!(store.lookup(next), Some(StoredStatus::Done(_))));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -3,9 +3,7 @@
 use picl_campaign::CampaignOptions;
 use picl_crashlab::{run_campaign_with, CampaignConfig, CrashPoint, LabScheme, TrialSpec};
 use picl_nvm::TrafficCategory;
-use picl_sim::{
-    run_experiments_with, Experiment, Machine, RunReport, SchemeKind, Simulation, WorkloadSpec,
-};
+use picl_sim::{run_experiments_with, Machine, RunReport, SchemeKind, Simulation};
 use picl_telemetry::export::{chrome_trace_to_string, jsonl_to_string, series_csv_to_string};
 use picl_telemetry::json::{validate_json, validate_jsonl};
 use picl_telemetry::TelemetrySnapshot;
@@ -24,9 +22,8 @@ usage: picl <command> [--flag value]...
 commands:
   run         simulate one scheme on one workload and print the report
   compare     run every scheme on one workload, normalized to Ideal
-  crash       run, pull the plug, recover, and verify consistency
   crashlab    crash-injection campaign: schemes x benchmarks x crash points
-  trace       run with telemetry on and export the recording
+              (`--crash-at N` replays one crash, audited and judged)
   audit       check an exported .events.jsonl stream against the PiCL
               protocol invariants (exit nonzero on any violation)
   analyze     offline trace analytics: epoch critical path, stall
@@ -55,14 +52,13 @@ common flags:
   --acs-gap N           PiCL ACS-gap (default 3)
   --seed N              experiment seed (default 42)
   --footprint-scale F   scale workload footprints (default 1.0)
-  --telemetry PREFIX    (run, crashlab repro) also export the recording
 
-trace flags (plus the common flags above):
-  --out PREFIX          output prefix (required); writes PREFIX.trace.json
+run flags (plus the common flags above):
+  --telemetry PREFIX    also export the recording: PREFIX.trace.json
                         (Chrome/Perfetto), PREFIX.events.jsonl, and
                         PREFIX.series.csv
-  --sample-interval N   gauge sampling period in cycles (default 10k)
-  --ring N              per-core event-ring capacity (default 64k)
+  --ring N              with --telemetry: per-core event-ring capacity
+                        (default 64k)
 
 audit / analyze flags:
   --trace FILE          the .events.jsonl stream to check (required)
@@ -127,9 +123,7 @@ pub fn dispatch(args: &Args) -> Result<(), ArgError> {
     match args.command() {
         "run" => cmd_run(args),
         "compare" => cmd_compare(args),
-        "crash" => cmd_crash(args),
         "crashlab" => cmd_crashlab(args),
-        "trace" => cmd_trace(args),
         "audit" => cmd_audit(args),
         "analyze" => cmd_analyze(args),
         "sweep" => cmd_sweep(args),
@@ -236,7 +230,7 @@ fn print_report(report: &RunReport) {
 
 /// Default per-core event-ring capacity (events).
 const DEFAULT_RING: u64 = 64 * 1024;
-/// Default gauge sampling period (cycles).
+/// Gauge sampling period (cycles) of every telemetry recording.
 const DEFAULT_SAMPLE_INTERVAL: u64 = 10_000;
 
 /// Writes the three telemetry exports under `prefix` and re-parses each
@@ -272,8 +266,13 @@ pub(crate) fn export_telemetry(prefix: &str, snap: &TelemetrySnapshot) -> Result
 
 fn cmd_run(args: &Args) -> Result<(), ArgError> {
     let mut flags = COMMON_FLAGS.to_vec();
-    flags.push("telemetry");
+    flags.extend(["telemetry", "ring"]);
     args.expect_only(&flags)?;
+    if args.get("ring").is_some() && args.get("telemetry").is_none() {
+        return Err(ArgError(
+            "--ring sizes the telemetry recording; pass --telemetry PREFIX too".into(),
+        ));
+    }
     let sim = Simulation::builder(config_from(args)?)
         .scheme(parse_scheme(args.get_or("scheme", "picl"))?)
         .workload(&[parse_bench(args.get_or("bench", "bzip2"))?])
@@ -287,44 +286,18 @@ fn cmd_run(args: &Args) -> Result<(), ArgError> {
             print_report(&report);
         }
         Some(prefix) => {
-            let prefix = prefix.to_owned();
+            let ring = args.count_or("ring", DEFAULT_RING)? as usize;
+            if ring == 0 {
+                return Err(ArgError("--ring must be nonzero".into()));
+            }
             let mut machine = sim.into_machine().map_err(|e| ArgError(e.to_string()))?;
-            let telemetry =
-                machine.enable_telemetry(DEFAULT_RING as usize, DEFAULT_SAMPLE_INTERVAL);
+            let telemetry = machine.enable_telemetry(ring, DEFAULT_SAMPLE_INTERVAL);
             machine.run(budget);
             print_report(&machine.report());
-            export_telemetry(&prefix, &telemetry.snapshot())?;
+            export_telemetry(prefix, &telemetry.snapshot())?;
         }
     }
     Ok(())
-}
-
-fn cmd_trace(args: &Args) -> Result<(), ArgError> {
-    let mut flags = COMMON_FLAGS.to_vec();
-    flags.extend(["out", "sample-interval", "ring"]);
-    args.expect_only(&flags)?;
-    let prefix = args
-        .get("out")
-        .ok_or_else(|| ArgError("trace needs --out PREFIX".into()))?
-        .to_owned();
-    let ring = args.count_or("ring", DEFAULT_RING)? as usize;
-    let interval = args.count_or("sample-interval", DEFAULT_SAMPLE_INTERVAL)?;
-    if ring == 0 || interval == 0 {
-        return Err(ArgError(
-            "--ring and --sample-interval must be nonzero".into(),
-        ));
-    }
-    let mut machine = Simulation::builder(config_from(args)?)
-        .scheme(parse_scheme(args.get_or("scheme", "picl"))?)
-        .workload(&[parse_bench(args.get_or("bench", "bzip2"))?])
-        .seed(args.count_or("seed", 42)?)
-        .footprint_scale(args.float_or("footprint-scale", 1.0)?)
-        .into_machine()
-        .map_err(|e| ArgError(e.to_string()))?;
-    let telemetry = machine.enable_telemetry(ring, interval);
-    machine.run(args.count_or("instructions", 10_000_000)?);
-    print_report(&machine.report());
-    export_telemetry(&prefix, &telemetry.snapshot())
 }
 
 /// Reads and parses an exported `.events.jsonl` stream named by
@@ -410,57 +383,6 @@ fn cmd_compare(args: &Args) -> Result<(), ArgError> {
             r.stall_cycles,
             format_bytes(r.scheme_stats.log_bytes_written)
         );
-    }
-    Ok(())
-}
-
-fn cmd_crash(args: &Args) -> Result<(), ArgError> {
-    let mut flags = COMMON_FLAGS.to_vec();
-    flags.push("at");
-    args.expect_only(&flags)?;
-    let at = args.count_or("at", 2_000_000)?;
-    let scheme = parse_scheme(args.get_or("scheme", "picl"))?;
-    let mut machine = Simulation::builder(config_from(args)?)
-        .scheme(scheme)
-        .workload_spec(WorkloadSpec::single(parse_bench(
-            args.get_or("bench", "gcc"),
-        )?))
-        .seed(args.count_or("seed", 42)?)
-        .footprint_scale(args.float_or("footprint-scale", 0.25)?)
-        .keep_snapshots(true)
-        .into_machine()
-        .map_err(|e| ArgError(e.to_string()))?;
-    machine.run(at);
-    println!(
-        "ran {} instructions under {}; injecting power failure…",
-        machine.instructions(),
-        scheme.name()
-    );
-    let crash = machine.crash();
-    println!(
-        "recovered to {} applying {} entries in {} cycles",
-        crash.outcome.recovered_to,
-        crash.outcome.entries_applied,
-        crash
-            .outcome
-            .completed_at
-            .saturating_since(picl_types::Cycle::ZERO)
-            .raw()
-    );
-    match crash.consistent {
-        Some(true) => println!("verification: memory matches the recovered checkpoint exactly"),
-        Some(false) => {
-            let first = crash
-                .mismatches
-                .first()
-                .map(|a| a.to_string())
-                .unwrap_or_else(|| "?".into());
-            println!(
-                "verification: INCONSISTENT — {} mismatching lines (first: {first})",
-                crash.mismatch_count
-            );
-        }
-        None => println!("verification: no golden snapshot for that epoch"),
     }
     Ok(())
 }
@@ -675,14 +597,14 @@ fn cmd_sweep(args: &Args) -> Result<(), ArgError> {
         }
         cfg.validate()
             .map_err(|e| ArgError(format!("value {v} rejected: {e}")))?;
-        experiments.push(Experiment {
-            cfg,
-            scheme: SchemeKind::Picl,
-            workload: WorkloadSpec::single(bench),
-            instructions_per_core: instructions,
-            seed: args.count_or("seed", 42)?,
-            footprint_scale: args.float_or("footprint-scale", 1.0)?,
-        });
+        experiments.push(
+            Simulation::builder(cfg)
+                .scheme(SchemeKind::Picl)
+                .workload(&[bench])
+                .instructions_per_core(instructions)
+                .seed(args.count_or("seed", 42)?)
+                .footprint_scale(args.float_or("footprint-scale", 1.0)?),
+        );
     }
     let reports = run_experiments_with(&experiments, &campaign_options(args)?).map_err(ArgError)?;
 
@@ -818,23 +740,6 @@ mod tests {
     }
 
     #[test]
-    fn crash_command_end_to_end() {
-        let args = Args::parse([
-            "crash",
-            "--bench",
-            "gcc",
-            "--at",
-            "150k",
-            "--epoch",
-            "50k",
-            "--footprint-scale",
-            "0.05",
-        ])
-        .unwrap();
-        dispatch(&args).unwrap();
-    }
-
-    #[test]
     fn crashlab_small_campaign_passes() {
         let args = Args::parse([
             "crashlab",
@@ -921,43 +826,13 @@ mod tests {
     }
 
     #[test]
-    fn trace_command_writes_all_three_exports() {
-        let dir = std::env::temp_dir().join("picl_cli_trace_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let prefix = dir.join("t").to_str().unwrap().to_owned();
-        dispatch(
-            &Args::parse([
-                "trace",
-                "--bench",
-                "gcc",
-                "--instructions",
-                "150k",
-                "--epoch",
-                "50k",
-                "--footprint-scale",
-                "0.05",
-                "--out",
-                &prefix,
-            ])
-            .unwrap(),
-        )
-        .unwrap();
-        for suffix in [".trace.json", ".events.jsonl", ".series.csv"] {
-            let path = format!("{prefix}{suffix}");
-            let contents = std::fs::read_to_string(&path).expect(&path);
-            assert!(!contents.is_empty(), "{path} is empty");
-            std::fs::remove_file(path).ok();
-        }
-    }
-
-    #[test]
     fn audit_and_analyze_round_trip_an_exported_trace() {
         let dir = std::env::temp_dir().join("picl_cli_audit_test");
         std::fs::create_dir_all(&dir).unwrap();
         let prefix = dir.join("a").to_str().unwrap().to_owned();
         dispatch(
             &Args::parse([
-                "trace",
+                "run",
                 "--bench",
                 "gcc",
                 "--instructions",
@@ -966,7 +841,9 @@ mod tests {
                 "50k",
                 "--footprint-scale",
                 "0.05",
-                "--out",
+                "--ring",
+                "1m",
+                "--telemetry",
                 &prefix,
             ])
             .unwrap(),
@@ -1026,10 +903,41 @@ mod tests {
     }
 
     #[test]
-    fn trace_requires_out_prefix() {
-        let args = Args::parse(["trace", "--bench", "gcc"]).unwrap();
-        let err = dispatch(&args).unwrap_err();
-        assert!(err.to_string().contains("--out"), "{err}");
+    fn removed_commands_and_flags_are_rejected() {
+        // `crashlab --crash-at` replaced `crash`; `run --telemetry`
+        // replaced `trace`.
+        for raw in [
+            &["crash", "--bench", "gcc"][..],
+            &["trace", "--bench", "gcc", "--out", "/nonexistent/t"],
+        ] {
+            let err = dispatch(&Args::parse(raw.iter().copied()).unwrap()).unwrap_err();
+            assert!(err.to_string().contains("unknown command"), "{err}");
+        }
+        for raw in [
+            &["run", "--out", "/nonexistent/t"][..],
+            &[
+                "run",
+                "--telemetry",
+                "/nonexistent/t",
+                "--sample-interval",
+                "5k",
+            ],
+            &["crashlab", "--crash-at", "90k", "--at", "90k"],
+        ] {
+            let err = dispatch(&Args::parse(raw.iter().copied()).unwrap()).unwrap_err();
+            assert!(err.to_string().contains("unknown flag"), "{err}");
+        }
+    }
+
+    #[test]
+    fn run_ring_needs_telemetry_and_a_nonzero_size() {
+        let err = dispatch(&Args::parse(["run", "--ring", "1m"]).unwrap()).unwrap_err();
+        assert!(err.to_string().contains("--telemetry"), "{err}");
+        let err = dispatch(
+            &Args::parse(["run", "--ring", "0", "--telemetry", "/nonexistent/t"]).unwrap(),
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("nonzero"), "{err}");
     }
 
     #[test]
@@ -1057,7 +965,10 @@ mod tests {
         let chrome = std::fs::read_to_string(format!("{prefix}.trace.json")).unwrap();
         assert!(chrome.contains("\"traceEvents\""));
         for suffix in [".trace.json", ".events.jsonl", ".series.csv"] {
-            std::fs::remove_file(format!("{prefix}{suffix}")).ok();
+            let path = format!("{prefix}{suffix}");
+            let contents = std::fs::read_to_string(&path).expect(&path);
+            assert!(!contents.is_empty(), "{path} is empty");
+            std::fs::remove_file(path).ok();
         }
     }
 

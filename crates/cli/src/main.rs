@@ -1,9 +1,10 @@
 //! `picl` — command-line frontend for the PiCL reproduction.
 //!
 //! ```text
-//! picl run        --bench mcf [--scheme picl] [--instructions 10m] [--epoch 3m] ...
+//! picl run        --bench mcf [--scheme picl] [--instructions 10m] [--telemetry PREFIX] ...
 //! picl compare    --bench mcf [--instructions 9m] [--epoch 3m] ...
-//! picl crash      --bench gcc [--scheme picl] [--at 500k] ...
+//! picl crashlab   [--schemes all] [--bench mcf,gcc,lbm] [--crash-at 120k] ...
+//! picl audit      --trace PREFIX.events.jsonl [--acs-gap 3]
 //! picl sweep      --param acs-gap --values 0,1,3,7 [--bench gcc] ...
 //! picl record     --bench lbm --out trace.picltrc [--events 100k]
 //! picl replay     --trace trace.picltrc [--scheme picl] ...

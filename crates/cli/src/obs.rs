@@ -26,7 +26,7 @@ use std::time::Duration;
 use picl_obs::MetricsRegistry;
 use picl_serve::{preload, run_load, Arrival, LoadSpec, MixPreset, ServeKv};
 use picl_store::{EngineConfig, FileMedium, Geometry};
-use picl_telemetry::json::Value;
+use picl_telemetry::json::{decode_histogram, Value};
 use picl_telemetry::Telemetry;
 use picl_types::stats::Histogram;
 
@@ -143,37 +143,6 @@ fn obj_fields<'a>(node: Option<&'a Value>, what: &str) -> Result<&'a [(String, V
     }
 }
 
-fn decode_histogram(node: &Value, key: &str) -> Result<Histogram, ArgError> {
-    let u = |k: &str| {
-        node.get(k)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| ArgError(format!("histogram {key:?}: missing field {k:?}")))
-    };
-    let mut buckets = Vec::new();
-    for pair in node
-        .get("buckets")
-        .and_then(Value::as_arr)
-        .ok_or_else(|| ArgError(format!("histogram {key:?}: missing buckets array")))?
-    {
-        match pair.as_arr() {
-            Some([bound, n]) => buckets.push((
-                bound
-                    .as_u64()
-                    .ok_or_else(|| ArgError(format!("histogram {key:?}: non-integer bound")))?,
-                n.as_u64()
-                    .ok_or_else(|| ArgError(format!("histogram {key:?}: non-integer count")))?,
-            )),
-            _ => {
-                return Err(ArgError(format!(
-                    "histogram {key:?}: malformed bucket pair"
-                )))
-            }
-        }
-    }
-    Histogram::from_saved(buckets, u("count")?, u("sum")?, u("max")?)
-        .map_err(|e| ArgError(format!("histogram {key:?}: {e}")))
-}
-
 /// Parses every *complete* line of a flight log (the torn tail, if any,
 /// is dropped — `picl obs check` reports it).
 fn parse_flight(file: &str) -> Result<Vec<FlightLine>, ArgError> {
@@ -206,7 +175,10 @@ fn parse_flight(file: &str) -> Result<Vec<FlightLine>, ArgError> {
         }
         let mut histograms = BTreeMap::new();
         for (k, val) in obj_fields(v.get("histograms"), "histograms")? {
-            histograms.insert(k.clone(), decode_histogram(val, k)?);
+            histograms.insert(
+                k.clone(),
+                decode_histogram(val).map_err(|e| ArgError(format!("histogram {k:?}: {e}")))?,
+            );
         }
         out.push(FlightLine {
             seq: v.field_u64("seq").map_err(ArgError)?,
@@ -401,18 +373,7 @@ fn obs_overhead(args: &Args) -> Result<(), ArgError> {
     };
     spec.validate()
         .map_err(|e| ArgError(format!("load spec: {e}")))?;
-    let window = 4;
-    let lines = u32::try_from((keys * crate::serve::slots_per_record(value_bytes) * 2).max(1024))
-        .map_err(|_| ArgError("key space too large; lower --keys".into()))?;
-    let cfg = EngineConfig {
-        lines,
-        log_blocks: crate::serve::auto_log_blocks(lines, window),
-        window,
-        persist_stall_ms: 0,
-        sabotage_skip_drain: false,
-    };
-    cfg.validate()
-        .map_err(|e| ArgError(format!("store geometry: {e}")))?;
+    let cfg = crate::serve::load_engine_config(args, keys, value_bytes)?;
     let path = match args.get("path") {
         Some(p) => PathBuf::from(p),
         None => {

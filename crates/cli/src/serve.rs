@@ -29,7 +29,7 @@ use picl_serve::{
     ServeKv,
 };
 use picl_store::workload::Op;
-use picl_store::{EngineConfig, FileMedium, Geometry, StoreError, UNDO_BUFFER_ENTRIES};
+use picl_store::{EngineConfig, FileMedium, Geometry, StoreError};
 use picl_telemetry::export::jsonl_to_string;
 use picl_telemetry::json::{escape as json_escape, validate_json};
 use picl_telemetry::Telemetry;
@@ -49,9 +49,8 @@ run flags:
   --key-space N         keys per session, under its own prefix (default 12)
   --ops-per-epoch N     mutations per epoch (default 8)
   --window N            in-order persist window = RPO bound (default 1)
-  --lines N             data capacity in 64B lines when creating (default 1024)
-  --log-blocks N        log capacity in 4K blocks (default: sized from
-                        --lines and --window with headroom)
+  --lines N             data capacity in 64B lines when creating (default 1024);
+                        the undo log is sized from --lines and --window
   --persist-stall-ms N  persister mid-epoch stall for the torture harness
   --progress            stream flushed `commit <eid> ops n0,n1,...` lines
   --telemetry PREFIX    export the engine's event stream (audit-ready)
@@ -91,27 +90,19 @@ pub fn cmd_serve(args: &Args) -> Result<(), ArgError> {
     }
 }
 
-/// Log capacity (4 KB blocks) that keeps the geometry valid for
-/// `window`, with one epoch of headroom.
-pub(crate) fn auto_log_blocks(lines: u32, window: u64) -> u32 {
-    let per_epoch = u64::from(lines).div_ceil(UNDO_BUFFER_ENTRIES as u64) + 1;
-    let needed = (window + 2) * per_epoch + 2;
-    u32::try_from(needed + per_epoch).unwrap_or(u32::MAX)
-}
-
-fn serve_engine_config(args: &Args, default_lines: u32) -> Result<EngineConfig, ArgError> {
-    let lines = args.count_or("lines", u64::from(default_lines))? as u32;
-    let window = args.count_or("window", 1)?;
-    let cfg = EngineConfig {
-        lines,
-        log_blocks: args.count_or("log-blocks", u64::from(auto_log_blocks(lines, window)))? as u32,
-        window,
-        persist_stall_ms: args.count_or("persist-stall-ms", 0)?,
-        sabotage_skip_drain: false,
-    };
-    cfg.validate()
-        .map_err(|e| ArgError(format!("store geometry: {e}")))?;
-    Ok(cfg)
+/// The engine configuration of a load run (`ycsb`, `obs overhead`): the
+/// table holds every key at its spanning footprint at most half full, at
+/// window 4, unless `--lines`/`--window` pin the geometry.
+pub(crate) fn load_engine_config(
+    args: &Args,
+    keys: u64,
+    value_bytes: usize,
+) -> Result<EngineConfig, ArgError> {
+    let auto_lines = keys
+        .saturating_mul(slots_per_record(value_bytes))
+        .saturating_mul(2)
+        .max(1024);
+    crate::store::engine_config(args, auto_lines, 4)
 }
 
 /// Applies one stream op through the serving backend, attributed to
@@ -172,7 +163,6 @@ fn serve_run(args: &Args) -> Result<(), ArgError> {
         "ops-per-epoch",
         "window",
         "lines",
-        "log-blocks",
         "persist-stall-ms",
         "progress",
         "telemetry",
@@ -183,7 +173,7 @@ fn serve_run(args: &Args) -> Result<(), ArgError> {
         "flight-max-kb",
         "flight-max-files",
     ])?;
-    let cfg = serve_engine_config(args, 1024)?;
+    let cfg = crate::store::engine_config(args, 1024, 1)?;
     let sessions = args.count_or("sessions", 4)? as usize;
     let seed = args.count_or("seed", 1)?;
     let ops_per_session = args.count_or("ops-per-session", 100)?;
@@ -270,8 +260,7 @@ fn serve_run(args: &Args) -> Result<(), ArgError> {
         let snap = reg.snapshot();
         let ms = |name: &str, p: f64| {
             snap.histogram(name, &[])
-                .and_then(|h| h.percentile_interpolated(p))
-                .map_or(0.0, |ns| ns / 1e6)
+                .map_or(0.0, |h| h.percentile_defined(p) / 1e6)
         };
         if let Some(publish) = snap.histogram("picl_serve_commit_publish_ns", &[]) {
             println!(
@@ -549,7 +538,7 @@ struct YcsbCell {
 }
 
 fn percentiles_us(report: &LoadReport) -> (f64, f64, f64) {
-    let at = |p: f64| report.latency_ns.percentile_interpolated(p).unwrap_or(0.0) / 1e3;
+    let at = |p: f64| report.latency_ns.percentile_defined(p) / 1e3;
     (at(50.0), at(99.0), at(99.9))
 }
 
@@ -745,8 +734,6 @@ pub fn cmd_ycsb(args: &Args) -> Result<(), ArgError> {
         "ops-per-epoch",
         "window",
         "lines",
-        "log-blocks",
-        "persist-stall-ms",
         "out",
         "baseline",
         "telemetry",
@@ -775,23 +762,7 @@ pub fn cmd_ycsb(args: &Args) -> Result<(), ArgError> {
     spec.validate()
         .map_err(|e| ArgError(format!("load spec: {e}")))?;
 
-    // Auto-size the table: every key at its spanning footprint, at most
-    // half full, unless the user pinned the geometry.
-    let window = args.count_or("window", 4)?;
-    let auto_lines =
-        u32::try_from((keys * slots_per_record(value_bytes) * 2).max(1024)).map_err(|_| {
-            ArgError("key space too large for a 32-bit line index; lower --keys".into())
-        })?;
-    let lines = args.count_or("lines", u64::from(auto_lines))? as u32;
-    let cfg = EngineConfig {
-        lines,
-        log_blocks: args.count_or("log-blocks", u64::from(auto_log_blocks(lines, window)))? as u32,
-        window,
-        persist_stall_ms: args.count_or("persist-stall-ms", 0)?,
-        sabotage_skip_drain: false,
-    };
-    cfg.validate()
-        .map_err(|e| ArgError(format!("store geometry: {e}")))?;
+    let cfg = load_engine_config(args, keys, value_bytes)?;
     let ops_per_epoch = args.count_or("ops-per-epoch", 64)?;
     if ops_per_epoch == 0 {
         return Err(ArgError("--ops-per-epoch must be at least 1".into()));
@@ -963,6 +934,16 @@ mod tests {
         assert!(cmd_serve(&parse(&["serve", "frobnicate"])).is_err());
         cmd_serve(&parse(&["serve", "help"])).unwrap();
         cmd_serve(&parse(&["serve"])).unwrap();
+        let err = cmd_serve(&parse(&[
+            "serve",
+            "run",
+            "--path",
+            "/nonexistent/s.store",
+            "--log-blocks",
+            "160",
+        ]))
+        .unwrap_err();
+        assert!(err.to_string().contains("unknown flag"), "{err}");
     }
 
     #[test]
@@ -1047,10 +1028,15 @@ mod tests {
         assert!(cmd_ycsb(&parse(&["ycsb", "--arrival", "warp"])).is_err());
         assert!(cmd_ycsb(&parse(&["ycsb", "--sessions", "0"])).is_err());
         // The audit gate always runs: no flag replays or skips a cell.
+        // Nor does any flag resize the log or stall the persister: the log
+        // is sized from the lines and the window, and only the torture
+        // harness's `store run`/`serve run` children stall.
         for flags in [
             &["--resume", "/nonexistent"][..],
             &["--cell-timeout", "5"],
             &["--keep-going"],
+            &["--log-blocks", "4096"],
+            &["--persist-stall-ms", "4"],
         ] {
             let mut raw = vec!["ycsb"];
             raw.extend_from_slice(flags);
@@ -1061,16 +1047,17 @@ mod tests {
 
     #[test]
     fn geometry_autosizing_stays_valid() {
-        for (lines, window) in [(1024u32, 1u64), (1024, 8), (65_536, 4), (23, 1)] {
-            let cfg = EngineConfig {
-                lines,
-                log_blocks: auto_log_blocks(lines, window),
-                window,
-                persist_stall_ms: 0,
-                sabotage_skip_drain: false,
-            };
-            cfg.validate().unwrap();
+        for (lines, window) in [("1024", "1"), ("1024", "8"), ("65536", "4"), ("23", "1")] {
+            let args = parse(&["serve", "run", "--lines", lines, "--window", window]);
+            let cfg = crate::store::engine_config(&args, 1024, 1).unwrap();
+            // One epoch of headroom over the smallest log that cannot wedge.
+            let min = picl_store::min_log_blocks(cfg.lines, cfg.window);
+            assert!(u64::from(cfg.log_blocks) > min, "{cfg:?}");
         }
+        let cfg = load_engine_config(&parse(&["ycsb"]), 2_000, 72).unwrap();
+        assert_eq!((cfg.lines, cfg.window), (8_000, 4));
+        assert!(load_engine_config(&parse(&["ycsb"]), u64::MAX, 100).is_err());
+        assert!(crate::store::engine_config(&parse(&["ycsb", "--window", "0"]), 1024, 4).is_err());
         assert_eq!(slots_per_record(8), 1);
         assert_eq!(slots_per_record(16), 1);
         assert_eq!(slots_per_record(17), 2);

@@ -23,8 +23,8 @@ use picl_crashlab::{
 use picl_serve::session::CommitHook;
 use picl_store::layout::{decode_log_block, Geometry, Superblock, LOG_BLOCK_BYTES, SB_BYTES};
 use picl_store::{
-    apply_to_store, generate, parse_workload, EngineConfig, FileMedium, Kv, LatencyMedium,
-    PersistOps,
+    apply_to_store, generate, min_log_blocks, parse_workload, EngineConfig, FileMedium, Kv,
+    LatencyMedium, PersistOps,
 };
 use picl_telemetry::Telemetry;
 use picl_types::EpochId;
@@ -42,8 +42,8 @@ run flags:
   --ops-per-epoch N     epoch granularity in operations (default 8)
   --key-space N         distinct keys in the seeded workload (default 16)
   --window N            in-order persist window = RPO bound (default 1)
-  --lines N             data capacity in 64B lines when creating (default 1024)
-  --log-blocks N        undo log capacity in 4K blocks when creating (default 160)
+  --lines N             data capacity in 64B lines when creating (default 1024);
+                        the undo log is sized from --lines and --window
   --persist-stall-ms N  persister mid-epoch stall, widens the mid-drain
                         crash window for torture (default 0)
   --workload FILE       run `put K V` / `del K` / `get K` lines instead of
@@ -104,11 +104,26 @@ pub(crate) fn required_path(args: &Args) -> Result<PathBuf, ArgError> {
         .ok_or_else(|| ArgError("--path is required".into()))
 }
 
-fn engine_config(args: &Args) -> Result<EngineConfig, ArgError> {
+/// The engine configuration of every command that creates a store:
+/// `--lines` and `--window` (with the caller's defaults) and the torture
+/// harness's `--persist-stall-ms`. The log is sized from the two with one
+/// epoch of headroom over the minimum; an existing store keeps the
+/// geometry recorded in its superblock.
+pub(crate) fn engine_config(
+    args: &Args,
+    default_lines: u64,
+    default_window: u64,
+) -> Result<EngineConfig, ArgError> {
+    let lines = args.count_or("lines", default_lines)?;
+    let lines = u32::try_from(lines)
+        .map_err(|_| ArgError(format!("{lines} lines overflow a 32-bit line index")))?;
+    let window = args.count_or("window", default_window)?;
+    let log_blocks = u32::try_from(min_log_blocks(lines, window.saturating_add(1)))
+        .map_err(|_| ArgError(format!("window {window} needs a log past 2^32 blocks")))?;
     let cfg = EngineConfig {
-        lines: args.count_or("lines", 1024)? as u32,
-        log_blocks: args.count_or("log-blocks", 160)? as u32,
-        window: args.count_or("window", 1)?,
+        lines,
+        log_blocks,
+        window,
         persist_stall_ms: args.count_or("persist-stall-ms", 0)?,
         sabotage_skip_drain: false,
     };
@@ -172,7 +187,6 @@ fn store_run(args: &Args) -> Result<(), ArgError> {
         "key-space",
         "window",
         "lines",
-        "log-blocks",
         "persist-stall-ms",
         "workload",
         "medium",
@@ -180,7 +194,7 @@ fn store_run(args: &Args) -> Result<(), ArgError> {
         "telemetry",
     ])?;
     let path = required_path(args)?;
-    let cfg = engine_config(args)?;
+    let cfg = engine_config(args, 1024, 1)?;
     let ops_per_epoch = args.count_or("ops-per-epoch", 8)?;
     let medium = open_medium(&path, &cfg, args.get_or("medium", "file"))?;
     let telemetry = match args.get("telemetry") {
@@ -559,6 +573,23 @@ mod tests {
         assert!(cmd_store(&parse(&["store", "dump"])).is_err());
         cmd_store(&parse(&["store", "help"])).unwrap();
         cmd_store(&parse(&["store"])).unwrap();
+    }
+
+    #[test]
+    fn run_sizes_its_own_log() {
+        let path = temp_store("log-blocks.store");
+        let p = path.display().to_string();
+        let err = cmd_store(&parse(&[
+            "store",
+            "run",
+            "--path",
+            &p,
+            "--log-blocks",
+            "160",
+        ]))
+        .unwrap_err();
+        assert!(err.to_string().contains("unknown flag"), "{err}");
+        assert!(!path.exists(), "a rejected flag must not create the store");
     }
 
     #[test]

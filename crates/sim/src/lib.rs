@@ -42,7 +42,7 @@ pub mod report_json;
 pub mod runner;
 
 pub use machine::{CrashReport, Machine};
-pub use picl_campaign::{CampaignOptions, CellOutcome};
+pub use picl_campaign::{CampaignCell, CampaignOptions, CellOutcome};
 pub use report::RunReport;
 pub use report_json::{decode_report, encode_report};
-pub use runner::{run_experiments_with, Experiment, SchemeKind, Simulation, WorkloadSpec};
+pub use runner::{run_experiments_with, SchemeKind, Simulation, WorkloadSpec};

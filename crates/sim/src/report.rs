@@ -95,13 +95,14 @@ impl std::fmt::Display for RunReport {
             picl_types::stats::format_bytes(self.scheme_stats.log_bytes_written)
         )?;
         let qd = &self.nvm.queue_depth;
-        match (qd.p50(), qd.p90(), qd.p99()) {
-            (Some(p50), Some(p90), Some(p99)) => writeln!(
+        if qd.is_empty() {
+            writeln!(f, "  NVM queue depth: {qd}")
+        } else {
+            let [p50, p90, p99] = [50.0, 90.0, 99.0].map(|p| qd.percentile_defined(p));
+            writeln!(
                 f,
-                "  NVM queue depth: {} (p50 {p50:.1}, p90 {p90:.1}, p99 {p99:.1})",
-                qd
-            ),
-            _ => writeln!(f, "  NVM queue depth: {qd}"),
+                "  NVM queue depth: {qd} (p50 {p50:.1}, p90 {p90:.1}, p99 {p99:.1})"
+            )
         }
     }
 }

@@ -12,8 +12,8 @@ use picl_cache::{HierarchyStats, SchemeStats};
 use picl_campaign::CellPayload;
 use picl_nvm::{AccessClass, NvmStats};
 use picl_telemetry::json::escape;
-use picl_telemetry::json::Value;
-use picl_types::stats::{Counter, Histogram};
+use picl_telemetry::json::{decode_histogram, Value};
+use picl_types::stats::Counter;
 use picl_types::Cycle;
 
 use crate::report::RunReport;
@@ -129,31 +129,6 @@ fn decode_u64_array(v: &Value, key: &str) -> Result<Vec<u64>, String> {
         .collect()
 }
 
-fn decode_queue_depth(v: &Value) -> Result<Histogram, String> {
-    let buckets = v
-        .get("buckets")
-        .and_then(Value::as_arr)
-        .ok_or("queue_depth is missing its buckets")?
-        .iter()
-        .map(|pair| {
-            let pair = pair.as_arr().filter(|p| p.len() == 2);
-            match pair {
-                Some([bound, n]) => match (bound.as_u64(), n.as_u64()) {
-                    (Some(bound), Some(n)) => Ok((bound, n)),
-                    _ => Err("non-integer histogram bucket".to_owned()),
-                },
-                _ => Err("histogram bucket is not a [bound, count] pair".to_owned()),
-            }
-        })
-        .collect::<Result<Vec<(u64, u64)>, String>>()?;
-    Histogram::from_saved(
-        buckets,
-        v.field_u64("count")?,
-        v.field_u64("sum")?,
-        v.field_u64("max")?,
-    )
-}
-
 /// Decodes a report previously produced by [`encode_report`].
 ///
 /// # Errors
@@ -181,7 +156,8 @@ pub fn decode_report(v: &Value) -> Result<RunReport, String> {
         n.field_u64("row_hits")?,
         n.field_u64("row_misses")?,
         n.field_u64("service_cycles")?,
-        decode_queue_depth(n.get("queue_depth").ok_or("missing queue_depth")?)?,
+        decode_histogram(n.get("queue_depth").ok_or("missing queue_depth")?)
+            .map_err(|e| format!("queue_depth: {e}"))?,
     )?;
 
     let h = v.get("hierarchy").ok_or("missing hierarchy")?;

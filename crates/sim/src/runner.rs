@@ -165,7 +165,7 @@ impl WorkloadSpec {
 pub struct Simulation {
     cfg: SystemConfig,
     scheme: SchemeKind,
-    spec: Option<WorkloadSpec>,
+    spec: WorkloadSpec,
     instructions_per_core: u64,
     seed: u64,
     footprint_scale: f64,
@@ -179,7 +179,7 @@ impl Simulation {
         Simulation {
             cfg,
             scheme: SchemeKind::Picl,
-            spec: None,
+            spec: WorkloadSpec::single(SpecBenchmark::Bzip2),
             instructions_per_core: 1_000_000,
             seed: 0,
             footprint_scale: 1.0,
@@ -195,22 +195,22 @@ impl Simulation {
     }
 
     /// Assigns one benchmark per core; the core count of the configuration
-    /// is adjusted to match.
+    /// is adjusted to match (default: one core of bzip2).
     pub fn workload(mut self, benches: &[SpecBenchmark]) -> Simulation {
-        self.spec = Some(WorkloadSpec::per_core(
+        self.spec = WorkloadSpec::per_core(
             benches
                 .iter()
                 .map(|b| b.name())
                 .collect::<Vec<_>>()
                 .join("+"),
             benches.to_vec(),
-        ));
+        );
         self
     }
 
     /// Uses a prebuilt workload specification.
     pub fn workload_spec(mut self, spec: WorkloadSpec) -> Simulation {
-        self.spec = Some(spec);
+        self.spec = spec;
         self
     }
 
@@ -253,15 +253,12 @@ impl Simulation {
     ///
     /// Returns a [`ConfigError`] if the system configuration is invalid.
     pub fn into_machine(self) -> Result<Machine, ConfigError> {
-        let spec = self
-            .spec
-            .unwrap_or_else(|| WorkloadSpec::single(SpecBenchmark::Bzip2));
         let mut cfg = self.cfg;
-        cfg.cores = spec.cores();
+        cfg.cores = self.spec.cores();
         cfg.validate()?;
         let scheme = self.scheme.build(&cfg);
-        let traces = spec.build_traces(self.seed, self.footprint_scale);
-        let mut machine = Machine::new(cfg, scheme, traces, spec.label(), self.keep_snapshots);
+        let traces = self.spec.build_traces(self.seed, self.footprint_scale);
+        let mut machine = Machine::new(cfg, scheme, traces, self.spec.label(), self.keep_snapshots);
         if self.reference_mode {
             machine.set_reference_mode(true);
         }
@@ -281,40 +278,10 @@ impl Simulation {
     }
 }
 
-/// One cell of an experiment matrix.
-#[derive(Debug, Clone)]
-pub struct Experiment {
-    /// System configuration (cores are adjusted to the workload).
-    pub cfg: SystemConfig,
-    /// Scheme under test.
-    pub scheme: SchemeKind,
-    /// Workload specification.
-    pub workload: WorkloadSpec,
-    /// Instructions each core must retire.
-    pub instructions_per_core: u64,
-    /// Experiment seed.
-    pub seed: u64,
-    /// Footprint scale factor.
-    pub footprint_scale: f64,
-}
-
-impl Experiment {
-    fn run(&self) -> RunReport {
-        Simulation::builder(self.cfg.clone())
-            .scheme(self.scheme)
-            .workload_spec(self.workload.clone())
-            .instructions_per_core(self.instructions_per_core)
-            .seed(self.seed)
-            .footprint_scale(self.footprint_scale)
-            .run()
-            .expect("experiment configuration must be valid")
-    }
-}
-
-/// Experiments are campaign cells: the `Debug` rendering of the full
-/// configuration is the content-hashed spec (any field change re-runs the
-/// cell), and the payload is the [`RunReport`] JSON codec.
-impl picl_campaign::CampaignCell for Experiment {
+/// A simulation is a campaign cell: the `Debug` rendering of the whole
+/// builder is the content-hashed spec (any field change re-runs the cell),
+/// and the payload is the [`RunReport`] JSON codec.
+impl picl_campaign::CampaignCell for Simulation {
     type Payload = RunReport;
 
     fn spec_string(&self) -> String {
@@ -322,11 +289,13 @@ impl picl_campaign::CampaignCell for Experiment {
     }
 
     fn label(&self) -> String {
-        format!("{} on {}", self.scheme.name(), self.workload.label())
+        format!("{} on {}", self.scheme.name(), self.spec.label())
     }
 
     fn execute(&self) -> RunReport {
-        self.run()
+        self.clone()
+            .run()
+            .expect("experiment configuration must be valid")
     }
 }
 
@@ -342,7 +311,7 @@ impl picl_campaign::CampaignCell for Experiment {
 /// the checkpoint store (when one is configured), so a re-launch with the
 /// same options re-runs only the missing cells.
 pub fn run_experiments_with(
-    experiments: &[Experiment],
+    experiments: &[Simulation],
     opts: &picl_campaign::CampaignOptions,
 ) -> Result<Vec<RunReport>, String> {
     picl_campaign::run_cells(experiments, opts)?.payloads()
@@ -440,15 +409,15 @@ mod tests {
 
     #[test]
     fn experiment_matrix_preserves_order() {
-        let experiments: Vec<Experiment> = [SchemeKind::Ideal, SchemeKind::Picl, SchemeKind::Frm]
+        let experiments: Vec<Simulation> = [SchemeKind::Ideal, SchemeKind::Picl, SchemeKind::Frm]
             .into_iter()
-            .map(|scheme| Experiment {
-                cfg: quick_cfg(),
-                scheme,
-                workload: WorkloadSpec::single(SpecBenchmark::Povray),
-                instructions_per_core: 30_000,
-                seed: 1,
-                footprint_scale: 0.05,
+            .map(|scheme| {
+                Simulation::builder(quick_cfg())
+                    .scheme(scheme)
+                    .workload(&[SpecBenchmark::Povray])
+                    .instructions_per_core(30_000)
+                    .seed(1)
+                    .footprint_scale(0.05)
             })
             .collect();
         let opts = picl_campaign::CampaignOptions {

@@ -171,8 +171,7 @@ impl EngineConfig {
         if self.window == 0 {
             return Err(StoreError::Config("window must be >= 1".into()));
         }
-        let blocks_per_epoch = u64::from(self.lines).div_ceil(UNDO_BUFFER_ENTRIES as u64) + 1;
-        let needed = (self.window + 2) * blocks_per_epoch + 2;
+        let needed = min_log_blocks(self.lines, self.window);
         if u64::from(self.log_blocks) < needed {
             return Err(StoreError::Config(format!(
                 "log of {} blocks can wedge: {} lines at window {} need >= {} blocks",
@@ -181,6 +180,17 @@ impl EngineConfig {
         }
         Ok(())
     }
+}
+
+/// The smallest log, in 4 KB blocks, that always makes forward progress
+/// for `lines` at `window`: the live window must fit `window + 2` epochs
+/// of worst-case undo traffic (every line logged once per epoch).
+pub fn min_log_blocks(lines: u32, window: u64) -> u64 {
+    let blocks_per_epoch = u64::from(lines).div_ceil(UNDO_BUFFER_ENTRIES as u64) + 1;
+    window
+        .saturating_add(2)
+        .saturating_mul(blocks_per_epoch)
+        .saturating_add(2)
 }
 
 /// Protocol counters, monotone over the engine's life.

@@ -46,7 +46,9 @@ pub mod persist;
 pub mod slots;
 pub mod workload;
 
-pub use engine::{CommitTicket, Engine, EngineConfig, EngineStats, OpenReport, StoreError};
+pub use engine::{
+    min_log_blocks, CommitTicket, Engine, EngineConfig, EngineStats, OpenReport, StoreError,
+};
 pub use kv::{Access, Kv, MAX_KEY_BYTES, MAX_VALUE_BYTES};
 pub use layout::{Geometry, UndoEntry, UNDO_BUFFER_BYTES, UNDO_BUFFER_ENTRIES};
 pub use obs::StoreObs;

@@ -1,14 +1,17 @@
 //! A minimal, dependency-free JSON parser (RFC 8259).
 //!
-//! The exporters hand-assemble JSON; this module lets tests, the `picl
-//! trace` command, and CI verify the output actually parses, and lets
+//! The exporters hand-assemble JSON; this module lets tests, `picl run
+//! --telemetry`, and CI verify the output actually parses, and lets
 //! checkpoint resume and report decoders read values back, without pulling
 //! in a JSON crate. [`Value::parse`] builds a value tree; [`validate_json`]
-//! and [`validate_jsonl`] are the syntax checks built on it.
+//! and [`validate_jsonl`] are the syntax checks built on it, and
+//! [`decode_histogram`] reads back a saved [`Histogram`].
 //!
 //! Numbers keep their raw source text ([`Value::Num`]) so `u64` counters
 //! round-trip exactly — routing them through `f64` would corrupt counts
 //! above 2^53 and break the bit-identical-resume guarantee.
+
+use picl_types::stats::Histogram;
 
 /// Validates that `input` is exactly one well-formed JSON value.
 ///
@@ -145,6 +148,36 @@ impl Value {
             .and_then(Value::as_str)
             .ok_or_else(|| format!("missing or non-string field {key:?}"))
     }
+}
+
+/// Decodes a saved [`Histogram`]: the `{"count", "sum", "max",
+/// "buckets": [[bound, n], ...]}` object that simulator reports and flight
+/// logs both write from [`Histogram::nonzero_buckets`].
+///
+/// # Errors
+///
+/// Returns a message naming the first missing or malformed field, or the
+/// [`Histogram::from_saved`] check that failed.
+pub fn decode_histogram(v: &Value) -> Result<Histogram, String> {
+    let buckets = v
+        .get("buckets")
+        .and_then(Value::as_arr)
+        .ok_or("missing buckets array")?
+        .iter()
+        .map(|pair| match pair.as_arr() {
+            Some([bound, n]) => match (bound.as_u64(), n.as_u64()) {
+                (Some(bound), Some(n)) => Ok((bound, n)),
+                _ => Err("non-integer histogram bucket".to_owned()),
+            },
+            _ => Err("histogram bucket is not a [bound, count] pair".to_owned()),
+        })
+        .collect::<Result<Vec<(u64, u64)>, String>>()?;
+    Histogram::from_saved(
+        buckets,
+        v.field_u64("count")?,
+        v.field_u64("sum")?,
+        v.field_u64("max")?,
+    )
 }
 
 struct Parser<'a> {
@@ -440,5 +473,49 @@ mod tests {
         assert!(v.field_u64("n").unwrap_err().contains("n"));
         assert!(v.field_str("missing").unwrap_err().contains("missing"));
         assert_eq!(v.field_str("n"), Ok("not a number"));
+    }
+
+    #[test]
+    fn histograms_decode_from_their_saved_shape() {
+        let mut h = Histogram::new();
+        for x in [0, 3, 3, 900, u64::MAX] {
+            h.record(x);
+        }
+        let buckets: Vec<String> = h
+            .nonzero_buckets()
+            .map(|(bound, n)| format!("[{bound}, {n}]"))
+            .collect();
+        let saved = format!(
+            r#"{{"count": {}, "sum": {}, "max": {}, "buckets": [{}]}}"#,
+            h.count(),
+            h.sum(),
+            h.max().unwrap(),
+            buckets.join(", ")
+        );
+        assert_eq!(decode_histogram(&Value::parse(&saved).unwrap()), Ok(h));
+
+        for (bad, why) in [
+            (r#"{"count": 1, "sum": 1, "max": 1}"#, "buckets"),
+            (
+                r#"{"count": 1, "sum": 1, "max": 1, "buckets": [[1]]}"#,
+                "pair",
+            ),
+            (
+                r#"{"count": 1, "sum": 1, "max": 1, "buckets": [[1, -1]]}"#,
+                "non-integer",
+            ),
+            (r#"{"sum": 1, "max": 1, "buckets": [[1, 1]]}"#, "count"),
+            (
+                r#"{"count": 2, "sum": 1, "max": 1, "buckets": [[1, 1]]}"#,
+                "expected 2",
+            ),
+            (
+                r#"{"count": 1, "sum": 2, "max": 2, "buckets": [[2, 1]]}"#,
+                "bucket bound",
+            ),
+        ] {
+            let err = decode_histogram(&Value::parse(bad).unwrap()).unwrap_err();
+            assert!(err.contains(why), "{bad}: {err}");
+        }
     }
 }

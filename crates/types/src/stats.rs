@@ -122,7 +122,8 @@ const HISTOGRAM_BUCKETS: usize = 65;
 ///
 /// Bucket 0 counts exact zeros; bucket `i >= 1` counts values in
 /// `[2^(i-1), 2^i - 1]`, so the full `u64` range fits in 65 buckets with
-/// at most 2x relative error on [`percentile`](Histogram::percentile).
+/// at most 2x relative error on
+/// [`percentile_defined`](Histogram::percentile_defined).
 /// The exact maximum and sum are tracked on the side, so
 /// [`max`](Histogram::max) and [`mean`](Histogram::mean) are precise.
 #[derive(Clone, PartialEq, Eq)]
@@ -179,9 +180,7 @@ impl Histogram {
         Self::bucket_bound(i.min(HISTOGRAM_BUCKETS - 1))
     }
 
-    /// The inclusive upper bound of bucket `i` (what
-    /// [`percentile`](Histogram::percentile) reports for samples landing
-    /// there).
+    /// The inclusive upper bound of bucket `i`.
     fn bucket_bound(i: usize) -> u64 {
         if i == 0 {
             0
@@ -227,60 +226,9 @@ impl Histogram {
         self.count == 0
     }
 
-    /// An upper bound on the `p`-th percentile (0.0–100.0): the bucket
-    /// bound below which at least `p` percent of samples fall. `None` if
-    /// empty. Accurate to the bucket width (a factor of two).
-    pub fn percentile(&self, p: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let p = p.clamp(0.0, 100.0);
-        let rank = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return Some(Self::bucket_bound(i).min(self.max));
-            }
-        }
-        Some(self.max)
-    }
-
-    /// An interpolated estimate of the `p`-th percentile (0.0–100.0).
-    ///
-    /// Where [`percentile`](Histogram::percentile) reports the bucket's
-    /// inclusive upper bound (up to 2x above the true quantile), this
-    /// spreads each log2 bucket's samples uniformly across its `[2^(i-1),
-    /// 2^i - 1]` range and interpolates the rank inside it, then clamps to
-    /// the exact observed maximum. `None` if empty.
-    pub fn percentile_interpolated(&self, p: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let p = p.clamp(0.0, 100.0);
-        let rank = ((p / 100.0) * self.count as f64).max(1.0);
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            if (seen + n) as f64 >= rank {
-                let lo = if i == 0 {
-                    0.0
-                } else {
-                    (1u64 << (i - 1)) as f64
-                };
-                let hi = Self::bucket_bound(i).min(self.max) as f64;
-                let frac = ((rank - seen as f64) / n as f64).clamp(0.0, 1.0);
-                return Some((lo + (hi - lo) * frac).min(self.max as f64));
-            }
-            seen += n;
-        }
-        Some(self.max as f64)
-    }
-
-    /// A total (never-`None`) percentile with defined edge cases, for
-    /// report code that wants a number, not an `Option`:
+    /// The `p`-th percentile (0.0–100.0), the one estimator every report
+    /// uses. It is total, so report code gets a number and not an
+    /// `Option`:
     ///
     /// * empty histogram — `0.0` (nothing observed, report zero rather
     ///   than poisoning a table with NaN or a sentinel);
@@ -289,39 +237,42 @@ impl Histogram {
     ///   interpolation would otherwise scale the rank across the bucket
     ///   and report a point (e.g. the upper bound at p99) that can sit a
     ///   factor of two away from every actual sample;
-    /// * otherwise — [`percentile_interpolated`](Histogram::percentile_interpolated).
+    /// * otherwise — each log2 bucket's samples are spread uniformly
+    ///   across its `[2^(i-1), 2^i - 1]` range, the rank is interpolated
+    ///   inside the bucket that holds it, and the result is clamped to the
+    ///   exact observed maximum.
     pub fn percentile_defined(&self, p: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
+        let range = |i: usize| {
+            let lo = if i == 0 {
+                0.0
+            } else {
+                (1u64 << (i - 1)) as f64
+            };
+            (lo, Self::bucket_bound(i).min(self.max) as f64)
+        };
         let mut nonzero = self.buckets.iter().enumerate().filter(|(_, &n)| n > 0);
         let (first, _) = nonzero.next().expect("count > 0 implies a bucket");
         if nonzero.next().is_none() {
-            let lo = if first == 0 {
-                0.0
-            } else {
-                (1u64 << (first - 1)) as f64
-            };
-            let hi = Self::bucket_bound(first).min(self.max) as f64;
+            let (lo, hi) = range(first);
             return (lo + hi) / 2.0;
         }
-        self.percentile_interpolated(p)
-            .expect("count > 0 implies a percentile")
-    }
-
-    /// Interpolated median ([`percentile_interpolated`] at 50).
-    pub fn p50(&self) -> Option<f64> {
-        self.percentile_interpolated(50.0)
-    }
-
-    /// Interpolated 90th percentile.
-    pub fn p90(&self) -> Option<f64> {
-        self.percentile_interpolated(90.0)
-    }
-
-    /// Interpolated 99th percentile.
-    pub fn p99(&self) -> Option<f64> {
-        self.percentile_interpolated(99.0)
+        let rank = ((p.clamp(0.0, 100.0) / 100.0) * self.count as f64).max(1.0);
+        let mut seen = 0u64;
+        for (i, &n) in self.buckets.iter().enumerate() {
+            if n == 0 {
+                continue;
+            }
+            if (seen + n) as f64 >= rank {
+                let (lo, hi) = range(i);
+                let frac = ((rank - seen as f64) / n as f64).clamp(0.0, 1.0);
+                return (lo + (hi - lo) * frac).min(self.max as f64);
+            }
+            seen += n;
+        }
+        self.max as f64
     }
 
     /// Folds another histogram into this one.
@@ -406,13 +357,9 @@ impl std::fmt::Debug for Histogram {
 
 impl std::fmt::Display for Histogram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match (self.mean(), self.percentile(99.0), self.max()) {
-            (Some(mean), Some(p99), Some(max)) => {
-                write!(
-                    f,
-                    "n={} mean={:.2} p99<={} max={}",
-                    self.count, mean, p99, max
-                )
+        match (self.mean(), self.max()) {
+            (Some(mean), Some(max)) => {
+                write!(f, "n={} mean={:.2} max={}", self.count, mean, max)
             }
             _ => write!(f, "empty"),
         }
@@ -535,7 +482,7 @@ mod tests {
         assert_eq!(h.count(), 0);
         assert_eq!(h.max(), None);
         assert_eq!(h.mean(), None);
-        assert_eq!(h.percentile(50.0), None);
+        assert_eq!(h.percentile_defined(50.0), 0.0);
         assert_eq!(h.to_string(), "empty");
     }
 
@@ -559,67 +506,48 @@ mod tests {
     }
 
     #[test]
-    fn histogram_percentiles_are_bucket_upper_bounds() {
+    fn percentiles_interpolate_and_clamp_to_the_max() {
         let mut h = Histogram::new();
         for _ in 0..99 {
             h.record(1);
         }
         h.record(1000);
-        assert_eq!(h.percentile(0.0), Some(1));
-        assert_eq!(h.percentile(50.0), Some(1));
-        assert_eq!(h.percentile(99.0), Some(1));
-        // The top sample lands in bucket [512,1023]; the reported bound is
+        assert_eq!(h.percentile_defined(0.0), 1.0);
+        assert_eq!(h.percentile_defined(50.0), 1.0);
+        assert_eq!(h.percentile_defined(99.0), 1.0);
+        // The top sample lands in bucket [512,1023]; the estimate is
         // clamped to the exact max.
-        assert_eq!(h.percentile(100.0), Some(1000));
+        assert_eq!(h.percentile_defined(100.0), 1000.0);
+        assert_eq!(h.to_string(), "n=100 mean=10.99 max=1000");
     }
 
     #[test]
-    fn interpolated_percentiles_land_inside_buckets() {
+    fn percentiles_land_inside_buckets() {
         let mut h = Histogram::new();
         // One sample per value of [64, 127] — exactly one log2 bucket.
         for v in 64..=127u64 {
             h.record(v);
         }
-        let p50 = h.p50().unwrap();
-        // Interpolation places the median mid-bucket; the coarse estimate
-        // can only report the 127 bound.
+        let p50 = h.percentile_defined(50.0);
+        // The median sits mid-bucket, not on the 127 bucket edge.
         assert!((95.0..=97.0).contains(&p50), "{p50}");
-        assert_eq!(h.percentile(50.0), Some(127));
 
         let mut h = Histogram::new();
         for v in 1..=1000u64 {
             h.record(v);
         }
-        let (p50, p90, p99) = (h.p50().unwrap(), h.p90().unwrap(), h.p99().unwrap());
+        let [p50, p90, p99] = [50.0, 90.0, 99.0].map(|p| h.percentile_defined(p));
         assert!(p50 < p90 && p90 < p99, "{p50} {p90} {p99}");
         // True quantiles are 500/900/990; log2 interpolation stays within
-        // the enclosing bucket (a factor of two), far better than the
-        // upper-bound estimate for p50.
+        // the enclosing bucket (a factor of two).
         assert!((256.0..=1000.0).contains(&p50), "{p50}");
         assert!((512.0..=1000.0).contains(&p90), "{p90}");
         assert!(p99 <= 1000.0, "{p99}");
     }
 
     #[test]
-    fn interpolated_percentiles_edge_cases() {
-        let h = Histogram::new();
-        assert_eq!(h.p50(), None);
-
-        let mut h = Histogram::new();
-        h.record(0);
-        assert_eq!(h.p50(), Some(0.0));
-        assert_eq!(h.p99(), Some(0.0));
-
-        let mut h = Histogram::new();
-        h.record(5);
-        // A single sample is every percentile, clamped to the exact max.
-        assert_eq!(h.p50(), Some(5.0));
-        assert_eq!(h.percentile_interpolated(100.0), Some(5.0));
-    }
-
-    #[test]
     fn defined_percentiles_have_total_edge_cases() {
-        // Empty: a defined zero, where the Option APIs return None.
+        // Empty: a defined zero.
         let h = Histogram::new();
         assert_eq!(h.percentile_defined(50.0), 0.0);
         assert_eq!(h.percentile_defined(99.9), 0.0);
@@ -627,6 +555,7 @@ mod tests {
         // All samples exactly zero: single bucket [0, 0] — midpoint 0.
         let mut h = Histogram::new();
         h.record(0);
+        assert_eq!(h.percentile_defined(50.0), 0.0);
         h.record(0);
         assert_eq!(h.percentile_defined(99.0), 0.0);
 
@@ -638,6 +567,7 @@ mod tests {
         assert_eq!(h.percentile_defined(1.0), 4.5);
         assert_eq!(h.percentile_defined(50.0), 4.5);
         assert_eq!(h.percentile_defined(99.9), 4.5);
+        assert_eq!(h.percentile_defined(100.0), 4.5);
 
         // Many samples, still one bucket [64, 127]: midpoint, not the
         // rank-scaled point interpolation would pick.
@@ -647,14 +577,13 @@ mod tests {
         }
         assert_eq!(h.percentile_defined(99.0), (64.0 + 100.0) / 2.0);
 
-        // Two buckets: falls through to plain interpolation.
+        // Two buckets: the rank is interpolated inside the one holding
+        // it. p75 is rank 1.5, halfway through [512, 1000].
         let mut h = Histogram::new();
         h.record(1);
         h.record(1000);
-        assert_eq!(
-            h.percentile_defined(50.0),
-            h.percentile_interpolated(50.0).unwrap()
-        );
+        assert_eq!(h.percentile_defined(50.0), 1.0);
+        assert_eq!(h.percentile_defined(75.0), 756.0);
     }
 
     #[test]
@@ -696,11 +625,6 @@ mod tests {
         }
         assert_eq!(merged, aggregate, "merge must reproduce full state");
         for p in [0.0, 10.0, 50.0, 90.0, 99.0, 99.9, 100.0] {
-            assert_eq!(merged.percentile(p), aggregate.percentile(p));
-            assert_eq!(
-                merged.percentile_interpolated(p),
-                aggregate.percentile_interpolated(p)
-            );
             assert_eq!(
                 merged.percentile_defined(p),
                 aggregate.percentile_defined(p)
@@ -728,7 +652,14 @@ mod tests {
         h.record(u64::MAX);
         assert_eq!(h.max(), Some(u64::MAX));
         assert_eq!(h.sum(), u64::MAX, "sum saturates");
-        assert_eq!(h.percentile(100.0), Some(u64::MAX));
+        // The top bucket is [2^63, u64::MAX]; its midpoint, without
+        // overflowing.
+        assert_eq!(
+            h.percentile_defined(100.0),
+            (2f64.powi(63) + u64::MAX as f64) / 2.0
+        );
+        h.record(1);
+        assert_eq!(h.percentile_defined(100.0), u64::MAX as f64);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! API, checking the paper's qualitative results hold end-to-end.
 
 use picl_repro::sim::{
-    run_experiments_with, CampaignOptions, Experiment, SchemeKind, Simulation, WorkloadSpec,
+    run_experiments_with, CampaignOptions, SchemeKind, Simulation, WorkloadSpec,
 };
 use picl_repro::trace::mixes::table_v_mixes;
 use picl_repro::trace::spec::SpecBenchmark;
@@ -161,14 +161,14 @@ fn multicore_mix_preserves_ordering() {
     let mixes = table_v_mixes();
     let mut experiments = Vec::new();
     for scheme in [SchemeKind::Ideal, SchemeKind::Picl, SchemeKind::Frm] {
-        experiments.push(Experiment {
-            cfg: quick_cfg(2_000_000),
-            scheme,
-            workload: WorkloadSpec::mix(&mixes[0]),
-            instructions_per_core: 800_000,
-            seed: 42,
-            footprint_scale: 0.25,
-        });
+        experiments.push(
+            Simulation::builder(quick_cfg(2_000_000))
+                .scheme(scheme)
+                .workload_spec(WorkloadSpec::mix(&mixes[0]))
+                .instructions_per_core(800_000)
+                .seed(42)
+                .footprint_scale(0.25),
+        );
     }
     let opts = CampaignOptions {
         threads: 3,

@@ -20,12 +20,11 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::Duration;
 
 use picl_obs::MetricsRegistry;
-use picl_serve::{preload, run_load, Arrival, LoadSpec, MixPreset, ServeKv};
-use picl_store::{EngineConfig, FileMedium, Geometry};
+use picl_serve::{Arrival, LoadSpec, MixPreset};
+use picl_store::EngineConfig;
 use picl_telemetry::json::{decode_histogram, Value};
 use picl_telemetry::Telemetry;
 use picl_types::stats::Histogram;
@@ -314,31 +313,17 @@ fn overhead_pass(
     ops_per_epoch: u64,
     with_obs: bool,
 ) -> Result<(f64, u64), ArgError> {
-    let _ = std::fs::remove_file(path);
-    let geometry = Geometry {
-        lines: cfg.lines,
-        log_blocks: cfg.log_blocks,
-    };
-    let medium = FileMedium::open(path, geometry.total_len())
-        .map_err(|e| ArgError(format!("cannot open {}: {e}", path.display())))?;
-    let (mut kv, _) = ServeKv::open(
-        Arc::new(medium),
-        cfg.clone(),
-        Telemetry::off(),
-        ops_per_epoch,
-        spec.sessions,
-    )
-    .map_err(|e| ArgError(format!("open store: {e}")))?;
     let registry = with_obs.then(MetricsRegistry::new);
-    if let Some(reg) = &registry {
-        kv.enable_obs(reg);
-    }
-    preload(&kv, spec).map_err(|e| ArgError(format!("preload: {e}")))?;
-    let report = run_load(&kv, spec).map_err(|e| ArgError(format!("load: {e}")))?;
-    kv.commit()
-        .map_err(|e| ArgError(format!("final commit: {e}")))?;
-    kv.close().map_err(|e| ArgError(format!("close: {e}")))?;
+    let pass = crate::serve::fresh_store_pass(
+        path,
+        cfg,
+        spec,
+        ops_per_epoch,
+        Telemetry::off(),
+        registry.as_ref(),
+    );
     let _ = std::fs::remove_file(path);
+    let report = pass?.report;
     Ok((report.throughput(), report.cpu_ns()))
 }
 

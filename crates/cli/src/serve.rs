@@ -18,18 +18,18 @@
 //!   and renders a `picl-serve-v2` JSON report (written with `--out`).
 
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
 use picl_crashlab::Target;
-use picl_obs::SnapValue;
+use picl_obs::{MetricsRegistry, SnapValue};
 use picl_serve::{
     preload, run_load, session_ops, Arrival, Backend, FsyncKv, LoadReport, LoadSpec, MixPreset,
     ServeKv,
 };
 use picl_store::workload::Op;
-use picl_store::{EngineConfig, FileMedium, Geometry, StoreError};
+use picl_store::{EngineConfig, FileMedium, StoreError};
 use picl_telemetry::export::jsonl_to_string;
 use picl_telemetry::json::{escape as json_escape, validate_json};
 use picl_telemetry::Telemetry;
@@ -113,6 +113,60 @@ fn apply_serve_op(kv: &ServeKv, session: usize, op: &Op) -> Result<(), StoreErro
         Op::Delete(k) => kv.delete(session, k).map(|_| ()),
         Op::Get(k) => kv.get(session, k).map(|_| ()),
     }
+}
+
+/// What one load pass measured.
+pub(crate) struct LoadPass {
+    pub(crate) report: LoadReport,
+    /// Wall-clock seconds the untimed preload took.
+    pub(crate) preload_s: f64,
+    /// Key-shard mutation locks the serving layer ran with (0 for fsync,
+    /// which serializes on one table lock).
+    pub(crate) shards: usize,
+}
+
+/// Preloads `spec`'s keys, untimed, then runs its timed load on `kv`.
+fn load_pass(
+    kv: &(dyn Backend + Sync),
+    spec: &LoadSpec,
+    shards: usize,
+) -> Result<LoadPass, ArgError> {
+    let preload_started = Instant::now();
+    preload(kv, spec).map_err(|e| ArgError(format!("preload: {e}")))?;
+    let preload_s = preload_started.elapsed().as_secs_f64();
+    let report = run_load(kv, spec).map_err(|e| ArgError(format!("load: {e}")))?;
+    Ok(LoadPass {
+        report,
+        preload_s,
+        shards,
+    })
+}
+
+/// Serves `spec` once on a fresh PiCL store at `path`, replacing any file
+/// there: open, preload, the timed load, a final commit and close. With a
+/// `registry`, the serving layer records its metrics into it.
+pub(crate) fn fresh_store_pass(
+    path: &Path,
+    cfg: &EngineConfig,
+    spec: &LoadSpec,
+    ops_per_epoch: u64,
+    telemetry: Telemetry,
+    registry: Option<&MetricsRegistry>,
+) -> Result<LoadPass, ArgError> {
+    let _ = std::fs::remove_file(path);
+    let medium = crate::store::open_medium(path, cfg, "file")?;
+    let (mut kv, _) = ServeKv::open(medium, cfg.clone(), telemetry, ops_per_epoch, spec.sessions)
+        .map_err(|e| ArgError(format!("open store: {e}")))?;
+    if let Some(registry) = registry {
+        kv.enable_obs(registry);
+    }
+    // `preload` settles its own batched-epoch tail via `end_preload`,
+    // so the timed phase starts from a clean epoch boundary.
+    let pass = load_pass(&kv, spec, kv.shard_count())?;
+    kv.commit()
+        .map_err(|e| ArgError(format!("final commit: {e}")))?;
+    kv.close().map_err(|e| ArgError(format!("close: {e}")))?;
+    Ok(pass)
 }
 
 /// Opens (recovering if needed) the `--path` store for `sessions`
@@ -456,7 +510,7 @@ fn tenant_rows(report: &LoadReport) -> Vec<TenantRow> {
 #[derive(Debug)]
 struct YcsbResult {
     label: String,
-    backend: String,
+    backend: YcsbBackend,
     sessions: usize,
     ops: u64,
     reads: u64,
@@ -470,8 +524,7 @@ struct YcsbResult {
     p50_us: f64,
     p99_us: f64,
     p999_us: f64,
-    /// Key-shard mutation locks the serving layer ran with (0 for fsync,
-    /// which serializes on one table lock).
+    /// See [`LoadPass::shards`].
     shards: usize,
     audit_events: u64,
     audit_dropped: u64,
@@ -504,7 +557,7 @@ impl YcsbResult {
              \"audit_dropped\": {}, \"audit_violations\": {}, \
              \"obs\": {obs}, \"tenants\": [{tenants}]}}",
             json_escape(&self.label),
-            json_escape(&self.backend),
+            self.backend.name(),
             self.sessions,
             self.ops,
             self.reads,
@@ -524,11 +577,29 @@ impl YcsbResult {
     }
 }
 
+/// The store a YCSB cell serves from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum YcsbBackend {
+    /// The epoch-logged PiCL engine.
+    Picl,
+    /// The fdatasync-per-mutation baseline.
+    Fsync,
+}
+
+impl YcsbBackend {
+    /// The report's `"backend"` value.
+    fn name(self) -> &'static str {
+        match self {
+            YcsbBackend::Picl => "picl",
+            YcsbBackend::Fsync => "fsync",
+        }
+    }
+}
+
 /// One YCSB cell: a backend, its store file, and the load to run.
 struct YcsbCell {
     label: String,
-    /// `picl` (epoch-logged engine) or `fsync` (per-mutation fdatasync).
-    backend: &'static str,
+    backend: YcsbBackend,
     store_path: PathBuf,
     spec: LoadSpec,
     cfg: EngineConfig,
@@ -537,18 +608,12 @@ struct YcsbCell {
     telemetry_prefix: Option<String>,
 }
 
-fn percentiles_us(report: &LoadReport) -> (f64, f64, f64) {
-    let at = |p: f64| report.latency_ns.percentile_defined(p) / 1e3;
-    (at(50.0), at(99.0), at(99.9))
-}
-
 impl YcsbCell {
     fn run(&self) -> Result<YcsbResult, ArgError> {
         let _ = std::fs::remove_file(&self.store_path);
         let result = match self.backend {
-            "picl" => self.run_picl(),
-            "fsync" => self.run_fsync(),
-            other => Err(ArgError(format!("unknown backend {other:?}"))),
+            YcsbBackend::Picl => self.run_picl(),
+            YcsbBackend::Fsync => self.run_fsync(),
         };
         let _ = std::fs::remove_file(&self.store_path);
         result
@@ -564,36 +629,17 @@ impl YcsbCell {
             .unwrap_or(1 << 22)
             .clamp(1 << 12, 1 << 22);
         let telemetry = Telemetry::new(0, ring);
-        let geometry = Geometry {
-            lines: self.cfg.lines,
-            log_blocks: self.cfg.log_blocks,
-        };
-        let medium = FileMedium::open(&self.store_path, geometry.total_len())
-            .map_err(|e| ArgError(format!("cannot open {}: {e}", self.store_path.display())))?;
-        let (mut kv, _) = ServeKv::open(
-            Arc::new(medium),
-            self.cfg.clone(),
-            telemetry.clone(),
-            self.ops_per_epoch,
-            self.spec.sessions,
-        )
-        .map_err(|e| ArgError(format!("open store: {e}")))?;
         // PiCL cells always run instrumented: the report's obs section is
         // part of the benchmark, and `picl obs overhead` gates the cost.
-        let registry = picl_obs::MetricsRegistry::new();
-        kv.enable_obs(&registry);
-
-        // `preload` settles its own batched-epoch tail via `end_preload`,
-        // so the timed phase starts from a clean epoch boundary.
-        let preload_started = Instant::now();
-        preload(&kv, &self.spec).map_err(|e| ArgError(format!("preload: {e}")))?;
-        let preload_s = preload_started.elapsed().as_secs_f64();
-
-        let report = run_load(&kv, &self.spec).map_err(|e| ArgError(format!("load: {e}")))?;
-        kv.commit()
-            .map_err(|e| ArgError(format!("final commit: {e}")))?;
-        let shards = kv.shard_count();
-        kv.close().map_err(|e| ArgError(format!("close: {e}")))?;
+        let registry = MetricsRegistry::new();
+        let pass = fresh_store_pass(
+            &self.store_path,
+            &self.cfg,
+            &self.spec,
+            self.ops_per_epoch,
+            telemetry.clone(),
+            Some(&registry),
+        )?;
 
         // Audit the event stream in-process: the benchmark only counts if
         // the protocol invariants held under concurrency.
@@ -611,29 +657,14 @@ impl YcsbCell {
             crate::commands::export_telemetry(prefix, &snap)?;
         }
 
-        let (p50_us, p99_us, p999_us) = percentiles_us(&report);
         Ok(YcsbResult {
-            label: self.label.clone(),
-            backend: self.backend.to_owned(),
-            sessions: report.sessions,
-            ops: report.ops,
-            reads: report.reads,
-            updates: report.updates,
-            preload_s,
-            preload_keys_per_s: self.spec.keys as f64 / preload_s.max(1e-9),
-            elapsed_s: report.elapsed.as_secs_f64(),
-            throughput: report.throughput(),
-            p50_us,
-            p99_us,
-            p999_us,
-            shards,
             audit_events: snap.events.len() as u64,
             audit_dropped: snap.dropped,
             audit_violations: audit.violations.len() as u64,
             // Snapshot after close so the persister's final drain cycles
             // and fence counts are included.
             obs: Some(obs_summary(&registry.snapshot())),
-            tenants: tenant_rows(&report),
+            ..self.result(&pass)
         })
     }
 
@@ -643,32 +674,35 @@ impl YcsbCell {
             .map_err(|e| ArgError(format!("cannot open {}: {e}", self.store_path.display())))?;
         let kv = FsyncKv::open(Arc::new(medium), lines)
             .map_err(|e| ArgError(format!("open baseline: {e}")))?;
-        let preload_started = Instant::now();
-        preload(&kv, &self.spec).map_err(|e| ArgError(format!("preload: {e}")))?;
-        let preload_s = preload_started.elapsed().as_secs_f64();
-        let report = run_load(&kv, &self.spec).map_err(|e| ArgError(format!("load: {e}")))?;
-        let (p50_us, p99_us, p999_us) = percentiles_us(&report);
-        Ok(YcsbResult {
+        Ok(self.result(&load_pass(&kv, &self.spec, 0)?))
+    }
+
+    /// The cell's result from its load pass alone, with no audit and no
+    /// metrics.
+    fn result(&self, pass: &LoadPass) -> YcsbResult {
+        let report = &pass.report;
+        let at = |p: f64| report.latency_ns.percentile_defined(p) / 1e3;
+        YcsbResult {
             label: self.label.clone(),
-            backend: self.backend.to_owned(),
+            backend: self.backend,
             sessions: report.sessions,
             ops: report.ops,
             reads: report.reads,
             updates: report.updates,
-            preload_s,
-            preload_keys_per_s: self.spec.keys as f64 / preload_s.max(1e-9),
+            preload_s: pass.preload_s,
+            preload_keys_per_s: self.spec.keys as f64 / pass.preload_s.max(1e-9),
             elapsed_s: report.elapsed.as_secs_f64(),
             throughput: report.throughput(),
-            p50_us,
-            p99_us,
-            p999_us,
-            shards: 0,
+            p50_us: at(50.0),
+            p99_us: at(99.0),
+            p999_us: at(99.9),
+            shards: pass.shards,
             audit_events: 0,
             audit_dropped: 0,
             audit_violations: 0,
             obs: None,
-            tenants: tenant_rows(&report),
-        })
+            tenants: tenant_rows(report),
+        }
     }
 }
 
@@ -782,7 +816,7 @@ pub fn cmd_ycsb(args: &Args) -> Result<(), ArgError> {
 
     let mut cells = vec![YcsbCell {
         label: format!("picl x{sessions}"),
-        backend: "picl",
+        backend: YcsbBackend::Picl,
         store_path: base.with_extension("multi.store"),
         spec: spec.clone(),
         cfg: cfg.clone(),
@@ -792,7 +826,7 @@ pub fn cmd_ycsb(args: &Args) -> Result<(), ArgError> {
     if args.is_set("baseline") {
         cells.push(YcsbCell {
             label: format!("fsync x{sessions}"),
-            backend: "fsync",
+            backend: YcsbBackend::Fsync,
             store_path: base.with_extension("fsync.store"),
             spec: spec.clone(),
             cfg: cfg.clone(),
@@ -821,7 +855,7 @@ pub fn cmd_ycsb(args: &Args) -> Result<(), ArgError> {
 
     let picl = results
         .iter()
-        .find(|r| r.backend == "picl")
+        .find(|r| r.backend == YcsbBackend::Picl)
         .ok_or_else(|| ArgError("PiCL cell missing from results".into()))?;
     println!(
         "{}: {} audit events, {} dropped, {} violations",

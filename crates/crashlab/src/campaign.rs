@@ -114,6 +114,9 @@ impl CampaignFailure {
 pub struct CampaignReport {
     /// The config that produced this report (replayability).
     pub config: CampaignConfig,
+    /// Distinct crash points per benchmark: `config.points`, or fewer
+    /// when the timeline holds fewer.
+    pub points: usize,
     /// One cell per `(scheme, benchmark)` pair, scheme-major.
     pub cells: Vec<CampaignCell>,
     /// Every failing trial, with reproducers.
@@ -146,9 +149,13 @@ impl std::fmt::Display for CampaignReport {
             "crash campaign: {} scheme(s) x {} benchmark(s) x {} point(s), seed {}",
             self.config.schemes.len(),
             self.config.benches.len(),
-            self.config.points,
+            self.points,
             self.config.seed
         )?;
+        if self.points < self.config.points {
+            let (k, n) = (self.points, self.config.points);
+            writeln!(f, "{k} distinct crash points ({n} requested)")?;
+        }
         writeln!(
             f,
             "{:<12} {:<8} {:>9} {:>8} {:>10} {:>12} {:>12} {:>6}",
@@ -247,7 +254,8 @@ pub fn run_campaign_with(
     assert!(!config.benches.is_empty(), "no benchmarks to test");
     assert!(config.points > 0, "no crash points to test");
 
-    // One schedule per benchmark, shared by every scheme on it.
+    // One schedule per benchmark, shared by every scheme on it. Every
+    // schedule has the same length: it depends on the timeline alone.
     let schedules: Vec<Vec<CrashPoint>> = config
         .benches
         .iter()
@@ -264,8 +272,9 @@ pub fn run_campaign_with(
             )
         })
         .collect();
+    let points = schedules[0].len();
 
-    let mut specs = Vec::with_capacity(config.schemes.len() * config.benches.len() * config.points);
+    let mut specs = Vec::with_capacity(config.schemes.len() * config.benches.len() * points);
     for &scheme in &config.schemes {
         for (bi, &bench) in config.benches.iter().enumerate() {
             for &point in &schedules[bi] {
@@ -365,6 +374,7 @@ pub fn run_campaign_with(
 
     Ok(CampaignReport {
         config: config.clone(),
+        points,
         cells,
         failures,
         errors,
@@ -411,6 +421,16 @@ mod tests {
             .unwrap();
         assert_eq!(cell.passed, cell.total);
         assert_eq!(cell.total, 6);
+    }
+
+    #[test]
+    fn short_timeline_reports_fewer_points() {
+        let mut cfg = small(vec![LabScheme::Standard(SchemeKind::Picl)]);
+        (cfg.points, cfg.budget, cfg.epoch_len) = (16, 8, 4);
+        let report = run_campaign(&cfg);
+        assert_eq!((report.points, report.cells[0].total), (12, 12));
+        let text = report.to_string();
+        assert!(text.contains("12 distinct crash points (16 requested)"));
     }
 
     #[test]

@@ -7,15 +7,19 @@
 //! files. A schedule therefore mixes three point classes instead of
 //! sampling uniformly: half the points land mid-epoch, a quarter exactly
 //! on boundary-aligned instruction counts, and a quarter inside the
-//! boundary window (partial core checkpoints). All sampling is driven by
-//! the seeded [`picl_types::Rng`], so a campaign is replayable from
-//! `(seed, config)` alone and any single point from its reproducer line.
+//! boundary window (partial core checkpoints). Points are drawn without
+//! replacement, so a schedule never repeats a crash. All sampling is
+//! driven by the seeded [`picl_types::Rng`], so a campaign is replayable
+//! from `(seed, config)` alone and any single point from its reproducer
+//! line.
+
+use std::collections::{HashMap, HashSet};
 
 use picl_types::Rng;
 
 /// One crash instant, expressed in retired instructions so it is
 /// reproducible from the trace alone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CrashPoint {
     /// Power failure once `at` total instructions have retired.
     MidEpoch {
@@ -75,7 +79,11 @@ pub struct ScheduleConfig {
     pub cores: usize,
 }
 
-/// Samples a replayable schedule of `cfg.points` crash instants.
+/// Samples a replayable schedule of `cfg.points` distinct crash instants.
+///
+/// Each class draws without replacement; a slot whose class has run out
+/// takes a point of another class, mid-epoch first. A timeline holding
+/// fewer than `cfg.points` points yields every one of them.
 ///
 /// # Panics
 ///
@@ -86,24 +94,60 @@ pub fn schedule(seed: u64, cfg: &ScheduleConfig) -> Vec<CrashPoint> {
     let mut rng = Rng::new(seed);
     let span = cfg.epoch_len.saturating_mul(cfg.cores as u64);
     let whole_epochs = (cfg.budget / span).max(1);
-    (0..cfg.points)
-        .map(|i| match i % 4 {
-            // Exactly at a boundary-aligned instant: the epoch timer fires
-            // within the step that reaches this count.
-            1 => CrashPoint::MidEpoch {
-                at: span * rng.range(1, whole_epochs + 1),
-            },
-            // Inside the boundary flush window, with a partial checkpoint.
-            3 => CrashPoint::MidBoundary {
-                at: span * rng.range(1, whole_epochs + 1),
-                cores_done: rng.below(cfg.cores as u64 + 1) as usize,
-            },
-            // Mid-epoch, anywhere on the timeline.
-            _ => CrashPoint::MidEpoch {
-                at: rng.range(1, cfg.budget + 1),
-            },
+    let checkpoints = cfg.cores as u64 + 1;
+    let point = |class: usize, i: u64| match class {
+        // Mid-epoch, anywhere on the timeline.
+        0 => CrashPoint::MidEpoch { at: i + 1 },
+        // Exactly at a boundary-aligned instant: the epoch timer fires
+        // within the step that reaches this count.
+        1 => CrashPoint::MidEpoch { at: span * (i + 1) },
+        // Inside the boundary flush window, with a partial checkpoint.
+        _ => CrashPoint::MidBoundary {
+            at: span * (i / checkpoints + 1),
+            cores_done: (i % checkpoints) as usize,
+        },
+    };
+    let lens = [cfg.budget, whole_epochs, whole_epochs * checkpoints];
+    let mut pools: [Pool; 3] = Default::default();
+    let mut chosen = HashSet::new();
+    let mut out = Vec::with_capacity(cfg.points);
+    for slot in 0..cfg.points {
+        let own = [0, 1, 0, 2][slot % 4];
+        // A boundary-aligned instant can also come up as a mid-epoch
+        // draw; whichever class draws it second rejects it.
+        let next = [own, 0, 1, 2].into_iter().find_map(|class| {
+            std::iter::from_fn(|| pools[class].draw(lens[class], &mut rng))
+                .map(|i| point(class, i))
+                .find(|p| chosen.insert(*p))
+        });
+        let Some(p) = next else { break };
+        out.push(p);
+    }
+    out
+}
+
+/// Draws from `[0, len)` without replacement: a Fisher-Yates shuffle that
+/// keeps only the positions it has swapped, so a pool as long as the run
+/// budget costs memory in proportion to the draws.
+#[derive(Default)]
+struct Pool {
+    taken: u64,
+    swapped: HashMap<u64, u64>,
+}
+
+impl Pool {
+    fn draw(&mut self, len: u64, rng: &mut Rng) -> Option<u64> {
+        (self.taken < len).then(|| {
+            let j = rng.range(self.taken, len);
+            let head = self.swapped.remove(&self.taken).unwrap_or(self.taken);
+            self.taken += 1;
+            if j + 1 == self.taken {
+                head
+            } else {
+                self.swapped.insert(j, head).unwrap_or(j)
+            }
         })
-        .collect()
+    }
 }
 
 #[cfg(test)]
@@ -164,6 +208,40 @@ mod tests {
                 assert!(p.at() >= 1);
             }
         }
+    }
+
+    fn distinct(points: &[CrashPoint]) -> usize {
+        points.iter().collect::<HashSet<_>>().len()
+    }
+
+    #[test]
+    fn ci_smoke_config_schedules_distinct_points() {
+        // `crashlab --points 32 --instructions 150k --seed 1`: 6 boundary
+        // instants serve 8 boundary-aligned slots, so 2 become mid-epoch.
+        let ci = ScheduleConfig {
+            points: 32,
+            budget: 150_000,
+            ..cfg()
+        };
+        assert_eq!(distinct(&schedule(1, &ci)), 32);
+        for seed in 0..64 {
+            assert_eq!(distinct(&schedule(seed, &cfg())), 64, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn short_timeline_yields_every_point_once() {
+        // Instants 1..=4 (2 and 4 boundary-aligned), plus boundaries 2
+        // and 4 with 0 or 1 cores checkpointed: 8 points in all.
+        let tiny = ScheduleConfig {
+            points: 16,
+            budget: 4,
+            epoch_len: 2,
+            cores: 1,
+        };
+        let points = schedule(9, &tiny);
+        assert_eq!((points.len(), distinct(&points)), (8, 8));
+        assert!(points.iter().all(|p| p.at() <= 4));
     }
 
     #[test]

@@ -371,14 +371,6 @@ impl Checker {
         }
     }
 
-    /// Feeds one telemetry event (online sink path). Non-audit kinds are
-    /// counted but otherwise ignored.
-    pub fn observe_kind(&mut self, cycle: u64, core: Option<usize>, kind: &EventKind) {
-        if let Some(ev) = AuditEvent::from_kind(kind) {
-            self.observe(cycle, core, ev);
-        }
-    }
-
     /// Feeds one normalized event.
     pub fn observe(&mut self, cycle: u64, core: Option<usize>, ev: AuditEvent) {
         self.events_seen += 1;

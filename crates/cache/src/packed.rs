@@ -127,11 +127,6 @@ impl PackedLineCache {
         }
     }
 
-    /// Number of sets.
-    pub fn set_count(&self) -> usize {
-        self.sets
-    }
-
     /// Associativity.
     pub fn ways(&self) -> usize {
         self.ways
@@ -191,12 +186,6 @@ impl PackedLineCache {
     pub fn touch(&mut self, slot: usize) {
         self.use_clock += 1;
         self.last_use[slot] = self.use_clock;
-    }
-
-    /// The address resident in `slot`.
-    #[inline]
-    pub fn addr_at(&self, slot: usize) -> LineAddr {
-        LineAddr::new(self.tags[slot])
     }
 
     /// The metadata word in `slot`.

@@ -58,11 +58,6 @@ impl<T> SetAssocCache<T> {
         }
     }
 
-    /// Number of sets.
-    pub fn set_count(&self) -> usize {
-        self.sets
-    }
-
     /// Associativity.
     pub fn ways(&self) -> usize {
         self.ways

@@ -38,9 +38,7 @@ pub struct Picl {
     acs_gap: u64,
     commits: Counter,
     forced_buffer_flushes: Counter,
-    acs_writes: Counter,
     undo_entries: Counter,
-    os_interrupts: Counter,
     telemetry: Telemetry,
     /// Reused across ACS passes so each scan drains into the same
     /// allocation instead of building a fresh `Vec<FlushLine>`.
@@ -65,9 +63,7 @@ impl Picl {
             acs_gap: e.acs_gap,
             commits: Counter::new(),
             forced_buffer_flushes: Counter::new(),
-            acs_writes: Counter::new(),
             undo_entries: Counter::new(),
-            os_interrupts: Counter::new(),
             telemetry: Telemetry::off(),
             acs_scratch: Vec::new(),
             #[cfg(test)]
@@ -98,16 +94,6 @@ impl Picl {
         &self.buffer
     }
 
-    /// In-place writes performed by the asynchronous cache scan so far.
-    pub fn acs_write_count(&self) -> u64 {
-        self.acs_writes.get()
-    }
-
-    /// OS interrupts taken for log-region allocation.
-    pub fn os_allocation_interrupts(&self) -> u64 {
-        self.os_interrupts.get()
-    }
-
     /// Flushes the on-chip undo buffer to the durable log as one bulk
     /// sequential write; returns when it completes (or `now` if empty).
     /// `forced` marks drains triggered by a bloom-filter hit on eviction.
@@ -131,8 +117,7 @@ impl Picl {
             },
         );
         let done = self.log.append_flush(entries, mem, now);
-        self.os_interrupts
-            .add(self.allocator.ensure(self.log.stats().bytes_live));
+        self.allocator.ensure(self.log.stats().bytes_live);
         done
     }
 
@@ -168,7 +153,6 @@ impl Picl {
         hier.take_lines_with_eid_into(target, &mut scratch);
         for line in &scratch {
             t = t.max(mem.write(now, line.addr, line.value, AccessClass::AcsWrite));
-            self.acs_writes.incr();
             lines += 1;
             self.telemetry
                 .record(now, None, EventKind::AcsLineWriteback { addr: line.addr });

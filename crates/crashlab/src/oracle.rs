@@ -276,9 +276,18 @@ mod tests {
 
     #[test]
     fn broken_scheme_is_flagged() {
-        let outcome = spec(LabScheme::BrokenNoUndo, 120_000).execute();
-        assert_eq!(outcome.consistent, Some(false), "oracle missed sabotage");
-        assert!(outcome.mismatch_count > 0);
+        // 1M instructions is 40 epochs: the golden history has folded
+        // behind the persisted frontier, which must keep the claimed
+        // epoch's image.
+        for at in [120_000, 1_000_000] {
+            let outcome = spec(LabScheme::BrokenNoUndo, at).execute();
+            assert_eq!(
+                outcome.consistent,
+                Some(false),
+                "oracle missed sabotage at {at}"
+            );
+            assert!(outcome.mismatch_count > 0);
+        }
     }
 
     #[test]

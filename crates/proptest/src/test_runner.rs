@@ -76,13 +76,6 @@ impl TestRunner {
         }
     }
 
-    /// A runner seeded explicitly.
-    pub fn from_seed(seed: u64) -> Self {
-        TestRunner {
-            rng: TestRng::new(seed),
-        }
-    }
-
     /// The underlying RNG.
     pub fn rng(&mut self) -> &mut TestRng {
         &mut self.rng

@@ -5,13 +5,16 @@
 //! laggard (smallest clock) executes next, which keeps shared-resource
 //! contention causally ordered without a global event queue.
 //!
-//! Beyond timing, the machine maintains a *logical* memory image — the
-//! values all committed and uncommitted stores have produced so far — and
-//! snapshots it at every epoch commit. Crash injection invalidates all
-//! volatile state, runs the scheme's recovery, and compares NVM contents
-//! against the golden snapshot of the epoch the scheme claims to have
-//! recovered — the end-to-end crash-consistency check the paper's FPGA
-//! prototype performed with micro-benchmarks (§V).
+//! Beyond timing, the machine tracks the values every store produced: each
+//! epoch commit records the lines written since the previous one as a
+//! golden snapshot, and the *logical* memory image is derived from those
+//! snapshots on demand. Crash injection invalidates all volatile state,
+//! runs the scheme's recovery, and compares NVM contents against the
+//! golden snapshot of the epoch the scheme claims to have recovered — the
+//! end-to-end crash-consistency check the paper's FPGA prototype performed
+//! with micro-benchmarks (§V).
+
+use std::collections::BTreeMap;
 
 use picl::os::boundary_handler_line;
 use picl_cache::hierarchy::AccessType;
@@ -19,7 +22,6 @@ use picl_cache::{ConsistencyScheme, Hierarchy};
 use picl_nvm::{DeltaSnapshots, MainMemory, Nvm};
 use picl_telemetry::{EventKind, Sampler, Telemetry};
 use picl_trace::{AccessKind, EventBatch, TraceEvent, TraceSource};
-use picl_types::hash::FastMap;
 use picl_types::{CoreId, Cycle, EpochId, LineAddr, SystemConfig};
 
 use crate::report::RunReport;
@@ -62,19 +64,26 @@ impl Core {
     }
 }
 
-/// Golden-snapshot storage backing crash validation.
+/// Golden-snapshot storage backing crash validation and the logical
+/// image.
 ///
 /// The default `Delta` store records one copy-on-write delta per commit
-/// (O(lines written this epoch)) and reconstructs a full image only when
-/// a crash needs one. `Full` keeps the original eager deep clone per
-/// commit — the unoptimized reference `picl bench` diffs against.
+/// (O(lines written this epoch)), folds the deltas behind the persisted
+/// frontier into a base image, and reconstructs a full image only when a
+/// crash needs one. `Full` keeps the original eager deep clone per commit
+/// and never folds — the unoptimized reference `picl bench` diffs
+/// against, which would catch a horizon that hid a needed epoch.
 enum SnapshotStore {
-    /// Snapshots disabled; only the power-on image is reconstructible.
-    Off,
-    /// Copy-on-write per-epoch deltas (default).
+    /// Snapshots disabled: the chain folds through every commit and only
+    /// derives the logical image; the power-on image is the only golden
+    /// snapshot. A crash that loses committed epochs cannot rewind that
+    /// image exactly (see [`DeltaSnapshots::truncate_after`]).
+    Off(DeltaSnapshots),
+    /// Copy-on-write per-epoch deltas folded through the persisted
+    /// frontier (default).
     Delta(DeltaSnapshots),
     /// Eager full clone at every commit (reference mode).
-    Full(FastMap<EpochId, MainMemory>),
+    Full(BTreeMap<EpochId, MainMemory>),
 }
 
 impl SnapshotStore {
@@ -82,7 +91,7 @@ impl SnapshotStore {
     /// [`EpochId::ZERO`] (the power-on image) always is.
     fn get(&self, epoch: EpochId) -> Option<MainMemory> {
         match self {
-            SnapshotStore::Off => (epoch == EpochId::ZERO).then(MainMemory::new),
+            SnapshotStore::Off(_) => (epoch == EpochId::ZERO).then(MainMemory::new),
             SnapshotStore::Delta(deltas) => deltas.reconstruct(epoch),
             SnapshotStore::Full(map) => map
                 .get(&epoch)
@@ -91,14 +100,65 @@ impl SnapshotStore {
         }
     }
 
+    /// Records `committed` with the writes in `pending` (drained; later
+    /// pushes win), then lets the delta chain fold through `persisted`.
+    fn commit(
+        &mut self,
+        committed: EpochId,
+        pending: &mut Vec<(LineAddr, u64)>,
+        persisted: EpochId,
+    ) {
+        let horizon = match self {
+            SnapshotStore::Off(_) => committed,
+            _ => persisted,
+        };
+        match self {
+            SnapshotStore::Off(deltas) | SnapshotStore::Delta(deltas) => {
+                // Duplicate pushes collapse here; insertion order means the
+                // last write to a line wins, which is its committed value.
+                deltas.commit(committed, pending.drain(..).collect());
+                deltas.fold_through(horizon);
+            }
+            SnapshotStore::Full(map) => {
+                let image = apply(Self::last_full(map), pending.drain(..));
+                map.insert(committed, image);
+            }
+        }
+    }
+
+    /// The image as of the most recent commit.
+    fn latest(&self) -> MainMemory {
+        match self {
+            SnapshotStore::Off(deltas) | SnapshotStore::Delta(deltas) => deltas
+                .reconstruct(deltas.latest())
+                .expect("the latest commit is always reconstructible"),
+            SnapshotStore::Full(map) => Self::last_full(map),
+        }
+    }
+
+    fn last_full(map: &BTreeMap<EpochId, MainMemory>) -> MainMemory {
+        map.values().next_back().cloned().unwrap_or_default()
+    }
+
     /// Drops every snapshot strictly after `epoch` (crash rewind).
     fn truncate_after(&mut self, epoch: EpochId) {
         match self {
-            SnapshotStore::Off => {}
-            SnapshotStore::Delta(deltas) => deltas.truncate_after(epoch),
-            SnapshotStore::Full(map) => map.retain(|e, _| *e <= epoch),
+            SnapshotStore::Off(deltas) | SnapshotStore::Delta(deltas) => {
+                deltas.truncate_after(epoch)
+            }
+            SnapshotStore::Full(map) => {
+                map.split_off(&epoch.next());
+            }
         }
     }
+}
+
+/// `image` with `writes` applied in order.
+fn apply(mut image: MainMemory, writes: impl IntoIterator<Item = (LineAddr, u64)>) -> MainMemory {
+    for (line, value) in writes {
+        image.write_line(line, value);
+    }
+    image
 }
 
 /// Result of an injected crash and recovery.
@@ -123,7 +183,6 @@ pub struct Machine {
     mem: Nvm,
     scheme: Box<dyn ConsistencyScheme + Send>,
     cores: Vec<Core>,
-    logical: MainMemory,
     snapshots: SnapshotStore,
     /// `(line, token)` writes since the last commit — the next delta.
     /// Kept as a plain push list on the store fast path (duplicates fine);
@@ -172,7 +231,7 @@ impl Machine {
         let snapshots = if keep_snapshots {
             SnapshotStore::Delta(DeltaSnapshots::new())
         } else {
-            SnapshotStore::Off
+            SnapshotStore::Off(DeltaSnapshots::new())
         };
         Machine {
             mem: Nvm::new(cfg.nvm, cfg.clock()),
@@ -188,7 +247,6 @@ impl Machine {
                     pos: 0,
                 })
                 .collect(),
-            logical: MainMemory::new(),
             snapshots,
             pending_dirty: Vec::new(),
             diff_scratch: Vec::new(),
@@ -291,13 +349,19 @@ impl Machine {
         &self.mem
     }
 
-    /// The logical (all-stores-applied) memory image.
-    pub fn logical_memory(&self) -> &MainMemory {
-        &self.logical
+    /// The logical (all-stores-applied) memory image: the image as of the
+    /// latest commit plus the stores since. Derived on demand, so it costs
+    /// O(footprint) per call; owned, not borrowed.
+    pub fn logical_memory(&self) -> MainMemory {
+        apply(self.snapshots.latest(), self.pending_dirty.iter().copied())
     }
 
-    /// The golden memory image at `epoch`'s commit, if reconstructible
-    /// (reconstructed from deltas on demand; owned, not borrowed).
+    /// The golden memory image at `epoch`'s commit, if reconstructible:
+    /// always for [`EpochId::ZERO`] (the power-on image); with snapshots
+    /// off, for nothing else; with snapshots on, for every commit from
+    /// the last fold's horizon (at or before the persisted frontier, so
+    /// every epoch a correct recovery can target) onwards. Reconstructed
+    /// on demand; owned, not borrowed.
     pub fn snapshot(&self, epoch: EpochId) -> Option<MainMemory> {
         self.snapshots.get(epoch)
     }
@@ -311,8 +375,8 @@ impl Machine {
     pub fn set_reference_mode(&mut self, on: bool) {
         self.hier.set_reference_scan(on);
         self.snapshots = match (&self.snapshots, on) {
-            (SnapshotStore::Off, _) => SnapshotStore::Off,
-            (_, true) => SnapshotStore::Full(FastMap::default()),
+            (SnapshotStore::Off(_), _) => SnapshotStore::Off(DeltaSnapshots::new()),
+            (_, true) => SnapshotStore::Full(BTreeMap::new()),
             (_, false) => SnapshotStore::Delta(DeltaSnapshots::new()),
         };
     }
@@ -338,30 +402,6 @@ impl Machine {
     fn next_token(&mut self) -> u64 {
         self.token += 1;
         self.token
-    }
-
-    /// Applies a store to the logical image and marks the line for the
-    /// next snapshot delta.
-    fn logical_write(&mut self, line: LineAddr, token: u64) {
-        self.logical.write_line(line, token);
-        self.pending_dirty.push((line, token));
-    }
-
-    /// Records the golden snapshot for a just-committed epoch.
-    fn commit_snapshot(&mut self, committed: EpochId) {
-        match &mut self.snapshots {
-            SnapshotStore::Off => self.pending_dirty.clear(),
-            SnapshotStore::Delta(deltas) => {
-                // Duplicate pushes collapse here; insertion order means the
-                // last write to a line wins, which is its committed value.
-                let delta: FastMap<LineAddr, u64> = self.pending_dirty.drain(..).collect();
-                deltas.commit(committed, delta);
-            }
-            SnapshotStore::Full(map) => {
-                map.insert(committed, self.logical.snapshot());
-                self.pending_dirty.clear();
-            }
-        }
     }
 
     /// Executes one trace event on the core with the smallest clock among
@@ -400,7 +440,7 @@ impl Machine {
             AccessKind::Load => AccessType::Load,
             AccessKind::Store => {
                 let token = self.next_token();
-                self.logical_write(line, token);
+                self.pending_dirty.push((line, token));
                 AccessType::Store { new_value: token }
             }
         };
@@ -461,7 +501,11 @@ impl Machine {
                 eid: self.scheme.system_eid(),
             },
         );
-        self.commit_snapshot(outcome.committed);
+        self.snapshots.commit(
+            outcome.committed,
+            &mut self.pending_dirty,
+            self.scheme.persisted_eid(),
+        );
         self.instr_since_boundary = 0;
     }
 
@@ -506,13 +550,10 @@ impl Machine {
             }
             None => (None, 0, Vec::new()),
         };
-        // Execution resumes from the recovered checkpoint: the logical
-        // reference image rewinds to that snapshot, and snapshots of the
-        // rolled-back timeline are dropped (their epoch numbers will be
-        // reused by the new timeline).
-        if let Some(golden) = golden {
-            self.logical = golden;
-        }
+        // Execution resumes from the recovered checkpoint: snapshots of the
+        // rolled-back timeline and the uncommitted stores are dropped (their
+        // epoch numbers will be reused by the new timeline), which rewinds
+        // the logical image to the recovered epoch.
         self.snapshots.truncate_after(outcome.recovered_to);
         self.pending_dirty.clear();
         self.instr_since_boundary = 0;
@@ -554,7 +595,7 @@ impl Machine {
         for i in 0..cores {
             let line = boundary_handler_line(CoreId(i));
             let token = self.next_token();
-            self.logical_write(line, token);
+            self.pending_dirty.push((line, token));
             let at = self.cores[i].clock;
             self.hier.access(
                 CoreId(i),
@@ -755,6 +796,119 @@ mod tests {
         if crash.mismatch_count > 16 {
             assert_eq!(crash.mismatches.len(), 16);
         }
+    }
+
+    /// PiCL on gcc with snapshots, as `benchmark/`'s `sim-small` runs it.
+    fn picl_on_gcc() -> Machine {
+        let mut cfg = SystemConfig::paper_single_core();
+        cfg.epoch.epoch_len_instructions = 10_000;
+        crate::runner::Simulation::builder(cfg)
+            .scheme(SchemeKind::Picl)
+            .workload(&[picl_trace::spec::SpecBenchmark::Gcc])
+            .footprint_scale(0.05)
+            .seed(1)
+            .keep_snapshots(true)
+            .into_machine()
+            .unwrap()
+    }
+
+    #[test]
+    fn golden_history_stays_bounded() {
+        // Folding behind the persisted frontier keeps the held delta
+        // entries within a small multiple of the image: without it they
+        // grow with every epoch committed.
+        let mut m = picl_on_gcc();
+        for step in 1..=20u64 {
+            m.run_until(step * 100_000);
+            let SnapshotStore::Delta(deltas) = &m.snapshots else {
+                unreachable!("snapshots are on");
+            };
+            let touched = m.logical_memory().touched_lines();
+            assert!(
+                deltas.delta_lines() <= 2 * touched.max(4096),
+                "{} delta entries held for {touched} touched lines at {} instructions",
+                deltas.delta_lines(),
+                m.instructions()
+            );
+        }
+        let crash = m.crash();
+        assert_eq!(crash.consistent, Some(true), "{:?}", crash.mismatches);
+    }
+
+    #[test]
+    fn recovery_behind_the_horizon_fails_the_oracle() {
+        // A scheme that claims an epoch older than the persisted frontier
+        // is already wrong (recovery must reach the last persisted epoch);
+        // once folded, that epoch has no golden image, so the crash must
+        // not report a consistent recovery.
+        let mut m = picl_on_gcc();
+        m.run_until(2_000_000);
+        let persisted = m.scheme().persisted_eid();
+        let stale = EpochId(1);
+        assert!(stale < persisted);
+        assert!(m.snapshot(persisted).is_some(), "the frontier stays");
+        assert!(m.snapshot(stale).is_none(), "epoch 1 was folded");
+        assert!(m.snapshot(EpochId::ZERO).is_some());
+
+        // Swap in a scheme whose recovery claims the folded epoch.
+        struct Stale(EpochId);
+        impl ConsistencyScheme for Stale {
+            fn name(&self) -> &'static str {
+                "stale"
+            }
+            fn system_eid(&self) -> EpochId {
+                self.0.next()
+            }
+            fn persisted_eid(&self) -> EpochId {
+                self.0
+            }
+            fn on_store(
+                &mut self,
+                _: &picl_cache::StoreEvent,
+                _: &mut Nvm,
+                _: Cycle,
+            ) -> picl_cache::StoreDirective {
+                picl_cache::StoreDirective::default()
+            }
+            fn on_dirty_eviction(
+                &mut self,
+                _: &picl_cache::EvictionEvent,
+                _: &mut Nvm,
+                _: Cycle,
+            ) -> picl_cache::EvictRoute {
+                picl_cache::EvictRoute::InPlace
+            }
+            fn on_epoch_boundary(
+                &mut self,
+                _: &mut Hierarchy,
+                _: &mut Nvm,
+                now: Cycle,
+            ) -> picl_cache::BoundaryOutcome {
+                picl_cache::BoundaryOutcome {
+                    committed: self.0,
+                    stall_until: Some(now),
+                }
+            }
+            fn crash_recover(&mut self, _: &mut Nvm, now: Cycle) -> picl_cache::RecoveryOutcome {
+                picl_cache::RecoveryOutcome {
+                    recovered_to: self.0,
+                    entries_applied: 0,
+                    completed_at: now,
+                }
+            }
+            fn stats(&self) -> picl_cache::SchemeStats {
+                picl_cache::SchemeStats::default()
+            }
+        }
+        m.scheme = Box::new(Stale(stale));
+        let crash = m.crash();
+        assert_eq!(crash.outcome.recovered_to, stale);
+        assert_ne!(crash.consistent, Some(true));
+
+        // The rewound machine keeps running and committing.
+        m.scheme = Box::new(Stale(stale.next()));
+        m.epoch_boundary();
+        assert!(m.snapshot(stale.next()).is_some());
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //! exercise stores, capacity evictions, asynchronous cache scans, and
 //! epoch commits in every interleaving the machine can produce — must
 //! yield bit-identical run reports. Crash-at-instant recovery must agree
-//! between the two modes as well.
+//! between the two modes as well, including crash points long after the
+//! delta chain has folded its history behind the persisted frontier into
+//! a base image (the reference clones never fold, so a fold that hid an
+//! epoch a recovery needs shows up as a diverging crash report).
 
 use proptest::prelude::*;
 
@@ -74,7 +77,10 @@ proptest! {
     #[test]
     fn crash_recovery_matches_reference_scan(
         scheme in scheme_strategy(),
-        at in 5_000u64..55_000,
+        // Early points crash on the unfolded chain; by 200k instructions
+        // (20 epochs of gcc at this scale) it has folded for every scheme
+        // but Ideal, whose persisted frontier never leaves ZERO.
+        at in prop_oneof![5_000u64..55_000, 200_000u64..400_000],
         seed in any::<u64>(),
     ) {
         let crash = |reference: bool| {

@@ -66,8 +66,8 @@ proptest! {
         a.run(80_000);
         b.run(80_000);
         c.run(80_000);
-        prop_assert!(a.logical_memory().diff(b.logical_memory()).is_empty());
-        prop_assert!(a.logical_memory().diff(c.logical_memory()).is_empty());
+        prop_assert!(a.logical_memory().diff(&b.logical_memory()).is_empty());
+        prop_assert!(a.logical_memory().diff(&c.logical_memory()).is_empty());
         prop_assert_eq!(a.instructions(), b.instructions());
         prop_assert_eq!(a.instructions(), c.instructions());
     }

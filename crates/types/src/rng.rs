@@ -30,6 +30,7 @@ impl Rng {
     }
 
     /// Returns the next 64 uniformly random bits.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
@@ -47,6 +48,7 @@ impl Rng {
     /// # Panics
     ///
     /// Panics if `bound` is zero.
+    #[inline]
     pub fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "bound must be nonzero");
         // Widening-multiply rejection sampling.
@@ -65,17 +67,20 @@ impl Rng {
     /// # Panics
     ///
     /// Panics if `lo >= hi`.
+    #[inline]
     pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo < hi, "empty range");
         lo + self.below(hi - lo)
     }
 
     /// A uniform float in `[0, 1)`.
+    #[inline]
     pub fn unit_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// `true` with probability `p` (clamped to `[0, 1]`).
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         self.unit_f64() < p
     }
@@ -212,6 +217,7 @@ impl Zipf {
     }
 
     /// Draws a rank in `0..n`; rank 0 is the hottest item.
+    #[inline]
     pub fn sample(&self, rng: &mut Rng) -> u64 {
         let u = rng.unit_f64();
         let uz = u * self.zetan;

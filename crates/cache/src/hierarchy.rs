@@ -287,7 +287,7 @@ impl Hierarchy {
             }
             AccessType::Load => (word, value),
         };
-        self.fill_l1(c, addr, word, value, scheme, mem, now);
+        self.fill_l1(c, addr, word, value);
 
         AccessResult { data_ready, level }
     }
@@ -371,17 +371,7 @@ impl Hierarchy {
 
     /// Installs a line into `core`'s L1, rippling victims down: L1 victim →
     /// L2; L2 victim → its (guaranteed-present) LLC slot.
-    #[allow(clippy::too_many_arguments)]
-    fn fill_l1(
-        &mut self,
-        c: usize,
-        addr: LineAddr,
-        word: u64,
-        value: u64,
-        scheme: &mut dyn ConsistencyScheme,
-        mem: &mut Nvm,
-        now: Cycle,
-    ) {
+    fn fill_l1(&mut self, c: usize, addr: LineAddr, word: u64, value: u64) {
         if let PackedInsertion::Evicted {
             addr: v1_addr,
             word: v1_word,
@@ -406,7 +396,6 @@ impl Hierarchy {
                     "private line {v2_addr} already present in LLC"
                 );
                 self.llc.set_slot(slot, v2_word, v2_value);
-                let _ = (scheme, mem, now);
             }
         }
     }

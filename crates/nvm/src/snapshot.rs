@@ -3,18 +3,24 @@
 //! The machine used to deep-clone the entire logical [`MainMemory`] at
 //! every epoch commit, making commit cost O(footprint) even when the
 //! epoch wrote a handful of lines. [`DeltaSnapshots`] stores one forward
-//! delta per committed epoch — the final value of every line written
-//! since the previous commit — and reconstructs a full image only when a
-//! crash actually needs one. Commit cost becomes O(lines written this
-//! epoch); reconstruction is O(footprint + lines held in deltas), paid
-//! only on the (rare) crash path.
+//! delta per committed epoch — every `(line, token)` write since the
+//! previous commit, in program order, so the last write to a line is its
+//! committed value — and reconstructs a full image only when a crash
+//! actually needs one. Commit cost becomes O(writes this epoch);
+//! reconstruction is O(footprint + writes held in deltas), paid only on
+//! the (rare) crash path.
 //!
 //! History is bounded by a *horizon*: [`DeltaSnapshots::fold_through`]
-//! merges the oldest deltas into a base image, after which epochs before
-//! the horizon are no longer reconstructible. A recovery can only ever
-//! target the persisted frontier, so folding through it loses no image a
-//! correct recovery needs, and the chain holds O(footprint) entries
-//! however long the run.
+//! merges every delta at or before an epoch into a base, after which
+//! epochs before the horizon are no longer reconstructible. A recovery
+//! can only ever target the persisted frontier, so folding through it
+//! after every commit loses no image a correct recovery needs, and the
+//! chain holds only the epochs still in flight however long the run.
+//!
+//! The base keeps one `line → token` entry per touched line rather than a
+//! paged [`MainMemory`]: a sparse write set spreads over many pages, and
+//! a page holds 512 tokens whether one line of it was written or all of
+//! them.
 //!
 //! [`EpochId::ZERO`] is the empty power-on image: it is always
 //! reconstructible and never stored.
@@ -24,24 +30,31 @@ use picl_types::{EpochId, LineAddr};
 
 use crate::state::MainMemory;
 
-/// Fewest foldable entries [`DeltaSnapshots::fold_through`] merges at
-/// once, so small images do not fold on every commit.
-const MIN_FOLD_ENTRIES: usize = 4096;
-
 /// A base image plus an ordered chain of per-epoch forward deltas over
 /// [`MainMemory`].
 #[derive(Debug, Clone, Default)]
 pub struct DeltaSnapshots {
-    /// The image as of `horizon`'s commit: every folded delta applied.
-    base: MainMemory,
+    /// The image as of `horizon`'s commit, one entry per line holding a
+    /// non-[`MainMemory::INITIAL`] token: every folded delta applied.
+    base: FastMap<LineAddr, u64>,
     /// The oldest reconstructible epoch besides [`EpochId::ZERO`].
     horizon: EpochId,
     /// Monotonically increasing epoch ids after `horizon`; `deltas[i].1`
-    /// holds the final values of lines written between the previous
-    /// commit and commit `deltas[i].0`.
-    deltas: Vec<(EpochId, FastMap<LineAddr, u64>)>,
-    /// Entries across `deltas`.
+    /// holds, in order, the writes between the previous commit and
+    /// commit `deltas[i].0` (a line may repeat; its last write wins).
+    deltas: Vec<(EpochId, Vec<(LineAddr, u64)>)>,
+    /// Writes across `deltas`.
     held: usize,
+}
+
+/// Applies one write to a line-grain image, dropping lines that return
+/// to [`MainMemory::INITIAL`].
+fn write(base: &mut FastMap<LineAddr, u64>, line: LineAddr, value: u64) {
+    if value == MainMemory::INITIAL {
+        base.remove(&line);
+    } else {
+        base.insert(line, value);
+    }
 }
 
 impl DeltaSnapshots {
@@ -50,13 +63,13 @@ impl DeltaSnapshots {
         DeltaSnapshots::default()
     }
 
-    /// Records the commit of `epoch` with `delta` = the current values of
-    /// every line written since the previous commit.
+    /// Records the commit of `epoch` with `delta` = every write since the
+    /// previous commit, in order (later writes to a line win).
     ///
     /// Epochs must be committed in increasing order; re-committing the
-    /// most recent epoch merges the new delta in (later writes win),
-    /// matching an eager full clone taken at the later commit.
-    pub fn commit(&mut self, epoch: EpochId, delta: FastMap<LineAddr, u64>) {
+    /// most recent epoch appends the new writes, matching an eager full
+    /// clone taken at the later commit.
+    pub fn commit(&mut self, epoch: EpochId, delta: Vec<(LineAddr, u64)>) {
         // ZERO is the implicit power-on image: storing a delta under it
         // would silently shadow the empty image it always reconstructs to
         // (reachable after `truncate_after(EpochId::ZERO)` empties the
@@ -67,14 +80,13 @@ impl DeltaSnapshots {
         );
         match self.deltas.last_mut() {
             Some((last, existing)) if *last == epoch => {
-                self.held -= existing.len();
+                self.held += delta.len();
                 existing.extend(delta);
-                self.held += existing.len();
             }
             // The open epoch was folded already: merge into the base.
             None if epoch == self.horizon => {
                 for (line, value) in delta {
-                    self.base.write_line(line, value);
+                    write(&mut self.base, line, value);
                 }
             }
             last => {
@@ -86,25 +98,18 @@ impl DeltaSnapshots {
         }
     }
 
-    /// Merges every delta at or before `epoch` into the base, moving the
-    /// horizon up to the newest of them — once they hold at least
-    /// `max(base.touched_lines(), 4096)` entries. Folding only in batches
-    /// that large keeps the held entries O(base) and the fold work
-    /// amortized O(1) per entry.
+    /// Merges every delta at or before `epoch` into the base, in order,
+    /// and moves the horizon up to the newest of them. The fold work is
+    /// O(1) per write, paid once.
     pub fn fold_through(&mut self, epoch: EpochId) {
         let foldable = self.deltas.partition_point(|(e, _)| *e <= epoch);
-        let newer: usize = self.deltas[foldable..].iter().map(|(_, d)| d.len()).sum();
-        let entries = self.held - newer;
-        if foldable == 0 || entries < self.base.touched_lines().max(MIN_FOLD_ENTRIES) {
-            return;
-        }
         for (e, delta) in self.deltas.drain(..foldable) {
+            self.held -= delta.len();
             for (line, value) in delta {
-                self.base.write_line(line, value);
+                write(&mut self.base, line, value);
             }
             self.horizon = e;
         }
-        self.held = newer;
     }
 
     /// Whether `epoch` can be reconstructed.
@@ -119,6 +124,12 @@ impl DeltaSnapshots {
         self.deltas.last().map_or(self.horizon, |(e, _)| *e)
     }
 
+    /// The oldest reconstructible epoch besides [`EpochId::ZERO`]; every
+    /// held delta is for a later epoch.
+    pub fn horizon(&self) -> EpochId {
+        self.horizon
+    }
+
     /// Rebuilds the full memory image as of the commit of `epoch`, or
     /// `None` if that epoch was never committed or lies behind the
     /// horizon. `EpochId::ZERO` yields the power-on
@@ -130,10 +141,13 @@ impl DeltaSnapshots {
         if !self.contains(epoch) {
             return None;
         }
-        let mut image = self.base.clone();
+        let mut image = MainMemory::new();
+        for (&line, &value) in &self.base {
+            image.write_line(line, value);
+        }
         for (_, delta) in self.deltas.iter().take_while(|(e, _)| *e <= epoch) {
-            for (line, value) in delta {
-                image.write_line(*line, *value);
+            for &(line, value) in delta {
+                image.write_line(line, value);
             }
         }
         Some(image)
@@ -161,7 +175,13 @@ impl DeltaSnapshots {
         self.horizon = self.horizon.min(epoch);
     }
 
-    /// Total delta entries held after the horizon (memory diagnostics).
+    /// Lines the base holds: the touched lines of the horizon's image
+    /// (memory diagnostics).
+    pub fn base_lines(&self) -> usize {
+        self.base.len()
+    }
+
+    /// Writes held in deltas after the horizon (memory diagnostics).
     pub fn delta_lines(&self) -> usize {
         self.held
     }
@@ -171,7 +191,7 @@ impl DeltaSnapshots {
 mod tests {
     use super::*;
 
-    fn delta(pairs: &[(u64, u64)]) -> FastMap<LineAddr, u64> {
+    fn delta(pairs: &[(u64, u64)]) -> Vec<(LineAddr, u64)> {
         pairs.iter().map(|(l, v)| (LineAddr::new(*l), *v)).collect()
     }
 
@@ -214,7 +234,7 @@ mod tests {
         let mut snaps = DeltaSnapshots::new();
         let mut mem = MainMemory::new();
         let mut full: Vec<(EpochId, MainMemory)> = Vec::new();
-        let mut pending: FastMap<LineAddr, u64> = FastMap::default();
+        let mut pending: Vec<(LineAddr, u64)> = Vec::new();
 
         let mut x = 7u64;
         for epoch in 1..=6u64 {
@@ -225,7 +245,7 @@ mod tests {
                 let line = LineAddr::new(x % 32);
                 let value = (x >> 32) % 5; // 0 exercises the INITIAL-erase path
                 mem.write_line(line, value);
-                pending.insert(line, value);
+                pending.push((line, value));
             }
             snaps.commit(EpochId(epoch), std::mem::take(&mut pending));
             full.push((EpochId(epoch), mem.clone()));
@@ -313,39 +333,39 @@ mod tests {
     }
 
     /// `n` distinct lines starting at `first`, all set to `value`.
-    fn block(first: u64, n: u64, value: u64) -> FastMap<LineAddr, u64> {
+    fn block(first: u64, n: u64, value: u64) -> Vec<(LineAddr, u64)> {
         (first..first + n)
             .map(|l| (LineAddr::new(l), value))
             .collect()
     }
 
     #[test]
-    fn fold_waits_for_enough_entries() {
+    fn fold_does_not_wait_for_a_batch() {
+        // Two small epochs fold at once: there is no minimum batch.
         let mut snaps = DeltaSnapshots::new();
         snaps.commit(EpochId(1), block(0, 100, 1));
-        snaps.commit(EpochId(2), block(0, 100, 2));
+        snaps.commit(EpochId(2), block(0, 50, 2));
         snaps.fold_through(EpochId(2));
-        // 200 entries < 4096: nothing folds, every epoch stays.
-        assert_eq!(snaps.delta_lines(), 200);
-        assert!(snaps.contains(EpochId(1)));
-        assert_eq!(
-            snaps
-                .reconstruct(EpochId(1))
-                .unwrap()
-                .read_line(LineAddr::new(5)),
-            1
-        );
+        assert_eq!(snaps.delta_lines(), 0);
+        assert_eq!(snaps.horizon(), EpochId(2));
+        assert!(!snaps.contains(EpochId(1)));
+        let at2 = snaps.reconstruct(EpochId(2)).unwrap();
+        assert_eq!(at2.read_line(LineAddr::new(5)), 2);
+        assert_eq!(at2.read_line(LineAddr::new(75)), 1);
     }
 
     #[test]
     fn fold_moves_the_horizon() {
+        // However small the deltas, a fold lands on the frontier it is
+        // given and keeps only the deltas after it.
         let mut snaps = DeltaSnapshots::new();
-        snaps.commit(EpochId(1), block(0, 3000, 1));
-        snaps.commit(EpochId(2), block(1000, 3000, 2));
-        snaps.commit(EpochId(3), block(0, 10, 3));
+        snaps.commit(EpochId(1), block(0, 3, 1));
+        snaps.commit(EpochId(2), block(1, 3, 2));
+        snaps.commit(EpochId(3), delta(&[(0, 3), (9, 3), (0, 4)]));
         snaps.fold_through(EpochId(2));
 
-        assert_eq!(snaps.delta_lines(), 10, "only epoch 3 stays a delta");
+        assert_eq!(snaps.horizon(), EpochId(2));
+        assert_eq!(snaps.delta_lines(), 3, "only epoch 3's writes stay");
         assert_eq!(snaps.latest(), EpochId(3));
         assert!(!snaps.contains(EpochId(1)));
         assert!(
@@ -357,36 +377,55 @@ mod tests {
 
         // Later writes won the fold.
         let at2 = snaps.reconstruct(EpochId(2)).unwrap();
-        assert_eq!(at2.touched_lines(), 4000);
-        assert_eq!(at2.read_line(LineAddr::new(999)), 1);
-        assert_eq!(at2.read_line(LineAddr::new(1000)), 2);
-        assert_eq!(at2.read_line(LineAddr::new(5)), 1);
+        assert_eq!(at2.touched_lines(), 4);
+        assert_eq!(at2.read_line(LineAddr::new(0)), 1);
+        assert_eq!(at2.read_line(LineAddr::new(1)), 2);
+        assert_eq!(at2.read_line(LineAddr::new(3)), 2);
         let at3 = snaps.reconstruct(EpochId(3)).unwrap();
-        assert_eq!(at3.read_line(LineAddr::new(5)), 3);
-        assert_eq!(at3.read_line(LineAddr::new(3999)), 2);
+        assert_eq!(at3.read_line(LineAddr::new(0)), 4, "last write wins");
+        assert_eq!(at3.read_line(LineAddr::new(9)), 3);
 
-        // The next fold needs as many entries as the base holds (4000 < 4096
-        // still applies the floor).
-        snaps.commit(EpochId(4), block(0, 4085, 4));
+        // A frontier between commits folds up to the newest commit at or
+        // before it; a frontier behind the horizon folds nothing.
+        snaps.commit(EpochId(5), block(20, 2, 5));
         snaps.fold_through(EpochId(4));
-        assert_eq!(snaps.delta_lines(), 4095, "4095 < 4096: no fold");
-        snaps.commit(EpochId(5), block(9000, 1, 5));
+        assert_eq!(snaps.horizon(), EpochId(3));
+        assert_eq!(snaps.delta_lines(), 2);
+        snaps.fold_through(EpochId(1));
+        assert_eq!(snaps.horizon(), EpochId(3));
         snaps.fold_through(EpochId(5));
+        assert_eq!(snaps.horizon(), EpochId(5));
         assert_eq!(snaps.delta_lines(), 0);
-        assert_eq!(snaps.latest(), EpochId(5));
         assert_eq!(
             snaps
                 .reconstruct(EpochId(5))
                 .unwrap()
-                .read_line(LineAddr::new(9000)),
+                .read_line(LineAddr::new(21)),
             5
         );
     }
 
     #[test]
+    fn base_holds_one_entry_per_touched_line() {
+        // The base is the horizon's image at line grain: repeated writes
+        // to a line leave one entry, and a line written back to INITIAL
+        // leaves none.
+        let mut snaps = DeltaSnapshots::new();
+        snaps.commit(EpochId(1), delta(&[(1, 1), (1, 2), (2, 2), (700, 7)]));
+        snaps.commit(EpochId(2), delta(&[(2, MainMemory::INITIAL), (3, 3)]));
+        snaps.fold_through(EpochId(2));
+        assert_eq!(snaps.base_lines(), 3);
+        let at2 = snaps.reconstruct(EpochId(2)).unwrap();
+        assert_eq!(at2.touched_lines(), snaps.base_lines());
+        assert_eq!(at2.read_line(LineAddr::new(1)), 2);
+        assert_eq!(at2.read_line(LineAddr::new(2)), MainMemory::INITIAL);
+        assert_eq!(at2.read_line(LineAddr::new(700)), 7);
+    }
+
+    #[test]
     fn recommit_after_fold_merges_into_base() {
         let mut snaps = DeltaSnapshots::new();
-        snaps.commit(EpochId(1), block(0, 5000, 1));
+        snaps.commit(EpochId(1), block(0, 5, 1));
         snaps.fold_through(EpochId(1));
         assert_eq!(snaps.delta_lines(), 0);
         snaps.commit(EpochId(1), block(0, 1, 7));
@@ -399,7 +438,7 @@ mod tests {
     #[should_panic(expected = "monotonic")]
     fn committing_behind_the_horizon_is_rejected() {
         let mut snaps = DeltaSnapshots::new();
-        snaps.commit(EpochId(2), block(0, 5000, 1));
+        snaps.commit(EpochId(2), block(0, 5, 1));
         snaps.fold_through(EpochId(2));
         snaps.commit(EpochId(1), block(0, 1, 1));
     }
@@ -408,7 +447,7 @@ mod tests {
     fn rewind_behind_the_horizon_keeps_the_chain_usable() {
         let mut snaps = DeltaSnapshots::new();
         snaps.commit(EpochId(1), block(0, 10, 1));
-        snaps.commit(EpochId(2), block(0, 5000, 2));
+        snaps.commit(EpochId(2), block(0, 5, 2));
         snaps.commit(EpochId(3), block(0, 10, 3));
         snaps.fold_through(EpochId(2));
         assert!(snaps.reconstruct(EpochId(1)).is_none());
@@ -437,7 +476,7 @@ mod tests {
         let mut full: Vec<(EpochId, MainMemory)> = Vec::new();
         let mut x = 11u64;
         for epoch in 1..=40u64 {
-            let mut pending: FastMap<LineAddr, u64> = FastMap::default();
+            let mut pending: Vec<(LineAddr, u64)> = Vec::new();
             for _ in 0..900 {
                 x = x
                     .wrapping_mul(6364136223846793005)
@@ -445,25 +484,28 @@ mod tests {
                 let line = LineAddr::new((x >> 20) % 6000);
                 let value = (x >> 40) % 7;
                 mem.write_line(line, value);
-                pending.insert(line, value);
+                pending.push((line, value));
             }
             snaps.commit(EpochId(epoch), pending);
             full.push((EpochId(epoch), mem.clone()));
             // The persisted frontier lags the commit by three epochs.
-            snaps.fold_through(EpochId(epoch.saturating_sub(3)));
-            assert!(snaps.delta_lines() <= 2 * mem.touched_lines().max(4096) + 3 * 900);
+            let frontier = EpochId(epoch.saturating_sub(3));
+            snaps.fold_through(frontier);
+            assert_eq!(snaps.horizon(), frontier);
+            assert_eq!(snaps.delta_lines(), 900 * (epoch - frontier.raw()) as usize);
         }
-        let horizon = (1..=40).map(EpochId).find(|e| snaps.contains(*e)).unwrap();
-        assert!(horizon > EpochId(1), "the chain folded at least once");
+        assert_eq!(snaps.horizon(), EpochId(37));
         for (epoch, image) in &full {
             match snaps.reconstruct(*epoch) {
                 Some(got) => {
-                    assert!(*epoch >= horizon);
+                    assert!(*epoch >= snaps.horizon());
                     assert_eq!(&got, image, "epoch {epoch:?}");
                 }
-                None => assert!(*epoch < horizon, "epoch {epoch:?} lost"),
+                None => assert!(*epoch < snaps.horizon(), "epoch {epoch:?} lost"),
             }
         }
+        let horizon_image = &full[36].1;
+        assert_eq!(snaps.base_lines(), horizon_image.touched_lines());
     }
 
     #[test]
@@ -471,7 +513,7 @@ mod tests {
         let mut snaps = DeltaSnapshots::new();
         assert_eq!(snaps.delta_lines(), 0);
         snaps.commit(EpochId(1), delta(&[(1, 1), (2, 2)]));
-        snaps.commit(EpochId(2), delta(&[(3, 3)]));
-        assert_eq!(snaps.delta_lines(), 3);
+        snaps.commit(EpochId(2), delta(&[(3, 3), (3, 4)]));
+        assert_eq!(snaps.delta_lines(), 4, "repeated writes each count");
     }
 }

@@ -16,7 +16,10 @@
 //! footprints touch only hundreds of pages and the map stays
 //! cache-resident; at footprint scale 1.0 the 8-core paper mix (W0, 56M
 //! instructions) touches about 235k lines on about 10k pages — 40 MB of
-//! token storage per image — and a lookup is then a likely cache miss.
+//! token storage for the NVM contents, though only a median 17 of each
+//! page's 512 lines are written — and a lookup is then a likely cache
+//! miss. (The golden history keeps its long-lived base at line grain
+//! for that reason; see [`crate::snapshot`].)
 //! Diffs and clones become contiguous array sweeps instead of per-line
 //! hash probes. Pages that decay to all-[`INITIAL`] may linger; equality
 //! and iteration are defined over non-initial lines only.

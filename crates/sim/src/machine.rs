@@ -68,17 +68,16 @@ impl Core {
 /// image.
 ///
 /// The default `Delta` store records one copy-on-write delta per commit
-/// (O(lines written this epoch)), folds the deltas behind the persisted
-/// frontier into a base image, and reconstructs a full image only when a
-/// crash needs one. `Full` keeps the original eager deep clone per commit
-/// and never folds — the unoptimized reference `picl bench` diffs
-/// against, which would catch a horizon that hid a needed epoch.
+/// (O(writes this epoch)), folds every delta at or behind the persisted
+/// frontier into a line-grain base after each commit, and reconstructs a
+/// full image only when a crash needs one. `Full` keeps the original
+/// eager deep clone per commit and never folds — the unoptimized
+/// reference `picl bench` diffs against, which would catch a horizon that
+/// hid a needed epoch.
 enum SnapshotStore {
-    /// Snapshots disabled: the chain folds through every commit and only
-    /// derives the logical image; the power-on image is the only golden
-    /// snapshot. A crash that loses committed epochs cannot rewind that
-    /// image exactly (see [`DeltaSnapshots::truncate_after`]).
-    Off(DeltaSnapshots),
+    /// Snapshots disabled: no history and no pending writes are kept; the
+    /// power-on image is the only golden snapshot.
+    Off,
     /// Copy-on-write per-epoch deltas folded through the persisted
     /// frontier (default).
     Delta(DeltaSnapshots),
@@ -91,7 +90,7 @@ impl SnapshotStore {
     /// [`EpochId::ZERO`] (the power-on image) always is.
     fn get(&self, epoch: EpochId) -> Option<MainMemory> {
         match self {
-            SnapshotStore::Off(_) => (epoch == EpochId::ZERO).then(MainMemory::new),
+            SnapshotStore::Off => (epoch == EpochId::ZERO).then(MainMemory::new),
             SnapshotStore::Delta(deltas) => deltas.reconstruct(epoch),
             SnapshotStore::Full(map) => map
                 .get(&epoch)
@@ -100,24 +99,19 @@ impl SnapshotStore {
         }
     }
 
-    /// Records `committed` with the writes in `pending` (drained; later
-    /// pushes win), then lets the delta chain fold through `persisted`.
+    /// Records `committed` with the writes in `pending` (taken; later
+    /// pushes win), then folds the delta chain through `persisted`.
     fn commit(
         &mut self,
         committed: EpochId,
         pending: &mut Vec<(LineAddr, u64)>,
         persisted: EpochId,
     ) {
-        let horizon = match self {
-            SnapshotStore::Off(_) => committed,
-            _ => persisted,
-        };
         match self {
-            SnapshotStore::Off(deltas) | SnapshotStore::Delta(deltas) => {
-                // Duplicate pushes collapse here; insertion order means the
-                // last write to a line wins, which is its committed value.
-                deltas.commit(committed, pending.drain(..).collect());
-                deltas.fold_through(horizon);
+            SnapshotStore::Off => {}
+            SnapshotStore::Delta(deltas) => {
+                deltas.commit(committed, std::mem::take(pending));
+                deltas.fold_through(persisted);
             }
             SnapshotStore::Full(map) => {
                 let image = apply(Self::last_full(map), pending.drain(..));
@@ -127,9 +121,14 @@ impl SnapshotStore {
     }
 
     /// The image as of the most recent commit.
+    ///
+    /// # Panics
+    ///
+    /// Panics with snapshots off, which keep no history.
     fn latest(&self) -> MainMemory {
         match self {
-            SnapshotStore::Off(deltas) | SnapshotStore::Delta(deltas) => deltas
+            SnapshotStore::Off => panic!("the logical image needs snapshots on"),
+            SnapshotStore::Delta(deltas) => deltas
                 .reconstruct(deltas.latest())
                 .expect("the latest commit is always reconstructible"),
             SnapshotStore::Full(map) => Self::last_full(map),
@@ -143,9 +142,8 @@ impl SnapshotStore {
     /// Drops every snapshot strictly after `epoch` (crash rewind).
     fn truncate_after(&mut self, epoch: EpochId) {
         match self {
-            SnapshotStore::Off(deltas) | SnapshotStore::Delta(deltas) => {
-                deltas.truncate_after(epoch)
-            }
+            SnapshotStore::Off => {}
+            SnapshotStore::Delta(deltas) => deltas.truncate_after(epoch),
             SnapshotStore::Full(map) => {
                 map.split_off(&epoch.next());
             }
@@ -184,12 +182,13 @@ pub struct Machine {
     scheme: Box<dyn ConsistencyScheme + Send>,
     cores: Vec<Core>,
     snapshots: SnapshotStore,
-    /// `(line, token)` writes since the last commit — the next delta.
-    /// Kept as a plain push list on the store fast path (duplicates fine);
-    /// deduplication happens once per commit when the delta map is built,
-    /// where later pushes overwrite earlier ones, matching the final
-    /// logical value without a per-line image lookup.
+    /// `(line, token)` writes since the last commit — the next delta,
+    /// moved whole into the snapshot store at the commit. A plain push
+    /// list on the store fast path (duplicates fine: later pushes win),
+    /// so a store needs no per-line lookup. Empty with snapshots off.
     pending_dirty: Vec<(LineAddr, u64)>,
+    /// Instructions retired across all cores.
+    retired: u64,
     /// Reused across crash validations.
     diff_scratch: Vec<LineAddr>,
     token: u64,
@@ -231,7 +230,7 @@ impl Machine {
         let snapshots = if keep_snapshots {
             SnapshotStore::Delta(DeltaSnapshots::new())
         } else {
-            SnapshotStore::Off(DeltaSnapshots::new())
+            SnapshotStore::Off
         };
         Machine {
             mem: Nvm::new(cfg.nvm, cfg.clock()),
@@ -249,6 +248,7 @@ impl Machine {
                 .collect(),
             snapshots,
             pending_dirty: Vec::new(),
+            retired: 0,
             diff_scratch: Vec::new(),
             token: 0,
             instr_since_boundary: 0,
@@ -352,6 +352,11 @@ impl Machine {
     /// The logical (all-stores-applied) memory image: the image as of the
     /// latest commit plus the stores since. Derived on demand, so it costs
     /// O(footprint) per call; owned, not borrowed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the machine was built with snapshots off: it then keeps
+    /// neither history nor pending writes to derive the image from.
     pub fn logical_memory(&self) -> MainMemory {
         apply(self.snapshots.latest(), self.pending_dirty.iter().copied())
     }
@@ -359,9 +364,9 @@ impl Machine {
     /// The golden memory image at `epoch`'s commit, if reconstructible:
     /// always for [`EpochId::ZERO`] (the power-on image); with snapshots
     /// off, for nothing else; with snapshots on, for every commit from
-    /// the last fold's horizon (at or before the persisted frontier, so
-    /// every epoch a correct recovery can target) onwards. Reconstructed
-    /// on demand; owned, not borrowed.
+    /// the persisted frontier as of the last commit (so every epoch a
+    /// correct recovery can target) onwards. Reconstructed on demand;
+    /// owned, not borrowed.
     pub fn snapshot(&self, epoch: EpochId) -> Option<MainMemory> {
         self.snapshots.get(epoch)
     }
@@ -375,7 +380,7 @@ impl Machine {
     pub fn set_reference_mode(&mut self, on: bool) {
         self.hier.set_reference_scan(on);
         self.snapshots = match (&self.snapshots, on) {
-            (SnapshotStore::Off(_), _) => SnapshotStore::Off(DeltaSnapshots::new()),
+            (SnapshotStore::Off, _) => SnapshotStore::Off,
             (_, true) => SnapshotStore::Full(BTreeMap::new()),
             (_, false) => SnapshotStore::Delta(DeltaSnapshots::new()),
         };
@@ -388,7 +393,7 @@ impl Machine {
 
     /// Total instructions retired across all cores.
     pub fn instructions(&self) -> u64 {
-        self.cores.iter().map(|c| c.instructions).sum()
+        self.retired
     }
 
     /// Wall-clock time: the furthest core clock.
@@ -402,6 +407,15 @@ impl Machine {
     fn next_token(&mut self) -> u64 {
         self.token += 1;
         self.token
+    }
+
+    /// Queues a store for the next commit's delta; with snapshots off
+    /// nothing would read it.
+    #[inline]
+    fn record_write(&mut self, line: LineAddr, token: u64) {
+        if !matches!(self.snapshots, SnapshotStore::Off) {
+            self.pending_dirty.push((line, token));
+        }
     }
 
     /// Executes one trace event on the core with the smallest clock among
@@ -432,6 +446,7 @@ impl Machine {
         let ev = core.next_event();
         core.clock += u64::from(ev.gap_instructions);
         core.instructions += ev.instructions();
+        self.retired += ev.instructions();
         self.instr_since_boundary += ev.instructions();
         let issue_at = core.clock;
 
@@ -440,7 +455,7 @@ impl Machine {
             AccessKind::Load => AccessType::Load,
             AccessKind::Store => {
                 let token = self.next_token();
-                self.pending_dirty.push((line, token));
+                self.record_write(line, token);
                 AccessType::Store { new_value: token }
             }
         };
@@ -570,11 +585,8 @@ impl Machine {
     /// event, so a crash point is reproducible from the instruction
     /// count alone). Returns the actual total retired.
     pub fn run_until(&mut self, total_instructions: u64) -> u64 {
-        let mut total = self.instructions();
-        while total < total_instructions && self.step(u64::MAX) {
-            total = self.instructions();
-        }
-        total
+        while self.retired < total_instructions && self.step(u64::MAX) {}
+        self.retired
     }
 
     /// Injects a power failure *inside* the epoch-boundary flush window:
@@ -595,7 +607,7 @@ impl Machine {
         for i in 0..cores {
             let line = boundary_handler_line(CoreId(i));
             let token = self.next_token();
-            self.pending_dirty.push((line, token));
+            self.record_write(line, token);
             let at = self.cores[i].clock;
             self.hier.access(
                 CoreId(i),
@@ -798,8 +810,8 @@ mod tests {
         }
     }
 
-    /// PiCL on gcc with snapshots, as `benchmark/`'s `sim-small` runs it.
-    fn picl_on_gcc() -> Machine {
+    /// PiCL on gcc, as `benchmark/`'s `sim-small` runs it.
+    fn picl_on_gcc(snapshots: bool) -> Machine {
         let mut cfg = SystemConfig::paper_single_core();
         cfg.epoch.epoch_len_instructions = 10_000;
         crate::runner::Simulation::builder(cfg)
@@ -807,32 +819,59 @@ mod tests {
             .workload(&[picl_trace::spec::SpecBenchmark::Gcc])
             .footprint_scale(0.05)
             .seed(1)
-            .keep_snapshots(true)
+            .keep_snapshots(snapshots)
             .into_machine()
             .unwrap()
     }
 
     #[test]
     fn golden_history_stays_bounded() {
-        // Folding behind the persisted frontier keeps the held delta
-        // entries within a small multiple of the image: without it they
-        // grow with every epoch committed.
-        let mut m = picl_on_gcc();
+        // After every commit the chain folds through the persisted
+        // frontier: the base is exactly the frontier's image, one entry
+        // per touched line, and only the epochs after it stay deltas.
+        let mut m = picl_on_gcc(true);
         for step in 1..=20u64 {
             m.run_until(step * 100_000);
+            m.epoch_boundary();
+            let persisted = m.scheme().persisted_eid();
             let SnapshotStore::Delta(deltas) = &m.snapshots else {
                 unreachable!("snapshots are on");
             };
-            let touched = m.logical_memory().touched_lines();
-            assert!(
-                deltas.delta_lines() <= 2 * touched.max(4096),
-                "{} delta entries held for {touched} touched lines at {} instructions",
-                deltas.delta_lines(),
+            assert_eq!(deltas.horizon(), persisted, "folded to the frontier");
+            assert_eq!(
+                deltas.base_lines(),
+                deltas.reconstruct(persisted).unwrap().touched_lines(),
+                "one base entry per touched line at {} instructions",
                 m.instructions()
+            );
+            assert!(
+                (1..persisted.raw()).all(|e| !deltas.contains(EpochId(e))),
+                "an epoch behind the frontier is still held"
             );
         }
         let crash = m.crash();
         assert_eq!(crash.consistent, Some(true), "{:?}", crash.mismatches);
+    }
+
+    #[test]
+    fn snapshots_off_keeps_no_history() {
+        let mut m = picl_on_gcc(false);
+        m.run_until(200_000);
+        assert!(m.report().commits > 10);
+        assert!(matches!(m.snapshots, SnapshotStore::Off));
+        assert_eq!(m.pending_dirty.capacity(), 0, "a store was queued");
+        assert!(m.snapshot(m.scheme().persisted_eid()).is_none());
+        assert!(m.snapshot(EpochId::ZERO).is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "needs snapshots on")]
+    fn logical_memory_needs_snapshots() {
+        let cfg = tiny_cfg();
+        let scheme = SchemeKind::Picl.build(&cfg);
+        let mut m = Machine::new(cfg, scheme, vec![script()], "script", false);
+        m.run(100);
+        let _ = m.logical_memory();
     }
 
     #[test]
@@ -841,7 +880,7 @@ mod tests {
         // is already wrong (recovery must reach the last persisted epoch);
         // once folded, that epoch has no golden image, so the crash must
         // not report a consistent recovery.
-        let mut m = picl_on_gcc();
+        let mut m = picl_on_gcc(true);
         m.run_until(2_000_000);
         let persisted = m.scheme().persisted_eid();
         let stale = EpochId(1);

@@ -15,6 +15,8 @@ fn build(scheme: SchemeKind, bench: SpecBenchmark, epoch: u64, seed: u64) -> Mac
         .workload_spec(WorkloadSpec::single(bench))
         .seed(seed)
         .footprint_scale(0.05)
+        // `logical_memory` derives its image from the golden history.
+        .keep_snapshots(true)
         .into_machine()
         .expect("valid configuration")
 }

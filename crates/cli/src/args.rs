@@ -1,7 +1,7 @@
 //! Minimal dependency-free argument parsing for the `picl` CLI.
 //!
 //! Grammar: `picl <command> [<subcommand>] [--flag value]...`. One bare
-//! word may follow the command (`picl store run`); whether it is accepted
+//! word may follow the command (`picl store dump`); whether it is accepted
 //! is the command's decision. Flags accept both `--flag value` and
 //! `--flag=value`. Numbers accept `k`/`m`/`g` suffixes
 //! (`--instructions 60m`).
@@ -88,7 +88,7 @@ impl Args {
         &self.command
     }
 
-    /// The bare word following the command, if any (`picl store run`).
+    /// The bare word following the command, if any (`picl store dump`).
     pub fn subcommand(&self) -> Option<&str> {
         self.subcommand.as_deref()
     }

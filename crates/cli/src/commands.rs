@@ -32,9 +32,9 @@ commands:
   bench       fast-vs-reference differential over a pinned matrix
   record      capture a synthetic workload to a trace file
   replay      simulate from a recorded trace file
-  store       the executable PiCL storage engine (see `picl store help`):
-              run | dump | verify | torture | simdiff
-  serve       concurrent serving front-end (see `picl serve help`):
+  store       inspect and judge PiCL store files (see `picl store help`):
+              dump | verify | simdiff
+  serve       the KV front-end over the PiCL engine (see `picl serve help`):
               run | torture
   ycsb        YCSB-style load benchmark: zipfian keys, A/B/C mixes,
               multi-session PiCL (and optionally the
@@ -912,6 +912,18 @@ mod tests {
         ] {
             let err = dispatch(&Args::parse(raw.iter().copied()).unwrap()).unwrap_err();
             assert!(err.to_string().contains("unknown command"), "{err}");
+        }
+        // `serve run --sessions 1` and `serve torture` replaced the
+        // single-session store front-end.
+        for raw in [
+            &["store", "run", "--path", "/nonexistent/s.store"][..],
+            &["store", "torture", "--trials", "1"],
+        ] {
+            let err = dispatch(&Args::parse(raw.iter().copied()).unwrap()).unwrap_err();
+            assert!(
+                err.to_string().contains("unknown store subcommand"),
+                "{err}"
+            );
         }
         for raw in [
             &["run", "--out", "/nonexistent/t"][..],

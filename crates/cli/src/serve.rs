@@ -4,13 +4,13 @@
 //! Subcommands:
 //!
 //! - `serve run` — drive N deterministic per-session streams against one
-//!   shared store; `--progress` streams the same flushed
-//!   `commit <eid> ops <n0>,<n1>,...` lines as `store run` (the kill -9
-//!   harness reads them to schedule its signal and to bound each
-//!   session's recovered prefix).
-//! - `serve torture` — spawn seeded multi-session `kill -9` children and
-//!   require every recovery to be prefix-consistent per session within
-//!   the RPO bound.
+//!   shared store; `--progress` streams flushed
+//!   `commit <eid> ops <n0>,<n1>,...` lines (the kill -9 harness reads
+//!   them to schedule its signal and to bound each session's recovered
+//!   prefix).
+//! - `serve torture` — spawn seeded `kill -9` children of 1–5 sessions
+//!   and require every recovery to be prefix-consistent per session
+//!   (at the exact op count for a lone session) within the RPO bound.
 //! - `ycsb` — the load benchmark: zipfian key popularity, A/B/C mixes,
 //!   closed- or open-loop arrivals. Runs a multi-session PiCL cell (plus,
 //!   with `--baseline`, the fdatasync-per-mutation store) one after the
@@ -22,8 +22,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-use picl_crashlab::Target;
+use picl_crashlab::{run_torture_campaign, Judgement, KillClass};
 use picl_obs::{MetricsRegistry, SnapValue};
+use picl_serve::session::CommitHook;
 use picl_serve::{
     preload, run_load, session_ops, Arrival, Backend, FsyncKv, LoadReport, LoadSpec, MixPreset,
     ServeKv,
@@ -65,7 +66,9 @@ run flags:
   --flight-max-files N  rotated generations to keep (default 3)
 
 torture flags:
-  --trials N            multi-session kill -9 trials (default 30)
+  --trials N            kill -9 trials of 1-5 session children, rotating
+                        the crash classes mid-epoch / boundary / mid-drain
+                        (default 30)
   --seed N              campaign seed (default 7)
   --dir DIR             scratch directory (default: the OS temp dir)
 ";
@@ -79,7 +82,7 @@ torture flags:
 pub fn cmd_serve(args: &Args) -> Result<(), ArgError> {
     match args.subcommand() {
         Some("run") => serve_run(args),
-        Some("torture") => crate::store::torture(args, Target::Serve, 30),
+        Some("torture") => serve_torture(args),
         Some("help") | None => {
             println!("{SERVE_USAGE}");
             Ok(())
@@ -154,7 +157,7 @@ pub(crate) fn fresh_store_pass(
     registry: Option<&MetricsRegistry>,
 ) -> Result<LoadPass, ArgError> {
     let _ = std::fs::remove_file(path);
-    let medium = crate::store::open_medium(path, cfg, "file")?;
+    let medium = crate::store::open_medium(path, cfg)?;
     let (mut kv, _) = ServeKv::open(medium, cfg.clone(), telemetry, ops_per_epoch, spec.sessions)
         .map_err(|e| ArgError(format!("open store: {e}")))?;
     if let Some(registry) = registry {
@@ -167,6 +170,22 @@ pub(crate) fn fresh_store_pass(
         .map_err(|e| ArgError(format!("final commit: {e}")))?;
     kv.close().map_err(|e| ArgError(format!("close: {e}")))?;
     Ok(pass)
+}
+
+/// Writes one flushed `commit <eid> ops <n0>,<n1>,...` progress line: the
+/// kill -9 harness reads this stream to schedule its signal and to bound
+/// each session's recovered prefix.
+fn progress_hook() -> CommitHook {
+    Box::new(|eid, counts| {
+        let joined = counts
+            .iter()
+            .map(u64::to_string)
+            .collect::<Vec<_>>()
+            .join(",");
+        let mut stdout = std::io::stdout().lock();
+        let _ = writeln!(stdout, "commit {eid} ops {joined}");
+        let _ = stdout.flush();
+    })
 }
 
 /// Opens (recovering if needed) the `--path` store for `sessions`
@@ -182,7 +201,7 @@ fn open_serve_kv(
         Some(_) => Telemetry::new(0, 1 << 18),
         None => Telemetry::off(),
     };
-    let medium = crate::store::open_medium(&path, cfg, "file")?;
+    let medium = crate::store::open_medium(&path, cfg)?;
     let ops_per_epoch = args.count_or("ops-per-epoch", 8)?;
     let (mut kv, report) = ServeKv::open(
         medium,
@@ -202,7 +221,7 @@ fn open_serve_kv(
         );
     }
     if args.is_set("progress") {
-        kv.set_commit_hook(crate::store::progress_hook());
+        kv.set_commit_hook(progress_hook());
     }
     Ok((kv, telemetry))
 }
@@ -346,6 +365,69 @@ fn serve_run(args: &Args) -> Result<(), ArgError> {
         srv.shutdown();
     }
     Ok(())
+}
+
+/// `picl serve torture`: one seeded kill -9 campaign against `serve run`
+/// children, and its report.
+fn serve_torture(args: &Args) -> Result<(), ArgError> {
+    args.expect_only(&["trials", "seed", "dir"])?;
+    let trials = args.count_or("trials", 30)?;
+    if trials == 0 {
+        return Err(ArgError("--trials must be at least 1".into()));
+    }
+    let binary = std::env::current_exe()
+        .map_err(|e| ArgError(format!("cannot locate the picl binary: {e}")))?;
+    let dir = match args.get("dir") {
+        Some(d) => PathBuf::from(d),
+        None => std::env::temp_dir().join(format!("picl-serve-torture-{}", std::process::id())),
+    };
+    std::fs::create_dir_all(&dir)
+        .map_err(|e| ArgError(format!("cannot create {}: {e}", dir.display())))?;
+    let report =
+        run_torture_campaign(&binary, &dir, trials, args.count_or("seed", 7)?).map_err(ArgError)?;
+    let by_class = KillClass::ALL.map(|c| report.count(|o| o.class == c));
+    let inconsistent = report.count(|o| !o.judgement.consistent);
+    let rpo_violations = report.count(|o| !o.judgement.rpo_ok);
+    let flight_failures = report.count(|o| !o.flight_ok);
+    let judgements = || report.outcomes.iter().map(|o| &o.judgement);
+    let worst_lost = judgements().map(Judgement::epochs_lost).max().unwrap_or(0);
+    let total_replayed: u64 = judgements().map(|j| j.entries_replayed).sum();
+    let max_recovery_ns = judgements().map(|j| j.recovery_ns).max().unwrap_or(0);
+    let sessions_judged: usize = judgements().map(|j| j.sessions_consistent.len()).sum();
+    let exact = judgements()
+        .filter(|j| j.sessions_consistent.len() == 1)
+        .count();
+    let flight_lines: u64 = report.outcomes.iter().map(|o| o.flight_lines).sum();
+    println!(
+        "{} trials ({} mid-epoch, {} boundary, {} mid-drain), {} kill -9s delivered, \
+         {sessions_judged} session verdicts ({exact} one-session trials judged at the exact \
+         op count), in {:.2} s",
+        report.outcomes.len(),
+        by_class[0],
+        by_class[1],
+        by_class[2],
+        report.count(|o| o.killed),
+        report.elapsed.as_secs_f64()
+    );
+    println!(
+        "oracle: {inconsistent} inconsistent, {rpo_violations} RPO violations, \
+         {flight_failures} unreadable flight logs ({flight_lines} snapshot lines recovered); \
+         worst epochs lost {worst_lost}, {total_replayed} undo entries replayed across all \
+         recoveries, slowest recovery {:.3} ms",
+        max_recovery_ns as f64 / 1e6
+    );
+    if report.passed() {
+        println!(
+            "serve torture: PASS (every session prefix-consistent within the RPO bound, \
+             every flight log readable after the kill)"
+        );
+        Ok(())
+    } else {
+        Err(ArgError(format!(
+            "serve torture: {inconsistent} inconsistent recoveries, \
+             {rpo_violations} RPO violations, {flight_failures} unreadable flight logs"
+        )))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1064,7 +1146,7 @@ mod tests {
         // The audit gate always runs: no flag replays or skips a cell.
         // Nor does any flag resize the log or stall the persister: the log
         // is sized from the lines and the window, and only the torture
-        // harness's `store run`/`serve run` children stall.
+        // harness's `serve run` children stall.
         for flags in [
             &["--resume", "/nonexistent"][..],
             &["--cell-timeout", "5"],

@@ -1,77 +1,44 @@
-//! `picl store` — drive the executable PiCL storage engine.
+//! `picl store` — inspect and judge the executable PiCL storage engine's
+//! files. (`picl serve run` writes them.)
 //!
 //! Subcommands:
 //!
-//! - `run` — execute a workload (seeded or from a file) against a store
-//!   file, printing epoch/RPO statistics; `--progress` streams flushed
-//!   `commit <eid> ops <n0>,...` lines for the kill -9 harness.
 //! - `dump` — print a store file's superblock and live undo log.
-//! - `verify` — recover a store file and judge it against the seeded
-//!   model oracle (nonzero exit on any inconsistency).
-//! - `torture` — spawn N seeded `kill -9` children and require every one
-//!   to recover within the one-epoch RPO bound.
+//! - `verify` — recover a `serve run` store file and judge it against the
+//!   run's seeded session streams (nonzero exit on any inconsistency).
 //! - `simdiff` — run one workload through both the store and the
 //!   simulator and diff epoch-level undo outcomes.
 
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use picl_crashlab::{
-    run_store_diff, run_torture_campaign, Judgement, KillClass, StoreDiffSpec, Target, Victim,
-};
-use picl_serve::session::CommitHook;
+use picl_crashlab::{run_store_diff, StoreDiffSpec, Victim};
 use picl_store::layout::{decode_log_block, Geometry, Superblock, LOG_BLOCK_BYTES, SB_BYTES};
-use picl_store::{
-    apply_to_store, generate, min_log_blocks, parse_workload, EngineConfig, FileMedium, Kv,
-    LatencyMedium, PersistOps,
-};
-use picl_telemetry::Telemetry;
+use picl_store::{min_log_blocks, EngineConfig, FileMedium, PersistOps};
 use picl_types::EpochId;
 
 use crate::args::{ArgError, Args};
 
 /// Usage text for `picl store help`.
 const STORE_USAGE: &str = "\
-usage: picl store <run|dump|verify|torture|simdiff|help> [--flag value]...
-
-run flags:
-  --path FILE           store file (required; created if absent)
-  --seed N              seeded workload (default 1; ignored with --workload)
-  --ops N               operations to run (default 200)
-  --ops-per-epoch N     epoch granularity in operations (default 8)
-  --key-space N         distinct keys in the seeded workload (default 16)
-  --window N            in-order persist window = RPO bound (default 1)
-  --lines N             data capacity in 64B lines when creating (default 1024);
-                        the undo log is sized from --lines and --window
-  --persist-stall-ms N  persister mid-epoch stall, widens the mid-drain
-                        crash window for torture (default 0)
-  --workload FILE       run `put K V` / `del K` / `get K` lines instead of
-                        the seeded workload
-  --medium MODE         file | latency (latency injects Makalu-style NVM
-                        delays: 340ns/persist, 500ns/fence; default file)
-  --progress            stream flushed `commit <eid> ops n0,n1,...` lines
-                        (ops applied per session) to stdout
-  --telemetry PREFIX    export the engine's event stream (audit-ready)
+usage: picl store <dump|verify|simdiff|help> [--flag value]...
 
 dump flags:
   --path FILE           store file (required)
 
 verify flags:
-  --path FILE           store file (required)
-  --seed N, --ops-per-epoch N, --key-space N, --window N
-                        the workload contract to judge against
+  --path FILE           store file written by `picl serve run` (required)
+  --seed N, --sessions N, --ops-per-session N, --ops-per-epoch N,
+  --key-space N, --window N
+                        the `serve run` contract to judge against (same
+                        defaults); one session is judged at the exact op
+                        count its recovered epoch holds
   --observed-commit N   last commit known reached (tightens the RPO check)
-
-torture flags:
-  --trials N            kill -9 trials, rotating the three crash classes
-                        mid-epoch / boundary / mid-drain (default 51)
-  --seed N              campaign seed (default 7)
-  --dir DIR             scratch directory (default: the OS temp dir)
 
 simdiff flags:
   --seed N, --ops N, --ops-per-epoch N, --key-space N
-                        the workload both implementations execute
+                        the workload both implementations execute; an
+                        epoch here is N operations, gets included
 ";
 
 /// Dispatches `picl store <sub>`.
@@ -79,14 +46,12 @@ simdiff flags:
 /// # Errors
 ///
 /// Returns an [`ArgError`] for unknown subcommands, bad flags, I/O
-/// failures, or failed verifications (torture mismatches, sim
+/// failures, or failed verifications (an inconsistent recovery, sim
 /// divergence).
 pub fn cmd_store(args: &Args) -> Result<(), ArgError> {
     match args.subcommand() {
-        Some("run") => store_run(args),
         Some("dump") => store_dump(args),
         Some("verify") => store_verify(args),
-        Some("torture") => torture(args, Target::Store, 51),
         Some("simdiff") => store_simdiff(args),
         Some("help") | None => {
             println!("{STORE_USAGE}");
@@ -132,10 +97,11 @@ pub(crate) fn engine_config(
     Ok(cfg)
 }
 
+/// Opens the store file at `path`, creating it at `cfg`'s geometry if
+/// absent.
 pub(crate) fn open_medium(
     path: &Path,
     cfg: &EngineConfig,
-    mode: &str,
 ) -> Result<Arc<dyn PersistOps>, ArgError> {
     let geometry = Geometry {
         lines: cfg.lines,
@@ -147,121 +113,7 @@ pub(crate) fn open_medium(
         FileMedium::open(path, geometry.total_len())
     }
     .map_err(|e| ArgError(format!("cannot open {}: {e}", path.display())))?;
-    match mode {
-        "file" => Ok(Arc::new(file)),
-        // Makalu's emulate_latency_ns figures for PCM-class NVM.
-        "latency" => Ok(Arc::new(LatencyMedium::new(file, 340, 500))),
-        other => Err(ArgError(format!(
-            "--medium must be file or latency, not {other:?}"
-        ))),
-    }
-}
-
-/// Writes one flushed `commit <eid> ops <n0>,<n1>,...` progress line: the
-/// kill -9 harness reads this stream to schedule its signal and to bound
-/// each session's recovered prefix.
-fn write_commit_line(eid: u64, counts: &[u64]) -> std::io::Result<()> {
-    let joined = counts
-        .iter()
-        .map(u64::to_string)
-        .collect::<Vec<_>>()
-        .join(",");
-    let mut stdout = std::io::stdout().lock();
-    writeln!(stdout, "commit {eid} ops {joined}")?;
-    stdout.flush()
-}
-
-/// The `--progress` commit hook for `serve run`'s sessions.
-pub(crate) fn progress_hook() -> CommitHook {
-    Box::new(|eid, counts| {
-        let _ = write_commit_line(eid, counts);
-    })
-}
-
-fn store_run(args: &Args) -> Result<(), ArgError> {
-    args.expect_only(&[
-        "path",
-        "seed",
-        "ops",
-        "ops-per-epoch",
-        "key-space",
-        "window",
-        "lines",
-        "persist-stall-ms",
-        "workload",
-        "medium",
-        "progress",
-        "telemetry",
-    ])?;
-    let path = required_path(args)?;
-    let cfg = engine_config(args, 1024, 1)?;
-    let ops_per_epoch = args.count_or("ops-per-epoch", 8)?;
-    let medium = open_medium(&path, &cfg, args.get_or("medium", "file"))?;
-    let telemetry = match args.get("telemetry") {
-        Some(_) => Telemetry::new(0, 1 << 18),
-        None => Telemetry::off(),
-    };
-    let (mut kv, report) = Kv::open(medium, cfg.clone(), telemetry.clone(), ops_per_epoch)
-        .map_err(|e| ArgError(format!("open store: {e}")))?;
-    if report.recovered {
-        println!(
-            "recovered {} to epoch {} ({} undo entries replayed, {} lines restored, {:.3} ms)",
-            path.display(),
-            report.recovered_to,
-            report.entries_applied,
-            report.lines_restored,
-            report.recovery_ns as f64 / 1e6
-        );
-    }
-
-    let ops = match args.get("workload") {
-        Some(file) => {
-            let text = std::fs::read_to_string(file)
-                .map_err(|e| ArgError(format!("cannot read {file}: {e}")))?;
-            parse_workload(&text).map_err(ArgError)?
-        }
-        None => generate(
-            args.count_or("seed", 1)?,
-            args.count_or("ops", 200)?,
-            args.count_or("key-space", 16)?,
-        ),
-    };
-
-    let progress = args.is_set("progress");
-    for op in &ops {
-        let before = kv.engine().frontiers().1;
-        apply_to_store(&mut kv, op).map_err(|e| ArgError(format!("workload: {e}")))?;
-        let after = kv.engine().frontiers().1;
-        if progress && after != before {
-            write_commit_line(after, &[kv.ops()]).map_err(|e| ArgError(format!("stdout: {e}")))?;
-        }
-    }
-    let (_, committed, persisted) = kv.engine().frontiers();
-    let live = kv.scan().map_err(|e| ArgError(format!("scan: {e}")))?.len();
-    let stats = kv
-        .close()
-        .map_err(|e| ArgError(format!("close store: {e}")))?;
-    println!(
-        "ran {} ops ({} live keys): {} epochs committed, {} persisted (RPO bound {} epoch[s]), \
-         {} undo entries, {} drains ({} forced), {} log blocks, {} line writebacks, \
-         {} bloom hits, {} window stalls",
-        ops.len(),
-        live,
-        committed,
-        persisted,
-        cfg.window,
-        stats.undo_entries,
-        stats.drains,
-        stats.forced_drains,
-        stats.log_blocks_written,
-        stats.line_writebacks,
-        stats.bloom_hits,
-        stats.window_stalls
-    );
-    if let Some(prefix) = args.get("telemetry") {
-        crate::commands::export_telemetry(prefix, &telemetry.snapshot())?;
-    }
-    Ok(())
+    Ok(Arc::new(file))
 }
 
 fn store_dump(args: &Args) -> Result<(), ArgError> {
@@ -318,18 +170,20 @@ fn store_verify(args: &Args) -> Result<(), ArgError> {
     args.expect_only(&[
         "path",
         "seed",
+        "sessions",
+        "ops-per-session",
         "ops-per-epoch",
         "key-space",
         "window",
         "observed-commit",
     ])?;
     let path = required_path(args)?;
-    let victim = Victim::Store {
-        // The store judge's candidate op count is `recovered_to ×
-        // ops_per_epoch`; it never reads `ops`.
-        ops: 0,
+    // `serve run`'s defaults, so a run and its verify take the same flags.
+    let victim = Victim {
+        sessions: args.count_or("sessions", 4)? as usize,
+        ops_per_session: args.count_or("ops-per-session", 100)?,
         ops_per_epoch: args.count_or("ops-per-epoch", 8)?,
-        key_space: args.count_or("key-space", 16)?,
+        key_space: args.count_or("key-space", 12)?,
     };
     let observed = (args.count_or("observed-commit", 0)?, Vec::new());
     let judgement = picl_crashlab::judge_recovery(
@@ -354,66 +208,6 @@ fn store_verify(args: &Args) -> Result<(), ArgError> {
         Ok(())
     } else {
         Err(ArgError("store failed verification".into()))
-    }
-}
-
-/// `picl store torture` and `picl serve torture`: one seeded kill -9
-/// campaign against `target` children, and its report.
-pub(crate) fn torture(args: &Args, target: Target, default_trials: u64) -> Result<(), ArgError> {
-    args.expect_only(&["trials", "seed", "dir"])?;
-    let trials = args.count_or("trials", default_trials)?;
-    if trials == 0 {
-        return Err(ArgError("--trials must be at least 1".into()));
-    }
-    let binary = std::env::current_exe()
-        .map_err(|e| ArgError(format!("cannot locate the picl binary: {e}")))?;
-    let name = target.name();
-    let dir = match args.get("dir") {
-        Some(d) => PathBuf::from(d),
-        None => std::env::temp_dir().join(format!("picl-{name}-torture-{}", std::process::id())),
-    };
-    std::fs::create_dir_all(&dir)
-        .map_err(|e| ArgError(format!("cannot create {}: {e}", dir.display())))?;
-    let report = run_torture_campaign(&binary, &dir, target, trials, args.count_or("seed", 7)?)
-        .map_err(ArgError)?;
-    let by_class = KillClass::ALL.map(|c| report.count(|o| o.class == c));
-    let inconsistent = report.count(|o| !o.judgement.consistent);
-    let rpo_violations = report.count(|o| !o.judgement.rpo_ok);
-    let flight_failures = report.count(|o| o.flight_ok == Some(false));
-    let judgements = || report.outcomes.iter().map(|o| &o.judgement);
-    let worst_lost = judgements().map(Judgement::epochs_lost).max().unwrap_or(0);
-    let total_replayed: u64 = judgements().map(|j| j.entries_replayed).sum();
-    let max_recovery_ns = judgements().map(|j| j.recovery_ns).max().unwrap_or(0);
-    let sessions_judged: usize = judgements().map(|j| j.sessions_consistent.len()).sum();
-    let flight_lines: u64 = report.outcomes.iter().map(|o| o.flight_lines).sum();
-    println!(
-        "{} trials ({} mid-epoch, {} boundary, {} mid-drain), {} kill -9s delivered, \
-         {sessions_judged} session verdicts, in {:.2} s",
-        report.outcomes.len(),
-        by_class[0],
-        by_class[1],
-        by_class[2],
-        report.count(|o| o.killed),
-        report.elapsed.as_secs_f64()
-    );
-    println!(
-        "oracle: {inconsistent} inconsistent, {rpo_violations} RPO violations, \
-         {flight_failures} unreadable flight logs ({flight_lines} snapshot lines recovered); \
-         worst epochs lost {worst_lost}, {total_replayed} undo entries replayed across all \
-         recoveries, slowest recovery {:.3} ms",
-        max_recovery_ns as f64 / 1e6
-    );
-    if report.passed() {
-        println!(
-            "{name} torture: PASS (every session prefix-consistent within the RPO bound, \
-             every flight log readable after the kill)"
-        );
-        Ok(())
-    } else {
-        Err(ArgError(format!(
-            "{name} torture: {inconsistent} inconsistent recoveries, \
-             {rpo_violations} RPO violations, {flight_failures} unreadable flight logs"
-        )))
     }
 }
 
@@ -465,36 +259,33 @@ mod tests {
         Args::parse(raw.iter().copied()).unwrap()
     }
 
+    /// The contract flags `serve run` and `store verify` share: one
+    /// session, seed 3, 64 ops, 4 mutations per epoch.
+    const CONTRACT: [&str; 8] = [
+        "--sessions",
+        "1",
+        "--seed",
+        "3",
+        "--ops-per-session",
+        "64",
+        "--ops-per-epoch",
+        "4",
+    ];
+
+    fn serve_run(path: &str) {
+        let mut raw = vec!["serve", "run", "--path", path];
+        raw.extend(CONTRACT);
+        crate::serve::cmd_serve(&parse(&raw)).unwrap();
+    }
+
     #[test]
     fn run_then_verify_then_dump_round_trip() {
         let path = temp_store("roundtrip.store");
         let p = path.display().to_string();
-        cmd_store(&parse(&[
-            "store",
-            "run",
-            "--path",
-            &p,
-            "--seed",
-            "3",
-            "--ops",
-            "64",
-            "--ops-per-epoch",
-            "4",
-        ]))
-        .unwrap();
-        cmd_store(&parse(&[
-            "store",
-            "verify",
-            "--path",
-            &p,
-            "--seed",
-            "3",
-            "--ops-per-epoch",
-            "4",
-            "--observed-commit",
-            "16",
-        ]))
-        .unwrap();
+        serve_run(&p);
+        let mut raw = vec!["store", "verify", "--path", &p, "--observed-commit", "8"];
+        raw.extend(CONTRACT);
+        cmd_store(&parse(&raw)).unwrap();
         cmd_store(&parse(&["store", "dump", "--path", &p])).unwrap();
         let _ = std::fs::remove_file(&path);
     }
@@ -503,53 +294,14 @@ mod tests {
     fn verify_flags_a_wrong_seed() {
         let path = temp_store("wrongseed.store");
         let p = path.display().to_string();
-        cmd_store(&parse(&[
-            "store",
-            "run",
-            "--path",
-            &p,
-            "--seed",
-            "3",
-            "--ops",
-            "64",
-            "--ops-per-epoch",
-            "4",
-        ]))
-        .unwrap();
-        let err = cmd_store(&parse(&[
-            "store",
-            "verify",
-            "--path",
-            &p,
-            "--seed",
-            "4",
-            "--ops-per-epoch",
-            "4",
-        ]))
-        .unwrap_err();
+        serve_run(&p);
+        let mut raw = vec!["store", "verify", "--path", &p];
+        raw.extend(CONTRACT);
+        let seed = raw.iter().position(|&flag| flag == "--seed").unwrap() + 1;
+        raw[seed] = "4";
+        let err = cmd_store(&parse(&raw)).unwrap_err();
         assert!(err.to_string().contains("failed verification"), "{err}");
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn workload_file_mode_runs() {
-        let path = temp_store("file.store");
-        let dir = path.parent().unwrap();
-        let wl = dir.join("demo.workload");
-        std::fs::write(&wl, "put a 1\nput b 2\nget a\ndel a\n").unwrap();
-        cmd_store(&parse(&[
-            "store",
-            "run",
-            "--path",
-            &path.display().to_string(),
-            "--workload",
-            &wl.display().to_string(),
-            "--ops-per-epoch",
-            "2",
-        ]))
-        .unwrap();
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&wl);
     }
 
     #[test]
@@ -571,16 +323,18 @@ mod tests {
     fn unknown_subcommand_and_missing_path_error() {
         assert!(cmd_store(&parse(&["store", "frobnicate"])).is_err());
         assert!(cmd_store(&parse(&["store", "dump"])).is_err());
+        assert!(cmd_store(&parse(&["store", "verify"])).is_err());
         cmd_store(&parse(&["store", "help"])).unwrap();
         cmd_store(&parse(&["store"])).unwrap();
     }
 
     #[test]
     fn run_sizes_its_own_log() {
+        // The log is sized from `--lines` and `--window`; no flag sets it.
         let path = temp_store("log-blocks.store");
         let p = path.display().to_string();
-        let err = cmd_store(&parse(&[
-            "store",
+        let err = crate::serve::cmd_serve(&parse(&[
+            "serve",
             "run",
             "--path",
             &p,
@@ -590,24 +344,5 @@ mod tests {
         .unwrap_err();
         assert!(err.to_string().contains("unknown flag"), "{err}");
         assert!(!path.exists(), "a rejected flag must not create the store");
-    }
-
-    #[test]
-    fn latency_medium_mode_runs() {
-        let path = temp_store("latency.store");
-        cmd_store(&parse(&[
-            "store",
-            "run",
-            "--path",
-            &path.display().to_string(),
-            "--ops",
-            "24",
-            "--ops-per-epoch",
-            "4",
-            "--medium",
-            "latency",
-        ]))
-        .unwrap();
-        let _ = std::fs::remove_file(&path);
     }
 }

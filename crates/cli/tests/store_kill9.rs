@@ -1,12 +1,13 @@
-//! End-to-end torture of the real `picl` binary: spawn `picl store run`
-//! and `picl serve run` children, `kill -9` them, recover the store file,
-//! and check the oracle — the full loop the CI smoke steps run at scale.
+//! End-to-end torture of the real `picl` binary: spawn `picl serve run`
+//! children of one and of several sessions, `kill -9` them, recover the
+//! store file, and check the oracle — the full loop the CI smoke step
+//! runs at scale.
 
 use std::path::PathBuf;
 use std::process::Command;
 
 use picl_crashlab::{
-    parse_commit_line, run_torture_campaign, run_trial, KillClass, Target, TortureSpec, Victim,
+    parse_commit_line, run_torture_campaign, run_trial, KillClass, TortureSpec, Victim,
 };
 
 fn picl_bin() -> PathBuf {
@@ -34,12 +35,13 @@ fn spec(name: &str, seed: u64, victim: Victim, class: KillClass) -> TortureSpec 
 #[test]
 fn each_kill_class_recovers_within_the_rpo_bound() {
     let victims = [
-        Victim::Store {
-            ops: 400,
+        Victim {
+            sessions: 1,
+            ops_per_session: 300,
             ops_per_epoch: 4,
             key_space: 12,
         },
-        Victim::Serve {
+        Victim {
             sessions: 3,
             ops_per_session: 120,
             ops_per_epoch: 4,
@@ -70,11 +72,12 @@ fn each_kill_class_recovers_within_the_rpo_bound() {
 
 #[test]
 fn a_child_that_dies_on_its_own_is_a_harness_error() {
-    // `--key-space 0` panics in the workload generator before the first
+    // `--key-space 0` panics in the stream generator before the first
     // commit: no kill is ever delivered, and the trial must not pass as a
     // clean shutdown.
-    let victim = Victim::Store {
-        ops: 40,
+    let victim = Victim {
+        sessions: 1,
+        ops_per_session: 40,
         ops_per_epoch: 4,
         key_space: 0,
     };
@@ -90,27 +93,24 @@ fn a_child_that_dies_on_its_own_is_a_harness_error() {
 
 #[test]
 fn a_small_seeded_campaign_passes_and_actually_kills() {
-    for target in [Target::Store, Target::Serve] {
-        let report =
-            run_torture_campaign(&picl_bin(), &scratch(), target, 6, 11).expect("campaign harness");
-        assert!(
-            report.passed(),
-            "{} campaign failed: {report:?}",
-            target.name()
-        );
-        assert_eq!(report.outcomes.len(), 6);
-        assert!(
-            report.count(|o| o.killed) >= 1,
-            "a 6-trial campaign should deliver at least one SIGKILL"
-        );
-    }
+    let report = run_torture_campaign(&picl_bin(), &scratch(), 12, 11).expect("campaign harness");
+    assert!(report.passed(), "campaign failed: {report:?}");
+    assert_eq!(report.outcomes.len(), 12);
+    assert!(
+        report.count(|o| o.killed) >= 1,
+        "a 12-trial campaign should deliver at least one SIGKILL"
+    );
+    assert!(
+        report.count(|o| o.judgement.sessions_consistent.len() == 1) >= 1,
+        "the campaign should draw a one-session child"
+    );
 }
 
 #[test]
 fn every_progress_line_parses_as_a_commit_line() {
     let dir = scratch();
     let runs = [
-        ("store run --ops 60", 1),
+        ("serve run --sessions 1 --ops-per-session 60", 1),
         ("serve run --sessions 3 --ops-per-session 30", 3),
     ];
     for (i, (label, sessions)) in runs.into_iter().enumerate() {
@@ -139,6 +139,8 @@ fn every_progress_line_parses_as_a_commit_line() {
     }
 }
 
+/// A one-session `serve run`'s exported engine event stream passes the
+/// protocol audit.
 #[test]
 fn store_run_exports_an_audit_clean_event_stream() {
     let dir = scratch();
@@ -148,13 +150,15 @@ fn store_run_exports_an_audit_clean_event_stream() {
 
     let run = Command::new(picl_bin())
         .args([
-            "store",
+            "serve",
             "run",
+            "--sessions",
+            "1",
             "--path",
             store.to_str().unwrap(),
             "--seed",
             "9",
-            "--ops",
+            "--ops-per-session",
             "120",
             "--ops-per-epoch",
             "6",
@@ -162,10 +166,10 @@ fn store_run_exports_an_audit_clean_event_stream() {
             prefix.to_str().unwrap(),
         ])
         .output()
-        .expect("spawn picl store run");
+        .expect("spawn picl serve run");
     assert!(
         run.status.success(),
-        "store run failed: {}",
+        "serve run failed: {}",
         String::from_utf8_lossy(&run.stderr)
     );
 

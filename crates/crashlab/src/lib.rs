@@ -20,11 +20,11 @@
 //!   over the fault-isolated, checkpointed `picl-campaign` executor and
 //!   folds verdicts into a pass/fail matrix; interrupted campaigns resume
 //!   from their completed trials.
-//! - [`torture`] — process torture: `kill -9` a live `picl store run` or
-//!   `picl serve run` child, recover its store file, and judge it per
-//!   session — each session's slice of the image must equal its seeded
-//!   model at an op count the commit stream allows — within the RPO
-//!   bound. A store child is the one-session case.
+//! - [`torture`] — process torture: `kill -9` a live `picl serve run`
+//!   child, recover its store file, and judge it per session — each
+//!   session's slice of the image must equal its seeded model at an op
+//!   count the commit stream allows (exactly one count for a one-session
+//!   child) — within the RPO bound.
 //! - [`storediff`] — the store-vs-simulator differential: one logical
 //!   workload through both implementations of the protocol, per-epoch
 //!   undo outcomes required to match line-for-line.
@@ -53,5 +53,5 @@ pub use shrink::{shrink_failure, ShrunkFailure};
 pub use storediff::{run_store_diff, StoreDiffReport, StoreDiffSpec};
 pub use torture::{
     judge_recovery, parse_commit_line, run_torture_campaign, run_trial, Judgement, KillClass,
-    Target, TortureOutcome, TortureReport, TortureSpec, Victim,
+    TortureOutcome, TortureReport, TortureSpec, Victim,
 };

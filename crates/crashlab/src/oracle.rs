@@ -36,7 +36,7 @@ pub struct TrialSpec {
 }
 
 /// What one crash trial observed.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrialOutcome {
     /// Instructions actually retired before the cut (>= the point's
     /// instant unless the workload ended early).
@@ -141,14 +141,20 @@ impl picl_campaign::CampaignCell for TrialSpec {
 }
 
 impl TrialSpec {
-    /// Builds the machine this spec describes (snapshots on, so crashes
-    /// are verifiable).
+    /// Builds the machine this spec describes. Snapshots are on for a
+    /// scheme that promises consistency, so its crashes are verifiable;
+    /// Ideal always recovers to the power-on image, which needs no
+    /// history.
     ///
     /// # Panics
     ///
     /// Panics if the derived configuration is invalid (campaign configs
     /// are validated before trials fan out).
     pub fn build_machine(&self) -> Machine {
+        self.machine(self.scheme.expects_consistency())
+    }
+
+    fn machine(&self, snapshots: bool) -> Machine {
         let mut cfg = SystemConfig::paper_single_core();
         cfg.epoch.epoch_len_instructions = self.epoch_len;
         cfg.epoch.acs_gap = self.acs_gap;
@@ -161,7 +167,7 @@ impl TrialSpec {
         let scheme = self.scheme.build(&cfg);
         let traces = spec.build_traces(self.seed, self.footprint_scale);
         let label = spec.label().to_owned();
-        Machine::new(cfg, scheme, traces, label, true)
+        Machine::new(cfg, scheme, traces, label, snapshots)
     }
 
     /// Runs the trial: execute to the crash instant, cut power, recover,
@@ -251,6 +257,7 @@ impl TrialSpec {
 mod tests {
     use super::*;
     use picl_sim::SchemeKind;
+    use picl_types::EpochId;
 
     // gcc at footprint scale 0.05 keeps the LLC under enough conflict
     // pressure that dirty lines are evicted in-place mid-epoch — the
@@ -288,6 +295,24 @@ mod tests {
             );
             assert!(outcome.mismatch_count > 0);
         }
+    }
+
+    #[test]
+    fn ideal_trial_keeps_no_history() {
+        // Ideal's persisted frontier never moves, so a golden history
+        // would never fold; it recovers to the power-on image, which
+        // needs none, and the verdict is the one a full history gives.
+        let s = spec(LabScheme::Standard(SchemeKind::Ideal), 120_000);
+        let mut m = s.build_machine();
+        m.run_until(120_000);
+        assert!(m.scheme().system_eid().raw() > 2, "epochs committed");
+        assert!(m.snapshot(EpochId(1)).is_none(), "an epoch image is held");
+        assert!(m.snapshot(EpochId::ZERO).is_some());
+        let lean = s.execute();
+        let full = s.run_to_verdict(&mut s.machine(true));
+        assert_eq!(lean, full);
+        assert_eq!((lean.recovered_to, lean.consistent), (0, Some(false)));
+        assert!(lean.mismatch_count > 0);
     }
 
     #[test]

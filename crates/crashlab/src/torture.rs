@@ -1,5 +1,5 @@
-//! Process torture: `kill -9` a live `picl store run` or `picl serve run`
-//! child and judge its recovered store file.
+//! Process torture: `kill -9` a live `picl serve run` child and judge its
+//! recovered store file.
 //!
 //! The simulator-side oracle ([`crate::oracle`]) cuts power in a model;
 //! this module cuts it on a live process. The child runs a seeded KV
@@ -10,16 +10,15 @@
 //! scheduled point in one of three classes — mid-epoch, at a commit
 //! boundary, or inside the persister's in-place write burst (held open by
 //! `--persist-stall-ms`). It then recovers the file in-process and judges
-//! it with [`judge_recovery`]: per-session prefix consistency, where a
-//! store child is one session that owns every key, plus the RPO bound.
-//! Serve children also run a flight recorder whose log must still parse
-//! after the kill.
+//! it with [`judge_recovery`]: per-session prefix consistency, exact for a
+//! one-session child, plus the RPO bound. Every child also runs a flight
+//! recorder whose log must still parse after the kill.
 //!
 //! `kill -9` is a *process*-death model: writes the kernel already
 //! accepted survive in the page cache, so it under-approximates power
 //! failure. The adversarial unfenced-write-dropping model is covered by
-//! `CountingMedium` in the store's property suite; this harness covers
-//! what that one cannot — real file I/O, real threads killed at an
+//! `CountingMedium` in the serving layer's property suite; this harness
+//! covers what that one cannot — real file I/O, real threads killed at an
 //! arbitrary instruction, real recovery latency.
 
 use std::io::{BufRead, BufReader, Read};
@@ -28,8 +27,8 @@ use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use picl_serve::stream::session_model_after;
-use picl_store::{model_after, EngineConfig, FileMedium, Kv, Model};
+use picl_serve::stream::{ops_through_epoch, session_model_after, session_ops};
+use picl_store::{slots, Engine, EngineConfig, FileMedium, Model};
 use picl_telemetry::Telemetry;
 use picl_types::Rng;
 
@@ -86,57 +85,34 @@ impl KillClass {
     }
 }
 
-/// The child a trial kills, with the workload contract it runs and the
-/// judge holds it to.
+/// The `picl serve run` child a trial kills: the workload contract it
+/// runs and the judge holds it to. `sessions` concurrent streams, each
+/// owning the `s<N>-` key prefix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Victim {
-    /// `picl store run`: one totally ordered stream of `ops` operations
-    /// over `key_space` keys, one session that owns every key.
-    Store {
-        /// Operations the child attempts.
-        ops: u64,
-        /// Operations per epoch.
-        ops_per_epoch: u64,
-        /// Distinct keys.
-        key_space: u64,
-    },
-    /// `picl serve run`: `sessions` concurrent streams, each owning the
-    /// `s<N>-` key prefix.
-    Serve {
-        /// Concurrent sessions in the child.
-        sessions: usize,
-        /// Ops each session attempts.
-        ops_per_session: u64,
-        /// Mutations per epoch.
-        ops_per_epoch: u64,
-        /// Keys per session (under its own prefix).
-        key_space: u64,
-    },
+pub struct Victim {
+    /// Concurrent sessions in the child.
+    pub sessions: usize,
+    /// Ops each session attempts.
+    pub ops_per_session: u64,
+    /// Mutations per epoch.
+    pub ops_per_epoch: u64,
+    /// Keys per session (under its own prefix).
+    pub key_space: u64,
 }
 
 impl Victim {
-    fn sessions(&self) -> usize {
-        match *self {
-            Victim::Store { .. } => 1,
-            Victim::Serve { sessions, .. } => sessions,
-        }
-    }
-
     /// Which session owns `key`.
     fn owner(&self, key: &[u8]) -> Option<usize> {
-        if let Victim::Store { .. } = self {
-            return Some(0);
-        }
         let rest = std::str::from_utf8(key).ok()?.strip_prefix('s')?;
         let sid: usize = rest[..rest.find('-')?].parse().ok()?;
-        (sid < self.sessions()).then_some(sid)
+        (sid < self.sessions).then_some(sid)
     }
 }
 
 /// Splits a recovered scan into one model per owning session. The flag
 /// is false if any key was scanned twice or is owned by no session.
 fn split_by_session(victim: &Victim, scan: Vec<(Vec<u8>, Vec<u8>)>) -> (Vec<Model>, bool) {
-    let mut slices = vec![Model::new(); victim.sessions()];
+    let mut slices = vec![Model::new(); victim.sessions];
     let mut keys_ok = true;
     for (k, v) in scan {
         match victim.owner(&k) {
@@ -190,21 +166,21 @@ impl Judgement {
 }
 
 /// Recovers `store_path` in-process and judges it against `victim`'s
-/// seeded workload, given `commits` — the `(eid, counts)` lines observed
+/// seeded streams, given `commits` — the `(eid, counts)` lines observed
 /// before the kill. Shared by the torture harness and `picl store verify`.
 ///
 /// The recovered image is split by owning session; a key scanned twice or
 /// owned by no session fails the trial. A session passes iff its slice
 /// equals its seeded model at some op count in a candidate range:
 ///
-/// - a store child's op stream is totally ordered, so the range is the
-///   single point `recovered_to × ops_per_epoch`;
-/// - serve sessions interleave nondeterministically, so the range runs
-///   from the counts on the last commit line at or below the recovered
-///   epoch up to the session's whole stream. The serve layer bumps a
-///   session's count inside the mutation's shard critical section, and
-///   the group-commit leader snapshots the counts while holding every
-///   shard lock, so each count is a true lower bound.
+/// - a lone session's stream is totally ordered, so the range is the
+///   single point [`ops_through_epoch`] gives for the recovered epoch;
+/// - concurrent sessions interleave nondeterministically, so the range
+///   runs from the counts on the last commit line at or below the
+///   recovered epoch up to the session's whole stream. The serve layer
+///   bumps a session's count inside the mutation's shard critical
+///   section, and the group-commit leader snapshots the counts while
+///   holding every shard lock, so each count is a true lower bound.
 ///
 /// The RPO check is `recovered_to + window >= observed_commit`, where
 /// `observed_commit` is the last commit line's epoch.
@@ -222,17 +198,13 @@ pub fn judge_recovery(
 ) -> Result<Judgement, String> {
     let medium = FileMedium::open_existing(store_path)
         .map_err(|e| format!("open {}: {e}", store_path.display()))?;
-    // The epoch cadence is moot: the judge only recovers and scans.
-    let (kv, report) = Kv::open(
-        Arc::new(medium),
-        EngineConfig::default(),
-        Telemetry::off(),
-        1,
-    )
-    .map_err(|e| format!("recover {}: {e}", store_path.display()))?;
+    let (engine, report) =
+        Engine::open(Arc::new(medium), EngineConfig::default(), Telemetry::off())
+            .map_err(|e| format!("recover {}: {e}", store_path.display()))?;
     let recovered_to = report.recovered_to;
     let observed_commit = commits.last().map_or(0, |(eid, _)| *eid);
-    let (slices, keys_ok) = split_by_session(victim, kv.scan().map_err(|e| format!("scan: {e}"))?);
+    let scan = slots::scan(&engine).map_err(|e| format!("scan: {e}"))?;
+    let (slices, keys_ok) = split_by_session(victim, scan);
 
     // Lower bounds: the counts from the last commit line the recovery
     // actually kept. Later lines describe epochs that were rolled back.
@@ -241,21 +213,21 @@ pub fn judge_recovery(
         .rev()
         .find(|(eid, _)| *eid <= recovered_to)
         .map_or(&[], |(_, counts)| counts);
+    let exact = (victim.sessions == 1).then(|| {
+        let ops = session_ops(seed, 0, victim.ops_per_session, victim.key_space);
+        ops_through_epoch(&ops, victim.ops_per_epoch, recovered_to)
+    });
     let sessions_consistent: Vec<bool> = slices
         .iter()
         .enumerate()
-        .map(|(sid, slice)| match *victim {
-            Victim::Store {
-                ops_per_epoch,
-                key_space,
-                ..
-            } => model_after(seed, recovered_to * ops_per_epoch, key_space) == *slice,
-            Victim::Serve {
-                ops_per_session,
-                key_space,
-                ..
-            } => (floors.get(sid).copied().unwrap_or(0)..=ops_per_session)
-                .any(|n| session_model_after(seed, sid, n, key_space) == *slice),
+        .map(|(sid, slice)| {
+            let counts = match exact {
+                Some(n) => n..=n,
+                None => floors.get(sid).copied().unwrap_or(0)..=victim.ops_per_session,
+            };
+            counts
+                .into_iter()
+                .any(|n| session_model_after(seed, sid, n, victim.key_space) == *slice)
         })
         .collect();
     let consistent = keys_ok && sessions_consistent.iter().all(|&ok| ok);
@@ -277,9 +249,8 @@ pub fn judge_recovery(
 pub struct TortureSpec {
     /// Path of the `picl` binary to spawn.
     pub binary: PathBuf,
-    /// Store file the child writes and the parent recovers. A serve
-    /// child's flight log sits beside it with a `.flight.jsonl`
-    /// extension.
+    /// Store file the child writes and the parent recovers. The child's
+    /// flight log sits beside it with a `.flight.jsonl` extension.
     pub store_path: PathBuf,
     /// Workload seed (shared by child, judging parent, and reports).
     pub seed: u64,
@@ -295,32 +266,19 @@ pub struct TortureSpec {
 }
 
 impl TortureSpec {
-    fn flight_path(&self) -> Option<PathBuf> {
-        matches!(self.victim, Victim::Serve { .. })
-            .then(|| self.store_path.with_extension("flight.jsonl"))
+    fn flight_path(&self) -> PathBuf {
+        self.store_path.with_extension("flight.jsonl")
     }
 
     fn spawn(&self) -> std::io::Result<Child> {
-        let workload = match self.victim {
-            Victim::Store {
-                ops,
-                ops_per_epoch,
-                key_space,
-            } => format!(
-                "store run --ops {ops} --ops-per-epoch {ops_per_epoch} --key-space {key_space}"
-            ),
-            Victim::Serve {
-                sessions,
-                ops_per_session,
-                ops_per_epoch,
-                key_space,
-            } => format!(
-                "serve run --sessions {sessions} --ops-per-session {ops_per_session} \
-                 --ops-per-epoch {ops_per_epoch} --key-space {key_space}"
-            ),
-        };
+        let v = self.victim;
         let flags = format!(
-            "{workload} --seed {} --window {} --persist-stall-ms {} --progress",
+            "serve run --sessions {} --ops-per-session {} --ops-per-epoch {} --key-space {} \
+             --seed {} --window {} --persist-stall-ms {} --progress",
+            v.sessions,
+            v.ops_per_session,
+            v.ops_per_epoch,
+            v.key_space,
             self.seed,
             self.window,
             if self.class == KillClass::MidDrain {
@@ -332,15 +290,12 @@ impl TortureSpec {
         let mut cmd = Command::new(&self.binary);
         cmd.args(flags.split_whitespace())
             .arg("--path")
-            .arg(&self.store_path);
-        if let Some(flight) = self.flight_path() {
+            .arg(&self.store_path)
             // A short interval so even a fast-killed child records a few
             // lines; the first snapshot is written synchronously at spawn.
-            cmd.arg("--flight-recorder")
-                .arg(flight)
-                .args(["--flight-interval-ms", "5"]);
-        }
-        cmd
+            .arg("--flight-recorder")
+            .arg(self.flight_path())
+            .args(["--flight-interval-ms", "5"])
             // A panic's message, not its backtrace, belongs in the stderr
             // tail quoted when a child dies on its own.
             .env("RUST_BACKTRACE", "0")
@@ -353,13 +308,12 @@ impl TortureSpec {
     /// recorder appends `.N` to the full path when it rotates).
     fn remove_artifacts(&self) {
         let _ = std::fs::remove_file(&self.store_path);
-        if let Some(flight) = self.flight_path() {
-            let _ = std::fs::remove_file(&flight);
-            for generation in 1..8 {
-                let mut rotated = flight.as_os_str().to_os_string();
-                rotated.push(format!(".{generation}"));
-                let _ = std::fs::remove_file(PathBuf::from(rotated));
-            }
+        let flight = self.flight_path();
+        let _ = std::fs::remove_file(&flight);
+        for generation in 1..8 {
+            let mut rotated = flight.as_os_str().to_os_string();
+            rotated.push(format!(".{generation}"));
+            let _ = std::fs::remove_file(PathBuf::from(rotated));
         }
     }
 }
@@ -374,10 +328,10 @@ pub struct TortureOutcome {
     pub killed: bool,
     /// The recovery verdict.
     pub judgement: Judgement,
-    /// Flight-recorder verdict: `None` for a victim without one, else
-    /// whether the killed child left a parseable JSONL log (a torn final
-    /// line is fine; garbage or an empty file is not).
-    pub flight_ok: Option<bool>,
+    /// Flight-recorder verdict: whether the killed child left a parseable
+    /// JSONL log (a torn final line is fine; garbage or an empty file is
+    /// not).
+    pub flight_ok: bool,
     /// Complete snapshot lines recovered from the flight log.
     pub flight_lines: u64,
 }
@@ -385,7 +339,7 @@ pub struct TortureOutcome {
 impl TortureOutcome {
     /// Whether the trial met the PiCL contract.
     pub fn passed(&self) -> bool {
-        self.judgement.consistent && self.judgement.rpo_ok && self.flight_ok != Some(false)
+        self.judgement.consistent && self.judgement.rpo_ok && self.flight_ok
     }
 }
 
@@ -439,13 +393,11 @@ pub fn run_trial(spec: &TortureSpec) -> Result<TortureOutcome, String> {
     // Judge the flight recorder's crash tail before recovery: every
     // complete line must parse with strictly increasing seq; only a torn
     // final line (no newline) is excused.
-    let flight = spec.flight_path().map(|p| {
-        let text = std::fs::read_to_string(p).unwrap_or_default();
-        match picl_obs::validate_flight_log(&text) {
-            Ok(summary) => (true, summary.lines),
-            Err(_) => (false, 0),
-        }
-    });
+    let text = std::fs::read_to_string(spec.flight_path()).unwrap_or_default();
+    let (flight_ok, flight_lines) = match picl_obs::validate_flight_log(&text) {
+        Ok(summary) => (true, summary.lines),
+        Err(_) => (false, 0),
+    };
     let judgement = judge_recovery(
         &spec.store_path,
         spec.seed,
@@ -457,28 +409,9 @@ pub fn run_trial(spec: &TortureSpec) -> Result<TortureOutcome, String> {
         class: spec.class,
         killed,
         judgement,
-        flight_ok: flight.map(|(ok, _)| ok),
-        flight_lines: flight.map_or(0, |(_, lines)| lines),
+        flight_ok,
+        flight_lines,
     })
-}
-
-/// Which child a campaign kills.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Target {
-    /// `picl store run` children.
-    Store,
-    /// `picl serve run` children.
-    Serve,
-}
-
-impl Target {
-    /// Stable name for reports and scratch files.
-    pub fn name(self) -> &'static str {
-        match self {
-            Target::Store => "store",
-            Target::Serve => "serve",
-        }
-    }
 }
 
 /// Outcomes of a seeded multi-trial campaign.
@@ -502,9 +435,9 @@ impl TortureReport {
     }
 }
 
-/// Runs `trials` seeded kill -9 trials against `target` children,
-/// rotating the three kill classes and varying the workload and kill
-/// point per trial.
+/// Runs `trials` seeded kill -9 trials against `picl serve run` children
+/// of 1–5 sessions, rotating the three kill classes and varying the
+/// workload and kill point per trial.
 ///
 /// # Errors
 ///
@@ -513,43 +446,27 @@ impl TortureReport {
 pub fn run_torture_campaign(
     binary: &Path,
     scratch_dir: &Path,
-    target: Target,
     trials: u64,
     seed: u64,
 ) -> Result<TortureReport, String> {
-    let mut rng = match target {
-        Target::Store => Rng::new(seed),
-        Target::Serve => Rng::new(seed ^ 0x5E41_7E5E_5510_0000),
-    };
+    let mut rng = Rng::new(seed ^ 0x5E41_7E5E_5510_0000);
     let mut outcomes = Vec::new();
     let started = Instant::now();
     for t in 0..trials {
         let class = KillClass::for_trial(t);
         let trial_seed = rng.next_u64() & 0xFFFF;
-        // Struct fields and tuple elements evaluate in source order, which
-        // fixes the draw order a campaign seed replays.
-        let (victim, kill_after_commit) = match target {
-            Target::Store => (
-                Victim::Store {
-                    ops: rng.range(200, 600),
-                    ops_per_epoch: rng.range(2, 9),
-                    key_space: rng.range(8, 24),
-                },
-                rng.range(1, 12),
-            ),
-            Target::Serve => (
-                Victim::Serve {
-                    sessions: rng.range(2, 6) as usize,
-                    ops_per_session: rng.range(60, 160),
-                    key_space: rng.range(8, 17),
-                    ops_per_epoch: rng.range(3, 10),
-                },
-                rng.range(1, 11),
-            ),
+        // Struct fields evaluate in source order, which fixes the draw
+        // order a campaign seed replays.
+        let victim = Victim {
+            sessions: rng.range(1, 6) as usize,
+            ops_per_session: rng.range(60, 160),
+            key_space: rng.range(8, 17),
+            ops_per_epoch: rng.range(3, 10),
         };
+        let kill_after_commit = rng.range(1, 11);
         let spec = TortureSpec {
             binary: binary.to_path_buf(),
-            store_path: scratch_dir.join(format!("{}-torture-{t}.store", target.name())),
+            store_path: scratch_dir.join(format!("serve-torture-{t}.store")),
             seed: trial_seed,
             victim,
             window: 1,
@@ -570,7 +487,6 @@ pub fn run_torture_campaign(
 mod tests {
     use super::*;
     use picl_serve::session::{Backend, ServeKv};
-    use picl_serve::stream::session_ops;
     use picl_store::layout::Geometry;
     use picl_store::workload::Op;
     use std::sync::Mutex;
@@ -580,18 +496,10 @@ mod tests {
     const SERVE_OPS_PER_EPOCH: u64 = 7;
 
     fn serve(sessions: usize, ops_per_session: u64, key_space: u64) -> Victim {
-        Victim::Serve {
+        Victim {
             sessions,
             ops_per_session,
             ops_per_epoch: SERVE_OPS_PER_EPOCH,
-            key_space,
-        }
-    }
-
-    fn store(ops: u64, ops_per_epoch: u64, key_space: u64) -> Victim {
-        Victim::Store {
-            ops,
-            ops_per_epoch,
             key_space,
         }
     }
@@ -614,8 +522,9 @@ mod tests {
 
     /// Runs the seeded session streams through a real `ServeKv` — one
     /// thread per session when `concurrent`, else one session after
-    /// another — closes the store cleanly, and returns the commit lines
-    /// its hook saw.
+    /// another — commits the tail if `final_commit` (as `serve run`
+    /// does), closes the store cleanly, and returns the commit lines its
+    /// hook saw.
     fn serve_store(
         path: &Path,
         seed: u64,
@@ -623,6 +532,7 @@ mod tests {
         ops_per_session: u64,
         key_space: u64,
         concurrent: bool,
+        final_commit: bool,
     ) -> CommitLog {
         let cfg = EngineConfig::default();
         let medium = create_medium(path, &cfg);
@@ -652,7 +562,9 @@ mod tests {
         } else {
             (0..sessions).for_each(run);
         }
-        kv.commit().unwrap();
+        if final_commit {
+            kv.commit().unwrap();
+        }
         kv.close().unwrap();
         let log = commits.lock().unwrap().clone();
         assert!(!log.is_empty(), "the run must cross epoch boundaries");
@@ -691,11 +603,7 @@ mod tests {
         assert_eq!(serve(16, 1, 1).owner(b"s12-k000"), Some(12));
         assert_eq!(serve(4, 1, 1).owner(b"key-0001"), None);
         assert_eq!(serve(4, 1, 1).owner(b"sx-k0"), None);
-        assert_eq!(
-            store(1, 1, 1).owner(b"s9-k000"),
-            Some(0),
-            "one session owns all"
-        );
+        assert_eq!(serve(1, 1, 1).owner(b"s1-k000"), None, "a lone session");
 
         // The split of a hand-built scan list fails on a key scanned twice
         // or a key no session owns.
@@ -708,35 +616,47 @@ mod tests {
         assert_eq!((slices[0].len(), slices[1].len()), (1, 1));
         assert!(!split(serve(2, 1, 1), ["s0-a", "s0-a"]).1, "duplicate");
         assert!(!split(serve(2, 1, 1), ["s0-a", "s2-a"]).1, "foreign key");
-        assert!(
-            !split(store(1, 1, 1), ["key-1", "key-1"]).1,
-            "store duplicate"
-        );
+        assert!(!split(serve(1, 1, 1), ["s0-a", "key-1"]).1, "unprefixed");
     }
 
+    /// A lone session is judged at one exact op count, at the end of its
+    /// stream as mid-stream.
     #[test]
     fn judgement_on_a_cleanly_closed_store() {
-        // No child process needed: build a store file in-process, close
-        // it cleanly, and the judge must find it consistent at the last
-        // committed epoch.
+        let (seed, ops, key_space) = (5u64, 70u64, 10u64);
+        let lone = serve(1, ops, key_space);
         let path = temp_store("clean.store");
-        let (seed, ops, ope, keys) = (5u64, 40u64, 4u64, 10u64);
-        let cfg = EngineConfig::default();
-        let (mut kv, _) = Kv::open(create_medium(&path, &cfg), cfg, Telemetry::off(), ope).unwrap();
-        for op in picl_store::generate(seed, ops, keys) {
-            picl_store::apply_to_store(&mut kv, &op).unwrap();
-        }
-        kv.close().unwrap();
-        let commits = [(ops / ope, vec![ops])];
-        let j = judge_recovery(&path, seed, &store(ops, ope, keys), 1, &commits).unwrap();
-        assert!(j.consistent, "clean close must judge consistent");
-        assert!(j.rpo_ok);
-        assert_eq!(j.recovered_to, ops / ope);
+
+        // Closed after the final commit: recovery holds the whole stream.
+        let commits = serve_store(&path, seed, 1, ops, key_space, false, true);
+        let j = judge_recovery(&path, seed, &lone, 1, &commits).unwrap();
+        assert!(j.consistent && j.rpo_ok, "{j:?}");
+        assert_eq!(j.recovered_to, commits.last().unwrap().0);
         assert_eq!(j.sessions_consistent, vec![true]);
 
-        // The store range is one exact point: judging the same image at
-        // `recovered_to × (ops_per_epoch - 1)` ops must fail.
-        let j2 = judge_recovery(&path, seed, &store(ops, ope - 1, keys), 1, &commits).unwrap();
+        // Closed without it: the executing epoch is lost and recovery
+        // lands on the last cadence commit, whose line carries exactly
+        // the count the judge derives from the stream.
+        std::fs::remove_file(&path).unwrap();
+        let commits = serve_store(&path, seed, 1, ops, key_space, false, false);
+        let j = judge_recovery(&path, seed, &lone, 1, &commits).unwrap();
+        assert!(j.consistent && j.rpo_ok, "{j:?}");
+        let stream = session_ops(seed, 0, ops, key_space);
+        let n = ops_through_epoch(&stream, SERVE_OPS_PER_EPOCH, j.recovered_to);
+        assert!(n < ops, "recovery landed mid-stream");
+        assert_eq!(commits.last(), Some(&(j.recovered_to, vec![n])));
+
+        // One point, not a range: a contract of one mutation fewer per
+        // epoch puts the count earlier, where the model differs, and the
+        // image must fail there even with no commit line to bound it.
+        let shifted = Victim {
+            ops_per_epoch: SERVE_OPS_PER_EPOCH - 1,
+            ..lone
+        };
+        let earlier = ops_through_epoch(&stream, shifted.ops_per_epoch, j.recovered_to);
+        let model = |n| session_model_after(seed, 0, n, key_space);
+        assert_ne!(model(earlier), model(n));
+        let j2 = judge_recovery(&path, seed, &shifted, 1, &[]).unwrap();
         assert!(!j2.consistent, "the wrong op count must fail");
         let _ = std::fs::remove_file(&path);
     }
@@ -747,7 +667,15 @@ mod tests {
     fn judgement_on_a_cleanly_closed_serve_store() {
         let path = temp_store("clean-serve.store");
         let (seed, sessions, ops_per_session, key_space) = (21u64, 3usize, 80u64, 10u64);
-        let commits = serve_store(&path, seed, sessions, ops_per_session, key_space, false);
+        let commits = serve_store(
+            &path,
+            seed,
+            sessions,
+            ops_per_session,
+            key_space,
+            false,
+            true,
+        );
         let victim = serve(sessions, ops_per_session, key_space);
         let j = judge_recovery(&path, seed, &victim, 1, &commits).unwrap();
         assert_eq!(
@@ -773,9 +701,10 @@ mod tests {
         // A stray key no session owns fails the trial even though every
         // session's slice still matches.
         let medium = Arc::new(FileMedium::open_existing(&path).unwrap());
-        let (mut kv, _) = Kv::open(medium, EngineConfig::default(), Telemetry::off(), 1).unwrap();
-        kv.put(b"s9-k000", b"stray").unwrap();
-        kv.close().unwrap();
+        let (engine, _) = Engine::open(medium, EngineConfig::default(), Telemetry::off()).unwrap();
+        slots::put(&engine, b"s9-k000", b"stray").unwrap();
+        engine.commit_epoch().unwrap();
+        engine.close().unwrap();
         let j3 = judge_recovery(&path, seed, &victim, 1, &commits).unwrap();
         assert!(j3.sessions_consistent.iter().all(|&ok| ok));
         assert!(!j3.consistent, "a foreign key must fail the trial");
@@ -792,7 +721,15 @@ mod tests {
     fn judgement_on_a_concurrently_written_serve_store() {
         let path = temp_store("concurrent.store");
         let (seed, sessions, ops_per_session, key_space) = (33u64, 4usize, 120u64, 12u64);
-        let commits = serve_store(&path, seed, sessions, ops_per_session, key_space, true);
+        let commits = serve_store(
+            &path,
+            seed,
+            sessions,
+            ops_per_session,
+            key_space,
+            true,
+            true,
+        );
         for pair in commits.windows(2) {
             assert!(pair[0].0 < pair[1].0, "commit eids must be ordered");
             for (a, b) in pair[0].1.iter().zip(&pair[1].1) {

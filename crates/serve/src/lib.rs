@@ -24,7 +24,8 @@
 //! - [`stream`] — deterministic per-session operation streams for the
 //!   kill -9 torture harness: disjoint key prefixes per session, so a
 //!   recovered store can be judged session-by-session against a prefix
-//!   of each stream (prefix consistency within the RPO bound).
+//!   of each stream (prefix consistency within the RPO bound), and a
+//!   lone session's stream at the exact op count its epoch holds.
 
 pub mod load;
 pub mod obs;
@@ -34,4 +35,4 @@ pub mod stream;
 pub use load::{preload, run_load, Arrival, LoadReport, LoadSpec, MixPreset, SessionLoad};
 pub use obs::ServeObs;
 pub use session::{Backend, FsyncKv, ServeKv};
-pub use stream::{session_model_after, session_ops, session_prefix};
+pub use stream::{ops_through_epoch, session_model_after, session_ops, session_prefix};

@@ -174,8 +174,7 @@ impl std::fmt::Debug for ServeKv {
 impl ServeKv {
     /// Opens a store for serving. Epochs close every
     /// `mutations_per_epoch` *mutations* (lookups are lock-free and do
-    /// not advance the epoch clock, unlike the embedded
-    /// [`picl_store::Kv`]'s every-op count).
+    /// not advance the epoch clock).
     ///
     /// # Errors
     ///

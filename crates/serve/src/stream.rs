@@ -8,7 +8,9 @@
 //! prefix* must equal [`session_model_after`]`(seed, i, n, ..)` for some
 //! op count `n`, and the per-session counts reported at each epoch
 //! commit (see `ServeKv::set_commit_hook`) give a sound lower bound for
-//! `n`. That is prefix consistency, per session, within the RPO bound.
+//! `n`. That is prefix consistency, per session, within the RPO bound. A
+//! lone session is deterministic, so its `n` is exact:
+//! [`ops_through_epoch`].
 //!
 //! Streams are pure functions of `(seed, session, op index)`: a killed
 //! child and the judging parent reconstruct them independently, and a
@@ -71,9 +73,51 @@ pub fn session_model_after(seed: u64, session: usize, count: u64, key_space: u64
     model
 }
 
+/// How many of `ops` a one-session run holds at epoch `epoch`. A lone
+/// session's stream is totally ordered and `ServeKv` commits after every
+/// `ops_per_epoch`-th mutation (gets do not count) and once more at the
+/// end of the run, so epoch `epoch` runs through the
+/// `epoch × ops_per_epoch`-th mutation, or through the whole stream once
+/// that is past its last mutation. Gets between two mutations leave the
+/// model unchanged, so the model after this count is *the* model of that
+/// epoch: the crash oracles judge a one-session store at this one point.
+pub fn ops_through_epoch(ops: &[Op], ops_per_epoch: u64, epoch: u64) -> u64 {
+    let target = epoch.saturating_mul(ops_per_epoch);
+    if target == 0 {
+        return 0;
+    }
+    let mut mutations = 0;
+    for (i, op) in ops.iter().enumerate() {
+        if !matches!(op, Op::Get(_)) {
+            mutations += 1;
+            if mutations == target {
+                return i as u64 + 1;
+            }
+        }
+    }
+    ops.len() as u64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn epochs_count_mutations_only() {
+        let put = || Op::Put(b"k".to_vec(), b"v".to_vec());
+        let get = || Op::Get(b"k".to_vec());
+        let del = || Op::Delete(b"k".to_vec());
+        // Mutations sit at indices 0, 2, 3 and 5.
+        let ops = [put(), get(), del(), put(), get(), put(), get()];
+        let at = |ope, epoch| ops_through_epoch(&ops, ope, epoch);
+        assert_eq!(at(2, 0), 0, "nothing before the first commit");
+        assert_eq!(at(2, 1), 3, "through the 2nd mutation, not the get");
+        assert_eq!(at(2, 2), 6);
+        assert_eq!(at(2, 3), 7, "the final commit holds the whole stream");
+        assert_eq!(at(1, 4), 6);
+        assert_eq!(at(1, 9), 7);
+        assert_eq!(at(4, 1), 6);
+    }
 
     #[test]
     fn streams_are_prefix_pure() {

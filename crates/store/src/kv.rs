@@ -1,310 +1,144 @@
-//! An embedded key-value API over the PiCL engine.
+//! The KV table's public shapes.
 //!
 //! Software transparency is the point of the paper, so the KV layer does
 //! nothing clever for persistence: the hash table — slot states, keys,
 //! values, tombstones — lives *in* the persistent line array and is
-//! mutated with plain [`Engine::write_line`] calls, exactly as a legacy
-//! in-memory store would mutate DRAM. Durability and crash consistency
-//! come entirely from the engine's undo logging underneath; recovery
-//! brings back the whole table (index included) at the persist frontier
-//! with no KV-level replay.
+//! mutated with plain [`crate::Engine::write_line`] calls, exactly as a
+//! legacy in-memory store would mutate DRAM. Durability and crash
+//! consistency come entirely from the engine's undo logging underneath;
+//! recovery brings back the whole table (index included) at the persist
+//! frontier with no KV-level replay.
 //!
-//! The slot layout (open addressing, values spanning up to five slots
-//! via explicit continuation pointers) lives in [`crate::slots`]; this
-//! type adds the epoch clock — every `ops_per_epoch` operations one
-//! epoch commits — and the per-op access log the trace adapter consumes.
-
-use std::sync::Arc;
-
-use picl_telemetry::Telemetry;
-
-use crate::engine::{Engine, EngineConfig, EngineStats, OpenReport, StoreError};
-use crate::persist::PersistOps;
-use crate::slots::{self, Deletion, Lookup};
+//! The slot layout lives in [`crate::slots`]; the one KV front-end is
+//! `picl_serve::ServeKv`, which adds sessions, shard locks and the epoch
+//! clock (one commit every N mutations).
 
 pub use crate::slots::{MAX_KEY_BYTES, MAX_VALUE_BYTES};
 
-/// Sorted `(key, value)` pairs as returned by [`Kv::scan`].
+/// Sorted `(key, value)` pairs as returned by [`crate::slots::scan`].
 pub type KvPairs = Vec<(Vec<u8>, Vec<u8>)>;
 
-/// One logical access the KV layer made, for the trace adapter: the slot
-/// line an operation landed on and whether it wrote it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Access {
-    /// Slot line the operation terminated at (a spanning record reports
-    /// its head slot).
-    pub line: u32,
-    /// Whether the slot was written (put/delete) vs only probed (get).
-    pub write: bool,
-}
-
-/// The embedded store: a KV API with epoch commits every
-/// `ops_per_epoch` operations.
-pub struct Kv {
-    engine: Engine,
-    ops_per_epoch: u64,
-    ops: u64,
-    access_log: Option<Vec<Access>>,
-}
-
-impl std::fmt::Debug for Kv {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Kv")
-            .field("ops_per_epoch", &self.ops_per_epoch)
-            .field("ops", &self.ops)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Kv {
-    /// Opens a store and wraps it in the KV API. `ops_per_epoch` sets the
-    /// epoch granularity: every that-many operations (gets included — an
-    /// epoch is a slice of *execution*, not of mutations) one epoch
-    /// commits and the next begins.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine open/recovery failures; rejects
-    /// `ops_per_epoch == 0`.
-    pub fn open(
-        medium: Arc<dyn PersistOps>,
-        cfg: EngineConfig,
-        telemetry: Telemetry,
-        ops_per_epoch: u64,
-    ) -> Result<(Kv, OpenReport), StoreError> {
-        if ops_per_epoch == 0 {
-            return Err(StoreError::Config("ops_per_epoch must be >= 1".into()));
-        }
-        let (engine, report) = Engine::open(medium, cfg, telemetry)?;
-        Ok((
-            Kv {
-                engine,
-                ops_per_epoch,
-                ops: 0,
-                access_log: None,
-            },
-            report,
-        ))
-    }
-
-    /// Starts recording one [`Access`] per operation (for the
-    /// store-vs-simulator adapter).
-    pub fn enable_access_log(&mut self) {
-        self.access_log = Some(Vec::new());
-    }
-
-    /// Takes the recorded accesses, leaving the log enabled and empty.
-    pub fn take_access_log(&mut self) -> Vec<Access> {
-        match &mut self.access_log {
-            Some(log) => std::mem::take(log),
-            None => Vec::new(),
-        }
-    }
-
-    /// The underlying engine (frontiers, stats, manual commits).
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
-    /// Operations executed so far.
-    pub fn ops(&self) -> u64 {
-        self.ops
-    }
-
-    fn note(&mut self, line: u32, write: bool) {
-        if let Some(log) = &mut self.access_log {
-            log.push(Access { line, write });
-        }
-    }
-
-    fn tick_epoch(&mut self) -> Result<Option<u64>, StoreError> {
-        self.ops += 1;
-        if self.ops.is_multiple_of(self.ops_per_epoch) {
-            return self.engine.commit_epoch().map(Some);
-        }
-        Ok(None)
-    }
-
-    /// Inserts or overwrites `key`. Returns the epoch committed by this
-    /// operation, if it fell on a boundary.
-    ///
-    /// # Errors
-    ///
-    /// Rejects oversized keys/values and a full table; propagates engine
-    /// failures.
-    pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<Option<u64>, StoreError> {
-        let line = slots::put(&self.engine, key, value)?;
-        self.note(line, true);
-        self.tick_epoch()
-    }
-
-    /// Looks up `key`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine failures.
-    pub fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
-        // `&mut self` means no concurrent writer, so a lookup can never
-        // be contended; a torn record here is table corruption.
-        let found = match slots::lookup(&self.engine, key)? {
-            Lookup::Found { line, value } => {
-                self.note(line, false);
-                Some(value)
-            }
-            Lookup::Missing { line } => {
-                self.note(line, false);
-                None
-            }
-            Lookup::Contended => {
-                return Err(StoreError::Corrupt(
-                    "torn record under an exclusive reader".into(),
-                ))
-            }
-        };
-        self.tick_epoch()?;
-        Ok(found)
-    }
-
-    /// Deletes `key` if present. Returns `(was_present, committed)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine failures.
-    pub fn delete(&mut self, key: &[u8]) -> Result<(bool, Option<u64>), StoreError> {
-        let present = match slots::delete(&self.engine, key)? {
-            Deletion::Deleted { line } => {
-                self.note(line, true);
-                true
-            }
-            Deletion::Missing { line } => {
-                self.note(line, false);
-                false
-            }
-        };
-        let committed = self.tick_epoch()?;
-        Ok((present, committed))
-    }
-
-    /// All live pairs, sorted by key. Reads the volatile image directly —
-    /// a scan is not a logical operation and does not advance the epoch
-    /// clock.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine failures.
-    pub fn scan(&self) -> Result<KvPairs, StoreError> {
-        slots::scan(&self.engine)
-    }
-
-    /// Commits the executing epoch regardless of the op counter, and
-    /// realigns the counter to the boundary.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine failures.
-    pub fn commit(&mut self) -> Result<u64, StoreError> {
-        self.ops = self.ops.next_multiple_of(self.ops_per_epoch);
-        self.engine.commit_epoch()
-    }
-
-    /// Closes the store (persists the committed backlog).
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine failures.
-    pub fn close(self) -> Result<EngineStats, StoreError> {
-        self.engine.close()
-    }
-}
-
+// The slot table driven straight on an `Engine`, with the caller
+// committing epochs, as a front-end does.
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::sync::Arc;
+
+    use picl_telemetry::Telemetry;
+
+    use crate::engine::{Engine, EngineConfig, StoreError};
     use crate::layout::Geometry;
     use crate::persist::CountingMedium;
+    use crate::slots::{self, Deletion, Lookup};
 
-    fn open_kv(lines: u32, ops_per_epoch: u64) -> (Kv, Arc<CountingMedium>) {
-        let cfg = EngineConfig {
+    fn cfg(lines: u32) -> EngineConfig {
+        EngineConfig {
             lines,
             log_blocks: 32,
             ..EngineConfig::default()
-        };
+        }
+    }
+
+    fn open(lines: u32) -> (Engine, Arc<CountingMedium>) {
         let g = Geometry {
             lines,
-            log_blocks: cfg.log_blocks,
+            log_blocks: 32,
         };
         let medium = Arc::new(CountingMedium::new(g.total_len()));
-        let (kv, _) = Kv::open(
-            Arc::clone(&medium) as _,
-            cfg,
-            Telemetry::off(),
-            ops_per_epoch,
+        let (engine, _) = Engine::open(Arc::clone(&medium) as _, cfg(lines), Telemetry::off())
+            .expect("fresh store opens");
+        (engine, medium)
+    }
+
+    /// Recovers what `medium` would hold after power failed now.
+    fn reopen(medium: &CountingMedium, lines: u32) -> (Engine, u64) {
+        let survivor = Arc::new(CountingMedium::from_image(medium.surviving_image()));
+        let (engine, report) = Engine::open(survivor, cfg(lines), Telemetry::off()).unwrap();
+        assert!(report.recovered);
+        (engine, report.recovered_to)
+    }
+
+    fn get(engine: &Engine, key: &[u8]) -> Option<Vec<u8>> {
+        match slots::lookup(engine, key).unwrap() {
+            Lookup::Found { value, .. } => Some(value),
+            Lookup::Missing { .. } => None,
+            Lookup::Contended => panic!("torn record under an exclusive reader"),
+        }
+    }
+
+    fn deleted(engine: &Engine, key: &[u8]) -> bool {
+        matches!(
+            slots::delete(engine, key).unwrap(),
+            Deletion::Deleted { .. }
         )
-        .unwrap();
-        (kv, medium)
     }
 
     #[test]
     fn put_get_delete_round_trip() {
-        let (mut kv, _) = open_kv(64, 8);
-        assert_eq!(kv.get(b"missing").unwrap(), None);
-        kv.put(b"alpha", b"one").unwrap();
-        kv.put(b"beta", b"two").unwrap();
-        assert_eq!(kv.get(b"alpha").unwrap(), Some(b"one".to_vec()));
-        kv.put(b"alpha", b"uno").unwrap();
-        assert_eq!(kv.get(b"alpha").unwrap(), Some(b"uno".to_vec()));
-        let (present, _) = kv.delete(b"alpha").unwrap();
-        assert!(present);
-        assert_eq!(kv.get(b"alpha").unwrap(), None);
-        let (present, _) = kv.delete(b"alpha").unwrap();
-        assert!(!present);
+        let (engine, _) = open(64);
+        assert_eq!(get(&engine, b"missing"), None);
+        slots::put(&engine, b"alpha", b"one").unwrap();
+        slots::put(&engine, b"beta", b"two").unwrap();
+        assert_eq!(get(&engine, b"alpha"), Some(b"one".to_vec()));
+        slots::put(&engine, b"alpha", b"uno").unwrap();
+        assert_eq!(get(&engine, b"alpha"), Some(b"uno".to_vec()));
+        assert!(deleted(&engine, b"alpha"));
+        assert_eq!(get(&engine, b"alpha"), None);
+        assert!(!deleted(&engine, b"alpha"));
         assert_eq!(
-            kv.scan().unwrap(),
+            slots::scan(&engine).unwrap(),
             vec![(b"beta".to_vec(), b"two".to_vec())]
         );
     }
 
     #[test]
     fn epochs_commit_every_n_ops() {
-        let (mut kv, _) = open_kv(64, 4);
+        // A caller committing after every fourth put gets consecutive
+        // epoch ids, and recovery lands on the last of them.
+        let (engine, medium) = open(64);
         let mut commits = Vec::new();
-        for i in 0..12u8 {
-            if let Some(eid) = kv.put(format!("k{i}").as_bytes(), b"v").unwrap() {
-                commits.push(eid);
+        for i in 1..=12u8 {
+            slots::put(&engine, format!("k{i}").as_bytes(), b"v").unwrap();
+            if i % 4 == 0 {
+                commits.push(engine.commit_epoch().unwrap());
             }
         }
         assert_eq!(commits, vec![1, 2, 3]);
+        engine.close().unwrap();
+        assert_eq!(reopen(&medium, 64).1, 3);
     }
 
     #[test]
     fn collisions_probe_and_tombstones_reuse() {
         // A 4-slot table forces collisions fast.
-        let (mut kv, _) = open_kv(4, 100);
-        kv.put(b"a", b"1").unwrap();
-        kv.put(b"b", b"2").unwrap();
-        kv.put(b"c", b"3").unwrap();
-        assert_eq!(kv.get(b"a").unwrap(), Some(b"1".to_vec()));
-        assert_eq!(kv.get(b"b").unwrap(), Some(b"2".to_vec()));
-        assert_eq!(kv.get(b"c").unwrap(), Some(b"3".to_vec()));
-        kv.delete(b"b").unwrap();
+        let (engine, _) = open(4);
+        for (k, v) in [(b"a", b"1"), (b"b", b"2"), (b"c", b"3")] {
+            slots::put(&engine, k, v).unwrap();
+        }
+        assert_eq!(get(&engine, b"a"), Some(b"1".to_vec()));
+        assert_eq!(get(&engine, b"b"), Some(b"2".to_vec()));
+        assert!(deleted(&engine, b"b"));
         // c may live past b's tombstone; lookups must keep probing.
-        assert_eq!(kv.get(b"c").unwrap(), Some(b"3".to_vec()));
-        kv.put(b"d", b"4").unwrap();
-        assert_eq!(kv.get(b"d").unwrap(), Some(b"4".to_vec()));
+        assert_eq!(get(&engine, b"c"), Some(b"3".to_vec()));
+        slots::put(&engine, b"d", b"4").unwrap();
+        assert_eq!(get(&engine, b"d"), Some(b"4".to_vec()));
         // Full table rejects a fifth key.
-        kv.put(b"e", b"5").unwrap();
-        assert!(matches!(kv.put(b"f", b"6"), Err(StoreError::Invalid(_))));
+        slots::put(&engine, b"e", b"5").unwrap();
+        assert!(matches!(
+            slots::put(&engine, b"f", b"6"),
+            Err(StoreError::Invalid(_))
+        ));
     }
 
     #[test]
     fn oversized_keys_and_values_rejected() {
-        let (mut kv, _) = open_kv(64, 8);
-        assert!(kv.put(&[b'k'; 29], b"v").is_err());
-        assert!(kv.put(b"k", &[b'v'; 256]).is_err());
-        assert!(kv.put(b"", b"v").is_err());
-        assert!(kv.put(&[b'k'; 28], &[b'v'; 255]).is_ok());
+        let (engine, _) = open(64);
+        assert!(slots::put(&engine, &[b'k'; 29], b"v").is_err());
+        assert!(slots::put(&engine, b"k", &[b'v'; 256]).is_err());
+        assert!(slots::put(&engine, b"", b"v").is_err());
+        slots::put(&engine, &[b'k'; 28], &[b'v'; 255]).unwrap();
         assert_eq!(
-            kv.get(&[b'k'; 28]).unwrap(),
+            get(&engine, &[b'k'; 28]),
             Some(vec![b'v'; 255]),
             "maximum-size record survives"
         );
@@ -312,20 +146,19 @@ mod tests {
 
     #[test]
     fn spanning_values_round_trip_and_commit() {
-        let (mut kv, _) = open_kv(64, 4);
+        let (engine, _) = open(64);
         let big: Vec<u8> = (0..224).map(|i| (i % 250) as u8).collect();
-        kv.put(b"big", &big).unwrap();
-        kv.put(b"small", b"s").unwrap();
-        assert_eq!(kv.get(b"big").unwrap(), Some(big.clone()));
+        slots::put(&engine, b"big", &big).unwrap();
+        slots::put(&engine, b"small", b"s").unwrap();
+        assert_eq!(get(&engine, b"big"), Some(big));
         // Shrink in place, then grow past the old size.
-        kv.put(b"big", b"tiny").unwrap();
-        assert_eq!(kv.get(b"big").unwrap(), Some(b"tiny".to_vec()));
+        slots::put(&engine, b"big", b"tiny").unwrap();
+        assert_eq!(get(&engine, b"big"), Some(b"tiny".to_vec()));
         let bigger: Vec<u8> = (0..255).map(|i| (i % 249) as u8).collect();
-        kv.put(b"big", &bigger).unwrap();
-        kv.commit().unwrap();
-        assert_eq!(kv.get(b"big").unwrap(), Some(bigger.clone()));
+        slots::put(&engine, b"big", &bigger).unwrap();
+        engine.commit_epoch().unwrap();
         assert_eq!(
-            kv.scan().unwrap(),
+            slots::scan(&engine).unwrap(),
             vec![
                 (b"big".to_vec(), bigger),
                 (b"small".to_vec(), b"s".to_vec())
@@ -335,75 +168,29 @@ mod tests {
 
     #[test]
     fn kv_survives_reopen() {
-        let cfg = EngineConfig {
-            lines: 64,
-            log_blocks: 32,
-            ..EngineConfig::default()
-        };
-        let g = Geometry {
-            lines: 64,
-            log_blocks: 32,
-        };
-        let medium = Arc::new(CountingMedium::new(g.total_len()));
-        {
-            let (mut kv, _) =
-                Kv::open(Arc::clone(&medium) as _, cfg.clone(), Telemetry::off(), 4).unwrap();
-            kv.put(b"persist", b"me").unwrap();
-            kv.commit().unwrap();
-            kv.close().unwrap();
-        }
-        let survivor = Arc::new(CountingMedium::from_image(medium.surviving_image()));
-        let (mut kv, report) = Kv::open(survivor, cfg, Telemetry::off(), 4).unwrap();
-        assert!(report.recovered);
-        assert_eq!(kv.get(b"persist").unwrap(), Some(b"me".to_vec()));
+        let (engine, medium) = open(64);
+        slots::put(&engine, b"persist", b"me").unwrap();
+        engine.commit_epoch().unwrap();
+        engine.close().unwrap();
+        let (engine, _) = reopen(&medium, 64);
+        assert_eq!(get(&engine, b"persist"), Some(b"me".to_vec()));
     }
 
     #[test]
     fn spanning_record_survives_reopen() {
-        // Satellite regression: a committed multi-slot record (head + 4
-        // continuations) must come back whole through crash recovery,
-        // while an uncommitted overwrite of it rolls back.
-        let cfg = EngineConfig {
-            lines: 64,
-            log_blocks: 32,
-            ..EngineConfig::default()
-        };
-        let g = Geometry {
-            lines: 64,
-            log_blocks: 32,
-        };
-        let medium = Arc::new(CountingMedium::new(g.total_len()));
+        // A committed multi-slot record (head + 4 continuations) must come
+        // back whole through crash recovery, while an uncommitted
+        // overwrite of it rolls back.
+        let (engine, medium) = open(64);
         let big: Vec<u8> = (0..255).map(|i| (i % 241) as u8).collect();
-        {
-            let (mut kv, _) =
-                Kv::open(Arc::clone(&medium) as _, cfg.clone(), Telemetry::off(), 4).unwrap();
-            kv.put(b"span", &big).unwrap();
-            kv.commit().unwrap();
-            kv.engine().drain_persister().unwrap();
-            // Uncommitted epoch rewrites the record; dropping without
-            // close leaves it volatile — the kill loses it.
-            kv.put(b"span", b"short-lived").unwrap();
-        }
-        let survivor = Arc::new(CountingMedium::from_image(medium.surviving_image()));
-        let (mut kv, report) = Kv::open(survivor, cfg, Telemetry::off(), 4).unwrap();
-        assert!(report.recovered);
-        assert_eq!(kv.get(b"span").unwrap(), Some(big), "chain recovered whole");
-    }
-
-    #[test]
-    fn access_log_records_one_entry_per_op() {
-        let (mut kv, _) = open_kv(64, 100);
-        kv.enable_access_log();
-        kv.put(b"a", b"1").unwrap();
-        kv.get(b"a").unwrap();
-        kv.delete(b"a").unwrap();
-        kv.get(b"a").unwrap();
-        let log = kv.take_access_log();
-        assert_eq!(log.len(), 4);
-        assert!(log[0].write);
-        assert!(!log[1].write);
-        assert!(log[2].write);
-        assert!(!log[3].write);
-        assert_eq!(log[0].line, log[1].line);
+        slots::put(&engine, b"span", &big).unwrap();
+        engine.commit_epoch().unwrap();
+        engine.drain_persister().unwrap();
+        // The executing epoch rewrites the record; dropping without
+        // close leaves it volatile — the kill loses it.
+        slots::put(&engine, b"span", b"short-lived").unwrap();
+        drop(engine);
+        let (engine, _) = reopen(&medium, 64);
+        assert_eq!(get(&engine, b"span"), Some(big), "chain recovered whole");
     }
 }

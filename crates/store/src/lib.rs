@@ -26,15 +26,16 @@
 //!   its own length, then value bytes, so an 11-byte key with a 100-byte
 //!   value takes two lines), plus the optimistic (seqlock-style)
 //!   concurrent lookup the serving layer builds on.
-//! - [`kv`] — an embedded get/put/delete/scan API whose hash table lives
-//!   entirely in the persistent region (software transparency: the KV
-//!   layer does nothing for durability).
-//! - [`workload`] — seeded operation streams and the in-memory model
-//!   oracle shared by the torture harness, the recovery proptest, and
-//!   the store-vs-simulator adapter.
+//! - [`kv`] — the KV table's public shapes ([`kv::KvPairs`], the size
+//!   limits). The table lives entirely in the persistent region
+//!   (software transparency: the KV layer does nothing for durability);
+//!   its one front-end is `picl_serve::ServeKv`.
+//! - [`workload`] — the KV operation vocabulary, the in-memory model
+//!   oracle, and the seeded stream the store-vs-simulator differential
+//!   runs.
 //!
 //! Telemetry speaks the same [`picl_telemetry::EventKind`] vocabulary as
-//! the simulator, so `picl audit` checks a store run against the same
+//! the simulator, so `picl audit` checks the engine's event stream against the same
 //! protocol invariants, and the crashlab differential oracle compares
 //! store and simulator epoch-by-epoch.
 
@@ -49,11 +50,9 @@ pub mod workload;
 pub use engine::{
     min_log_blocks, CommitTicket, Engine, EngineConfig, EngineStats, OpenReport, StoreError,
 };
-pub use kv::{Access, Kv, MAX_KEY_BYTES, MAX_VALUE_BYTES};
+pub use kv::{MAX_KEY_BYTES, MAX_VALUE_BYTES};
 pub use layout::{Geometry, UndoEntry, UNDO_BUFFER_BYTES, UNDO_BUFFER_ENTRIES};
 pub use obs::StoreObs;
 pub use persist::{CountingMedium, FileMedium, LatencyMedium, PersistOps, PersistStats};
 pub use slots::Lines;
-pub use workload::{
-    apply_to_model, apply_to_store, generate, model_after, parse_workload, Model, Op,
-};
+pub use workload::{apply_to_model, generate, Model, Op};

@@ -26,9 +26,8 @@
 //! ever re-creates `EMPTY`), so probes stay correct.
 //!
 //! Mutation functions assume *per-record* exclusion — no two writers
-//! mutate the same key at once (the embedded [`crate::kv::Kv`] is
-//! `&mut self`; the serving layer locks the shard of the key's
-//! [`home_line`]). Writers for *different* keys may run concurrently as
+//! mutate the same key at once (the serving layer locks the shard of the
+//! key's [`home_line`]; a single-threaded caller has it trivially). Writers for *different* keys may run concurrently as
 //! long as free-line claims never collide: a writer confined via
 //! [`put_within`] only turns `EMPTY`/`TOMBSTONE` lines into record state
 //! inside its own locked range and escalates (retries under full

@@ -1,18 +1,15 @@
-//! Seeded KV workloads and the in-memory model oracle.
+//! Seeded KV operations and the in-memory model oracle.
 //!
-//! Torture testing needs three things to agree: the operations a store
-//! executes, the operations the crash-recovery oracle replays, and the
-//! operations the simulator adapter lowers to a trace. All three draw
-//! from [`generate`], which is a pure function of `(seed, op index)` —
-//! a killed child and its examining parent reconstruct the identical
+//! [`Op`], [`Model`] and [`apply_to_model`] are the vocabulary every
+//! workload shares: the serving layer's per-session streams and the crash
+//! oracles that judge them. [`generate`] is the single-stream workload the
+//! store-vs-simulator differential lowers to a trace; it is a pure
+//! function of `(seed, op index)`, so both sides rebuild the identical
 //! stream independently.
 
 use std::collections::BTreeMap;
 
 use picl_types::rng::Rng;
-
-use crate::engine::StoreError;
-use crate::kv::Kv;
 
 /// One logical KV operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,76 +71,6 @@ pub fn apply_to_model(model: &mut Model, op: &Op) {
     }
 }
 
-/// The model after the first `count` operations of a seeded workload.
-pub fn model_after(seed: u64, count: u64, key_space: u64) -> Model {
-    let mut model = Model::new();
-    for op in generate(seed, count, key_space) {
-        apply_to_model(&mut model, &op);
-    }
-    model
-}
-
-/// Runs one operation against a live store.
-///
-/// # Errors
-///
-/// Propagates store failures (including injected medium death).
-pub fn apply_to_store(kv: &mut Kv, op: &Op) -> Result<(), StoreError> {
-    match op {
-        Op::Put(k, v) => kv.put(k, v).map(|_| ()),
-        Op::Delete(k) => kv.delete(k).map(|_| ()),
-        Op::Get(k) => kv.get(k).map(|_| ()),
-    }
-}
-
-/// Parses a workload file: one operation per line, `put KEY VALUE` /
-/// `del KEY` / `get KEY`, with `#` comments and blank lines ignored.
-/// Keys and values are the literal (whitespace-free) tokens.
-///
-/// # Errors
-///
-/// Returns a message naming the offending line on malformed input.
-pub fn parse_workload(text: &str) -> Result<Vec<Op>, String> {
-    let mut ops = Vec::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let verb = parts.next().unwrap_or_default();
-        let op = match verb {
-            "put" => {
-                let k = parts.next();
-                let v = parts.next();
-                match (k, v) {
-                    (Some(k), Some(v)) => Op::Put(k.into(), v.into()),
-                    _ => return Err(format!("line {}: put needs KEY VALUE", lineno + 1)),
-                }
-            }
-            "del" | "delete" => match parts.next() {
-                Some(k) => Op::Delete(k.into()),
-                None => return Err(format!("line {}: {verb} needs KEY", lineno + 1)),
-            },
-            "get" => match parts.next() {
-                Some(k) => Op::Get(k.into()),
-                None => return Err(format!("line {}: get needs KEY", lineno + 1)),
-            },
-            other => {
-                return Err(format!(
-                    "line {}: unknown operation {other:?} (want put/del/get)",
-                    lineno + 1
-                ))
-            }
-        };
-        if parts.next().is_some() {
-            return Err(format!("line {}: trailing tokens", lineno + 1));
-        }
-        ops.push(op);
-    }
-    Ok(ops)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,38 +99,11 @@ mod tests {
 
     #[test]
     fn model_prefix_is_monotone_in_count() {
-        // model_after(n) must equal replaying n ops from scratch — the
-        // generator is a pure function of the prefix length.
+        // The first n ops never depend on how many were generated, so a
+        // model replayed over a prefix is the model of that prefix.
         let full = generate(3, 200, 8);
-        let mut incremental = Model::new();
-        for (i, op) in full.iter().enumerate() {
-            apply_to_model(&mut incremental, op);
-            if (i + 1) % 50 == 0 {
-                assert_eq!(incremental, model_after(3, (i + 1) as u64, 8));
-            }
+        for n in [0, 50, 137, 200] {
+            assert_eq!(generate(3, n, 8).as_slice(), &full[..n as usize]);
         }
-    }
-
-    #[test]
-    fn workload_file_round_trip() {
-        let text = "\
-# demo
-put alpha one
-
-get alpha
-del alpha
-";
-        let ops = parse_workload(text).unwrap();
-        assert_eq!(
-            ops,
-            vec![
-                Op::Put(b"alpha".to_vec(), b"one".to_vec()),
-                Op::Get(b"alpha".to_vec()),
-                Op::Delete(b"alpha".to_vec()),
-            ]
-        );
-        assert!(parse_workload("put onlykey").is_err());
-        assert!(parse_workload("frobnicate x").is_err());
-        assert!(parse_workload("get a b").is_err());
     }
 }

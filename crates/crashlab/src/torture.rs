@@ -27,7 +27,7 @@ use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use picl_serve::stream::{ops_through_epoch, session_model_after, session_ops};
+use picl_serve::stream::{first_matching_count, ops_through_epoch, session_ops};
 use picl_store::{slots, Engine, EngineConfig, FileMedium, Model};
 use picl_telemetry::Telemetry;
 use picl_types::Rng;
@@ -182,6 +182,9 @@ impl Judgement {
 ///   section, and the group-commit leader snapshots the counts while
 ///   holding every shard lock, so each count is a true lower bound.
 ///
+/// Each session's range is searched in one replay of its stream
+/// ([`first_matching_count`]), so judging is linear in `ops_per_session`.
+///
 /// The RPO check is `recovered_to + window >= observed_commit`, where
 /// `observed_commit` is the last commit line's epoch.
 ///
@@ -225,9 +228,7 @@ pub fn judge_recovery(
                 Some(n) => n..=n,
                 None => floors.get(sid).copied().unwrap_or(0)..=victim.ops_per_session,
             };
-            counts
-                .into_iter()
-                .any(|n| session_model_after(seed, sid, n, victim.key_space) == *slice)
+            first_matching_count(seed, sid, victim.key_space, counts, slice).is_some()
         })
         .collect();
     let consistent = keys_ok && sessions_consistent.iter().all(|&ok| ok);
@@ -487,6 +488,7 @@ pub fn run_torture_campaign(
 mod tests {
     use super::*;
     use picl_serve::session::{Backend, ServeKv};
+    use picl_serve::stream::session_model_after;
     use picl_store::layout::Geometry;
     use picl_store::workload::Op;
     use std::sync::Mutex;

@@ -10,7 +10,7 @@
 //! fixed-capacity read cache in front of the NVM timing model. Writes
 //! allocate (the page is hot) but always pass through. Because it is
 //! purely a timing-side structure, it holds no data — functional contents
-//! stay in [`MainMemory`](crate::state::MainMemory), which is what makes
+//! stay in the [`Nvm`](crate::Nvm)'s state, which is what makes
 //! the transparency argument checkable: with or without the buffer, the
 //! functional image is identical.
 

@@ -11,7 +11,9 @@
 //!   bank occupancy, shared-link occupancy, and bulk sequential writes that
 //!   amortize one row activation over up to a full row of data.
 //! * [`state`] — what memory *contains*: a functional line-value store used
-//!   for crash-injection and recovery-correctness testing.
+//!   for crash-injection and recovery-correctness testing, paged at one
+//!   host cache line ([`CompactMemory`]) for the NVM contents and at 4 KB
+//!   ([`MainMemory`]) for the full images the crash oracle builds.
 //! * [`request`] — the access-class vocabulary ([`AccessClass`]) that lets
 //!   the Fig. 12 harness split NVM traffic into sequential logging, random
 //!   logging, and write-backs exactly as the paper does.
@@ -40,7 +42,7 @@ pub mod timing;
 pub use dram_buffer::DramBuffer;
 pub use request::{AccessClass, MemRequest, RequestKind, TrafficCategory};
 pub use snapshot::DeltaSnapshots;
-pub use state::MainMemory;
+pub use state::{CompactMemory, MainMemory};
 pub use timing::{NvmStats, NvmTiming};
 
 use picl_telemetry::{EventKind, Telemetry};
@@ -51,7 +53,7 @@ use picl_types::{config::NvmConfig, Cycle, LineAddr};
 #[derive(Debug, Clone)]
 pub struct Nvm {
     timing: NvmTiming,
-    state: MainMemory,
+    state: CompactMemory,
     telemetry: Telemetry,
 }
 
@@ -60,7 +62,7 @@ impl Nvm {
     pub fn new(cfg: NvmConfig, clock: ClockDomain) -> Self {
         Nvm {
             timing: NvmTiming::new(cfg, clock),
-            state: MainMemory::new(),
+            state: CompactMemory::new(),
             telemetry: Telemetry::off(),
         }
     }
@@ -141,13 +143,13 @@ impl Nvm {
     }
 
     /// Functional contents of main memory.
-    pub fn state(&self) -> &MainMemory {
+    pub fn state(&self) -> &CompactMemory {
         &self.state
     }
 
     /// Mutable functional contents; used by recovery to patch memory and by
     /// tests to install initial images.
-    pub fn state_mut(&mut self) -> &mut MainMemory {
+    pub fn state_mut(&mut self) -> &mut CompactMemory {
         &mut self.state
     }
 

@@ -17,26 +17,24 @@
 //! after every commit loses no image a correct recovery needs, and the
 //! chain holds only the epochs still in flight however long the run.
 //!
-//! The base keeps one `line → token` entry per touched line rather than a
-//! paged [`MainMemory`]: a sparse write set spreads over many pages, and
-//! a page holds 512 tokens whether one line of it was written or all of
-//! them.
+//! The base is a [`CompactMemory`], paged 8 lines at a time rather than
+//! [`MainMemory`]'s 512: a sparse write set spreads over many 4 KB pages,
+//! and a 4 KB page holds 512 tokens whether one line of it was written or
+//! all of them.
 //!
 //! [`EpochId::ZERO`] is the empty power-on image: it is always
 //! reconstructible and never stored.
 
-use picl_types::hash::FastMap;
 use picl_types::{EpochId, LineAddr};
 
-use crate::state::MainMemory;
+use crate::state::{CompactMemory, MainMemory};
 
 /// A base image plus an ordered chain of per-epoch forward deltas over
 /// [`MainMemory`].
 #[derive(Debug, Clone, Default)]
 pub struct DeltaSnapshots {
-    /// The image as of `horizon`'s commit, one entry per line holding a
-    /// non-[`MainMemory::INITIAL`] token: every folded delta applied.
-    base: FastMap<LineAddr, u64>,
+    /// The image as of `horizon`'s commit: every folded delta applied.
+    base: CompactMemory,
     /// The oldest reconstructible epoch besides [`EpochId::ZERO`].
     horizon: EpochId,
     /// Monotonically increasing epoch ids after `horizon`; `deltas[i].1`
@@ -45,16 +43,6 @@ pub struct DeltaSnapshots {
     deltas: Vec<(EpochId, Vec<(LineAddr, u64)>)>,
     /// Writes across `deltas`.
     held: usize,
-}
-
-/// Applies one write to a line-grain image, dropping lines that return
-/// to [`MainMemory::INITIAL`].
-fn write(base: &mut FastMap<LineAddr, u64>, line: LineAddr, value: u64) {
-    if value == MainMemory::INITIAL {
-        base.remove(&line);
-    } else {
-        base.insert(line, value);
-    }
 }
 
 impl DeltaSnapshots {
@@ -86,7 +74,7 @@ impl DeltaSnapshots {
             // The open epoch was folded already: merge into the base.
             None if epoch == self.horizon => {
                 for (line, value) in delta {
-                    write(&mut self.base, line, value);
+                    self.base.write_line(line, value);
                 }
             }
             last => {
@@ -106,7 +94,7 @@ impl DeltaSnapshots {
         for (e, delta) in self.deltas.drain(..foldable) {
             self.held -= delta.len();
             for (line, value) in delta {
-                write(&mut self.base, line, value);
+                self.base.write_line(line, value);
             }
             self.horizon = e;
         }
@@ -142,7 +130,7 @@ impl DeltaSnapshots {
             return None;
         }
         let mut image = MainMemory::new();
-        for (&line, &value) in &self.base {
+        for (line, value) in self.base.iter() {
             image.write_line(line, value);
         }
         for (_, delta) in self.deltas.iter().take_while(|(e, _)| *e <= epoch) {
@@ -178,7 +166,7 @@ impl DeltaSnapshots {
     /// Lines the base holds: the touched lines of the horizon's image
     /// (memory diagnostics).
     pub fn base_lines(&self) -> usize {
-        self.base.len()
+        self.base.touched_lines()
     }
 
     /// Writes held in deltas after the horizon (memory diagnostics).
@@ -407,9 +395,8 @@ mod tests {
 
     #[test]
     fn base_holds_one_entry_per_touched_line() {
-        // The base is the horizon's image at line grain: repeated writes
-        // to a line leave one entry, and a line written back to INITIAL
-        // leaves none.
+        // The base is the horizon's image: repeated writes to a line
+        // count once, and a line written back to INITIAL counts none.
         let mut snaps = DeltaSnapshots::new();
         snaps.commit(EpochId(1), delta(&[(1, 1), (1, 2), (2, 2), (700, 7)]));
         snaps.commit(EpochId(2), delta(&[(2, MainMemory::INITIAL), (3, 3)]));

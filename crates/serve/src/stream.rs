@@ -8,7 +8,8 @@
 //! prefix* must equal [`session_model_after`]`(seed, i, n, ..)` for some
 //! op count `n`, and the per-session counts reported at each epoch
 //! commit (see `ServeKv::set_commit_hook`) give a sound lower bound for
-//! `n`. That is prefix consistency, per session, within the RPO bound. A
+//! `n`; [`first_matching_count`] searches the range in one replay. That
+//! is prefix consistency, per session, within the RPO bound. A
 //! lone session is deterministic, so its `n` is exact:
 //! [`ops_through_epoch`].
 //!
@@ -19,6 +20,8 @@
 //! Values deliberately cycle through lengths on both sides of the
 //! single-slot threshold so a kill lands on multi-slot (spanning) record
 //! writes too.
+
+use std::ops::RangeInclusive;
 
 use picl_store::workload::{apply_to_model, Model, Op};
 use picl_types::hash::fnv1a_64;
@@ -71,6 +74,45 @@ pub fn session_model_after(seed: u64, session: usize, count: u64, key_space: u64
         apply_to_model(&mut model, &op);
     }
     model
+}
+
+/// The first op count in `counts` after which session `session`'s model
+/// equals `slice`, or `None` if there is none.
+///
+/// One replay of the stream through `counts`' end: it keeps a running
+/// count of keys whose model value differs from `slice` and stops at the
+/// first count at or above the range's start where that count is 0. The
+/// search is linear in the stream, where testing each count against
+/// [`session_model_after`] would replay from op 0 every time.
+pub fn first_matching_count(
+    seed: u64,
+    session: usize,
+    key_space: u64,
+    counts: RangeInclusive<u64>,
+    slice: &Model,
+) -> Option<u64> {
+    let (floor, last) = counts.into_inner();
+    let ops = session_ops(seed, session, last, key_space);
+    let mut model = Model::new();
+    // Before the first op the model is empty: every slice key differs.
+    let mut differing = slice.len();
+    for n in 0..=last {
+        if n >= floor && differing == 0 {
+            return Some(n);
+        }
+        let Some(op) = ops.get(n as usize) else {
+            break;
+        };
+        let key = match op {
+            Op::Put(k, _) | Op::Delete(k) => k,
+            Op::Get(_) => continue,
+        };
+        let was = model.get(key) != slice.get(key);
+        apply_to_model(&mut model, op);
+        let now = model.get(key) != slice.get(key);
+        differing = differing + usize::from(now) - usize::from(was);
+    }
+    None
 }
 
 /// How many of `ops` a one-session run holds at epoch `epoch`. A lone
@@ -177,5 +219,73 @@ mod tests {
                 assert_eq!(model, session_model_after(7, 1, (i + 1) as u64, 6));
             }
         }
+    }
+
+    /// The per-count replay the judge used to run: one fresh replay from
+    /// op 0 for every count in the range.
+    fn first_matching_count_by_replay(
+        seed: u64,
+        session: usize,
+        key_space: u64,
+        counts: RangeInclusive<u64>,
+        slice: &Model,
+    ) -> Option<u64> {
+        counts
+            .into_iter()
+            .find(|&n| session_model_after(seed, session, n, key_space) == *slice)
+    }
+
+    #[test]
+    fn linear_search_matches_per_count_replay() {
+        const OPS: u64 = 240;
+        let mut verdicts = [0u32; 2];
+        for (seed, session, key_space) in [(3, 1, 6), (9, 0, 40)] {
+            let model = |n| session_model_after(seed, session, n, key_space);
+            let mut slices = Vec::new();
+            // Clean slices, including the empty one and the whole stream.
+            for n in [0, 1, 17, 120, 239, OPS] {
+                slices.push(model(n));
+            }
+            // Corrupted slices: a changed value, a foreign key, a lost key.
+            let mut changed = model(120);
+            if let Some(v) = changed.values_mut().next() {
+                v.push(b'!');
+            }
+            slices.push(changed);
+            let mut foreign = model(120);
+            foreign.insert(b"s9-k000".to_vec(), b"x".to_vec());
+            slices.push(foreign);
+            let mut lost = model(239);
+            let first = lost.keys().next().cloned().unwrap();
+            lost.remove(&first);
+            slices.push(lost);
+            for slice in &slices {
+                // Floors at 0, inside the stream, past a rolled-back
+                // slice's count, and past the range's end.
+                for floor in [0, 1, 18, 100, 121, 200, OPS, OPS + 1] {
+                    for last in [OPS / 2, OPS] {
+                        let got =
+                            first_matching_count(seed, session, key_space, floor..=last, slice);
+                        verdicts[usize::from(got.is_some())] += 1;
+                        assert_eq!(
+                            got,
+                            first_matching_count_by_replay(
+                                seed,
+                                session,
+                                key_space,
+                                floor..=last,
+                                slice
+                            ),
+                            "seed {seed}, floor {floor}, last {last}, slice of {} keys",
+                            slice.len()
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            verdicts[0] > 0 && verdicts[1] > 0,
+            "{verdicts:?} (rejected, accepted)"
+        );
     }
 }

@@ -69,11 +69,11 @@ impl Core {
 ///
 /// The default `Delta` store records one copy-on-write delta per commit
 /// (O(writes this epoch)), folds every delta at or behind the persisted
-/// frontier into a line-grain base after each commit, and reconstructs a
-/// full image only when a crash needs one. `Full` keeps the original
-/// eager deep clone per commit and never folds — the unoptimized
-/// reference `picl bench` diffs against, which would catch a horizon that
-/// hid a needed epoch.
+/// frontier into a cache-line-paged base after each commit, and
+/// reconstructs a full image only when a crash needs one. `Full` keeps
+/// the original eager deep clone per commit and never folds — the
+/// unoptimized reference `picl bench` diffs against, which would catch a
+/// horizon that hid a needed epoch.
 enum SnapshotStore {
     /// Snapshots disabled: no history and no pending writes are kept; the
     /// power-on image is the only golden snapshot.
@@ -553,6 +553,8 @@ impl Machine {
         let (consistent, mismatch_count, mismatches) = match &golden {
             Some(golden) => {
                 let mut diffs = std::mem::take(&mut self.diff_scratch);
+                // A 4 KB-paged golden image against the 8-line-paged NVM
+                // contents: `diff_into` walks both widths.
                 golden.diff_into(self.mem.state(), &mut diffs);
                 diffs.retain(|l| l.raw() < WORKLOAD_LINE_LIMIT);
                 let result = (
@@ -827,8 +829,9 @@ mod tests {
     #[test]
     fn golden_history_stays_bounded() {
         // After every commit the chain folds through the persisted
-        // frontier: the base is exactly the frontier's image, one entry
-        // per touched line, and only the epochs after it stay deltas.
+        // frontier: the base is exactly the frontier's image, and only
+        // the epochs after it stay deltas. The NVM contents hold no page
+        // without a touched line.
         let mut m = picl_on_gcc(true);
         for step in 1..=20u64 {
             m.run_until(step * 100_000);
@@ -841,8 +844,15 @@ mod tests {
             assert_eq!(
                 deltas.base_lines(),
                 deltas.reconstruct(persisted).unwrap().touched_lines(),
-                "one base entry per touched line at {} instructions",
+                "the base is the frontier's image at {} instructions",
                 m.instructions()
+            );
+            let nvm = m.memory().state();
+            assert!(
+                (1..=nvm.touched_lines()).contains(&nvm.page_count()),
+                "{} pages for {} touched lines",
+                nvm.page_count(),
+                nvm.touched_lines()
             );
             assert!(
                 (1..persisted.raw()).all(|e| !deltas.contains(EpochId(e))),

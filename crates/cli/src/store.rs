@@ -3,7 +3,9 @@
 //!
 //! Subcommands:
 //!
-//! - `dump` — print a store file's superblock and live undo log.
+//! - `dump` — print a store file's superblock and live undo log, and what
+//!   recovery would scan and replay (the engine's own log scan and
+//!   rollback, without writing anything).
 //! - `verify` — recover a `serve run` store file and judge it against the
 //!   run's seeded session streams (nonzero exit on any inconsistency).
 //! - `simdiff` — run one workload through both the store and the
@@ -13,8 +15,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use picl_crashlab::{run_store_diff, StoreDiffSpec, Victim};
-use picl_store::layout::{decode_log_block, Geometry, Superblock, LOG_BLOCK_BYTES, SB_BYTES};
-use picl_store::{min_log_blocks, EngineConfig, FileMedium, PersistOps};
+use picl_store::layout::{Geometry, Superblock, SB_BYTES};
+use picl_store::{min_log_blocks, scan_log, EngineConfig, FileMedium, PersistOps};
+use picl_types::undo::rollback;
 use picl_types::EpochId;
 
 use crate::args::{ArgError, Args};
@@ -137,31 +140,19 @@ fn store_dump(args: &Args) -> Result<(), ArgError> {
         sb.log_start_seq,
         sb.log_head_seq
     );
-    let mut buf = vec![0u8; LOG_BLOCK_BYTES as usize];
-    let mut blocks = 0u64;
-    let mut entries = 0u64;
-    let mut undoable = 0u64;
-    for slot in 0..sb.geometry.log_blocks {
-        medium
-            .read(sb.geometry.log_slot_off(u64::from(slot)), &mut buf)
-            .map_err(|e| ArgError(format!("read log slot {slot}: {e}")))?;
-        let Some(block) = decode_log_block(&buf, sb.generation) else {
-            continue;
-        };
-        if block.seq < sb.log_start_seq {
-            continue;
-        }
-        blocks += 1;
-        entries += block.entries.len() as u64;
-        undoable += block
-            .entries
-            .iter()
-            .filter(|e| e.covers(EpochId(sb.persisted_eid)))
-            .count() as u64;
+    let blocks =
+        scan_log(&medium, &sb).map_err(|e| ArgError(format!("{}: {e}", path.display())))?;
+    let entries: usize = blocks.iter().map(|b| b.entries.len()).sum();
+    let newest_first = blocks.iter().rev().map(|b| (b.max_valid_till, &b.entries));
+    let (mut scanned, mut replayed) = (0, 0);
+    for (_, patches) in rollback(newest_first, EpochId(sb.persisted_eid)) {
+        scanned += 1;
+        replayed += patches.count();
     }
     println!(
-        "log: {blocks} live blocks, {entries} undo entries, {undoable} covering the \
-         persist frontier (would replay on recovery)"
+        "log: {} live blocks, {entries} undo entries; recovery would scan \
+         {scanned} blocks and would replay {replayed} entries",
+        blocks.len()
     );
     Ok(())
 }
@@ -195,11 +186,12 @@ fn store_verify(args: &Args) -> Result<(), ArgError> {
     )
     .map_err(ArgError)?;
     println!(
-        "{}: recovered to epoch {} ({} undo entries replayed, {:.3} ms), \
-         prefix-consistent: {}, RPO ok: {}",
+        "{}: recovered to epoch {} ({} undo entries replayed from {} log blocks, \
+         {:.3} ms), prefix-consistent: {}, RPO ok: {}",
         path.display(),
         judgement.recovered_to,
         judgement.entries_replayed,
+        judgement.blocks_scanned,
         judgement.recovery_ns as f64 / 1e6,
         judgement.consistent,
         judgement.rpo_ok
@@ -287,6 +279,33 @@ mod tests {
         raw.extend(CONTRACT);
         cmd_store(&parse(&raw)).unwrap();
         cmd_store(&parse(&["store", "dump", "--path", &p])).unwrap();
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn dump_rejects_an_impossible_log_entry() {
+        use picl_store::layout::{encode_log_block, UndoEntry};
+        let path = temp_store("impossible.store");
+        let p = path.display().to_string();
+        serve_run(&p);
+        // A checksummed live block whose entry names a line past the data
+        // region: recovery refuses it, so dump must not count it.
+        let medium = FileMedium::open_existing(&path).unwrap();
+        let mut head = [0u8; SB_BYTES as usize];
+        medium.read(0, &mut head).unwrap();
+        let sb = Superblock::decode(&head).unwrap();
+        let entry = UndoEntry::new(
+            picl_types::LineAddr::new(u64::from(sb.geometry.lines)),
+            [7; 64],
+            EpochId(sb.persisted_eid),
+            EpochId(sb.persisted_eid + 1),
+        );
+        let block = encode_log_block(sb.generation, sb.log_head_seq, &[entry]);
+        let off = sb.geometry.log_slot_off(sb.log_head_seq);
+        medium.persist(off, &block).unwrap();
+        medium.fence().unwrap();
+        let err = cmd_store(&parse(&["store", "dump", "--path", &p])).unwrap_err();
+        assert!(err.to_string().contains("impossible entry"), "{err}");
         let _ = std::fs::remove_file(&path);
     }
 

@@ -7,24 +7,29 @@
 //! entries, which — because `ValidTill` values are assigned from the
 //! monotonically increasing `SystemEID` — is nondecreasing along the log.
 //! That monotonicity gives both cheap garbage collection (drop expired
-//! prefix blocks) and the paper's early-terminating backward recovery scan.
-
-use std::collections::VecDeque;
+//! prefix blocks) and the paper's early-terminating backward recovery scan,
+//! both shared with the store engine ([`LogWindow`], [`rollback`]); this
+//! module adds the NVM traffic they cost.
 
 use picl_nvm::{AccessClass, Nvm};
-use picl_types::undo::{UndoEntry, ENTRY_BYTES};
+use picl_types::undo::{rollback, LogWindow, UndoEntry, ENTRY_BYTES};
 use picl_types::{Cycle, EpochId, LineAddr};
 
 /// Line index where the simulated log region begins — far above any
 /// workload footprint so log traffic has its own rows and banks.
 pub const LOG_REGION_BASE_LINE: u64 = 1 << 40;
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct LogBlock {
     entries: Vec<UndoEntry>,
-    max_valid_till: EpochId,
     base: LineAddr,
     bytes: u64,
+}
+
+impl AsRef<[UndoEntry]> for LogBlock {
+    fn as_ref(&self) -> &[UndoEntry] {
+        &self.entries
+    }
 }
 
 /// Statistics of log activity.
@@ -45,22 +50,18 @@ pub struct LogStats {
 /// The durable undo log resident in NVM.
 #[derive(Debug, Clone, Default)]
 pub struct UndoLog {
-    blocks: VecDeque<LogBlock>,
+    window: LogWindow<LogBlock>,
     cursor_line: u64,
     stats: LogStats,
-    /// High-water mark for `ValidTill` monotonicity. Reset by
-    /// [`UndoLog::reset_watermark`] after a recovery rewinds `SystemEID`.
-    till_watermark: EpochId,
 }
 
 impl UndoLog {
     /// An empty log whose region starts at [`LOG_REGION_BASE_LINE`].
     pub fn new() -> Self {
         UndoLog {
-            blocks: VecDeque::new(),
+            window: LogWindow::default(),
             cursor_line: LOG_REGION_BASE_LINE,
             stats: LogStats::default(),
-            till_watermark: EpochId::ZERO,
         }
     }
 
@@ -76,101 +77,61 @@ impl UndoLog {
     /// with respect to previously appended blocks.
     pub fn append_flush(&mut self, entries: Vec<UndoEntry>, mem: &mut Nvm, now: Cycle) -> Cycle {
         assert!(!entries.is_empty(), "flush of zero entries");
-        let max_valid_till = entries
-            .iter()
-            .map(|e| e.valid_till)
-            .max()
-            .expect("nonempty");
-        assert!(
-            max_valid_till >= self.till_watermark,
-            "ValidTill monotonicity violated: {} after {}",
-            max_valid_till,
-            self.till_watermark
-        );
-        self.till_watermark = max_valid_till;
-        let bytes = entries.len() as u64 * ENTRY_BYTES;
-        let base = LineAddr::new(self.cursor_line);
-        self.cursor_line += bytes.div_ceil(64);
-        let done = mem.write_bulk(now, base, bytes, AccessClass::UndoLogBulk);
-
-        self.stats.bytes_written += bytes;
-        self.stats.bytes_live += bytes;
-        self.stats.entries_written += entries.len() as u64;
-        self.stats.flushes += 1;
-        self.blocks.push_back(LogBlock {
-            entries,
-            max_valid_till,
-            base,
-            bytes,
-        });
-        done
+        let (base, bytes) = self.push(entries);
+        mem.write_bulk(now, base, bytes, AccessClass::UndoLogBulk)
     }
 
     /// Appends one entry as its own (uncoalesced) log write — the access
     /// pattern of classic undo logging (FRM), which pays a random NVM write
     /// per entry instead of PiCL's bulk flush. Returns the completion cycle.
     pub fn append_single(&mut self, entry: UndoEntry, mem: &mut Nvm, now: Cycle) -> Cycle {
-        assert!(
-            entry.valid_till >= self.till_watermark,
-            "ValidTill monotonicity violated: {} after {}",
-            entry.valid_till,
-            self.till_watermark
-        );
-        self.till_watermark = entry.valid_till;
-        let base = LineAddr::new(self.cursor_line);
-        self.cursor_line += 1;
-        let done = mem.write(now, base, entry.value, AccessClass::UndoLogRandom);
+        let (base, _) = self.push(vec![entry]);
+        mem.write(now, base, entry.value, AccessClass::UndoLogRandom)
+    }
 
-        self.stats.bytes_written += ENTRY_BYTES;
-        self.stats.bytes_live += ENTRY_BYTES;
-        self.stats.entries_written += 1;
+    /// Places `entries` as the next block at the log's cursor and accounts
+    /// for them. Returns the block's first line and its size in bytes.
+    fn push(&mut self, entries: Vec<UndoEntry>) -> (LineAddr, u64) {
+        let max_till = entries.iter().map(|e| e.valid_till).max();
+        let bytes = entries.len() as u64 * ENTRY_BYTES;
+        let base = LineAddr::new(self.cursor_line);
+        self.cursor_line += bytes.div_ceil(64);
+        self.stats.bytes_written += bytes;
+        self.stats.bytes_live += bytes;
+        self.stats.entries_written += entries.len() as u64;
         self.stats.flushes += 1;
-        self.blocks.push_back(LogBlock {
-            max_valid_till: entry.valid_till,
+        let block = LogBlock {
+            entries,
             base,
-            bytes: ENTRY_BYTES,
-            entries: vec![entry],
-        });
-        done
+            bytes,
+        };
+        self.window.push(max_till.expect("nonempty"), block);
+        (base, bytes)
     }
 
     /// Reclaims expired blocks: a block is dead once its newest entry's
     /// `ValidTill` is at or before the persisted epoch — no future recovery
     /// target can need it. Returns bytes freed.
     pub fn garbage_collect(&mut self, persisted: EpochId) -> u64 {
-        let mut freed = 0;
-        while let Some(front) = self.blocks.front() {
-            if front.max_valid_till <= persisted {
-                freed += front.bytes;
-                self.blocks.pop_front();
-            } else {
-                break;
-            }
-        }
+        let freed = self.window.expire(persisted).map(|b| b.bytes).sum();
         self.stats.bytes_live -= freed;
         self.stats.bytes_reclaimed += freed;
         freed
     }
 
-    /// The paper's crash-recovery procedure (§IV-B): scan the log backward
-    /// from the tail, apply every entry covering `persisted` (later entries
-    /// first, so the oldest valid pre-image wins), and stop at the first
-    /// block whose `max ValidTill` falls at or below `persisted`.
+    /// The paper's crash-recovery procedure (§IV-B, [`rollback`]) with its
+    /// NVM traffic: one bulk read per scanned block, then one write per
+    /// entry covering `persisted`.
     ///
     /// Returns `(entries_applied, completed_at)`.
     pub fn recover(&self, mem: &mut Nvm, persisted: EpochId, now: Cycle) -> (u64, Cycle) {
         let mut applied = 0;
         let mut t = now;
-        for block in self.blocks.iter().rev() {
-            if block.max_valid_till <= persisted {
-                break;
-            }
+        for (block, patches) in rollback(self.window.iter().rev(), persisted) {
             t = mem.read_bulk(t, block.base, block.bytes, AccessClass::RecoveryLogRead);
-            for entry in block.entries.iter().rev() {
-                if entry.covers(persisted) {
-                    t = mem.write(t, entry.addr, entry.value, AccessClass::RecoveryPatchWrite);
-                    applied += 1;
-                }
+            for entry in patches {
+                t = mem.write(t, entry.addr, entry.value, AccessClass::RecoveryPatchWrite);
+                applied += 1;
             }
         }
         (applied, t)
@@ -189,16 +150,14 @@ impl UndoLog {
     /// reused after recovery, so a stale entry could alias a new-timeline
     /// range with an old-timeline value.
     pub fn truncate_after_recovery(&mut self, persisted: EpochId) {
-        let freed: u64 = self.blocks.iter().map(|b| b.bytes).sum();
-        self.blocks.clear();
+        self.window = LogWindow::new(persisted);
+        self.stats.bytes_reclaimed += self.stats.bytes_live;
         self.stats.bytes_live = 0;
-        self.stats.bytes_reclaimed += freed;
-        self.till_watermark = persisted;
     }
 
     /// Number of live blocks.
     pub fn blocks(&self) -> usize {
-        self.blocks.len()
+        self.window.iter().len()
     }
 
     /// Activity statistics.
@@ -208,7 +167,7 @@ impl UndoLog {
 
     /// Iterates over all live entries in append order (tests and tools).
     pub fn iter_entries(&self) -> impl Iterator<Item = &UndoEntry> {
-        self.blocks.iter().flat_map(|b| b.entries.iter())
+        self.window.iter().flat_map(|(_, b)| b.entries.iter())
     }
 }
 

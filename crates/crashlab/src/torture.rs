@@ -148,6 +148,8 @@ pub struct Judgement {
     pub recovered_to: u64,
     /// Undo entries applied.
     pub entries_replayed: u64,
+    /// Log blocks the rollback scanned.
+    pub blocks_scanned: u64,
     /// Recovery latency in nanoseconds.
     pub recovery_ns: u64,
     /// Per-session prefix-consistency verdicts.
@@ -237,6 +239,7 @@ pub fn judge_recovery(
         observed_commit,
         recovered_to,
         entries_replayed: report.entries_applied,
+        blocks_scanned: report.blocks_scanned,
         recovery_ns: report.recovery_ns,
         sessions_consistent,
         consistent,

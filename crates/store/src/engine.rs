@@ -6,8 +6,9 @@
 //!
 //! The protocol state is the simulator's kernel from `picl_types`: an
 //! [`EpochTracker`] for the frontiers, the capture rule [`undo_range`],
-//! and an [`UndoBuffer`] of full-line [`UndoEntry`]s guarded by a
-//! [`BloomFilter`].
+//! an [`UndoBuffer`] of full-line [`UndoEntry`]s guarded by a
+//! [`BloomFilter`], and a [`LogWindow`] of live log blocks that asserts
+//! the ValidTill watermark at every seal and pops dead blocks for GC.
 //!
 //! The *volatile image* (a heap buffer) plays the cache hierarchy: every
 //! write lands there immediately. The first write to a line in each epoch
@@ -27,12 +28,14 @@
 //! # Recovery
 //!
 //! Open reads the superblock, loads the data region, scans the log for
-//! valid blocks of the current generation, and applies every entry
-//! covering the persist frontier `P` (`ValidFrom <= P < ValidTill`) — the
-//! multi-undo rollback. The restored lines are persisted, then one
-//! superblock write bumps the *generation*, atomically discarding the
-//! rolled-back timeline's log (its epoch numbers are about to be reused).
-//! Execution resumes at epoch `P + 1`.
+//! valid blocks of the current generation ([`scan_log`]), and applies
+//! every entry covering the persist frontier `P` (`ValidFrom <= P <
+//! ValidTill`) — the simulator's multi-undo [`rollback`], which stops at
+//! the first dead block (the superblock records the window's start before
+//! a persist cycle's GC, so it may still list some). The restored lines
+//! are persisted, then one superblock write bumps the *generation*,
+//! atomically discarding the rolled-back timeline's log (its epoch
+//! numbers are about to be reused). Execution resumes at epoch `P + 1`.
 //!
 //! # Concurrency
 //!
@@ -67,13 +70,12 @@
 //! or not those later entries survive. The protocol mutex is the only
 //! lock: nothing is taken after it.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 use picl_telemetry::{EventKind, Telemetry};
-use picl_types::hash::FastSet;
-use picl_types::undo::undo_range;
+use picl_types::undo::{rollback, undo_range, LogWindow};
 use picl_types::{
     BloomFilter, Cycle, EpochId, EpochTracker, LineAddr, UndoBuffer, UndoEntry, LINE_BYTES,
 };
@@ -227,6 +229,8 @@ pub struct OpenReport {
     pub recovered_to: u64,
     /// Undo entries applied during rollback.
     pub entries_applied: u64,
+    /// Log blocks the rollback scanned (it stops at the first dead one).
+    pub blocks_scanned: u64,
     /// Distinct lines rolled back.
     pub lines_restored: u64,
     /// Wall-clock recovery latency in nanoseconds (log scan + rollback +
@@ -342,8 +346,8 @@ struct Inner {
     queue: VecDeque<EpochWork>,
     log_head_seq: u64,
     log_start_seq: u64,
-    /// `(seq, max_valid_till)` of live log blocks, oldest first, for GC.
-    live_blocks: VecDeque<(u64, EpochId)>,
+    /// Sequence numbers of the live log blocks, oldest first, for GC.
+    window: LogWindow<u64>,
     tick: u64,
     stats: EngineStats,
     dead: Option<String>,
@@ -364,7 +368,7 @@ impl Inner {
             queue: VecDeque::new(),
             log_head_seq: 0,
             log_start_seq: 0,
-            live_blocks: VecDeque::new(),
+            window: LogWindow::new(persisted),
             tick,
             stats: EngineStats::default(),
             dead: None,
@@ -520,14 +524,9 @@ impl Shared {
 
     /// Drops dead log blocks off the front of the live window.
     fn gc(&self, st: &mut Inner) {
-        while let Some(&(seq, max_till)) = st.live_blocks.front() {
-            if max_till <= st.epochs.persisted() {
-                st.live_blocks.pop_front();
-                debug_assert_eq!(seq, st.log_start_seq);
-                st.log_start_seq = seq + 1;
-            } else {
-                break;
-            }
+        for seq in st.window.expire(st.epochs.persisted()) {
+            debug_assert_eq!(seq, st.log_start_seq);
+            st.log_start_seq = seq + 1;
         }
     }
 
@@ -566,8 +565,7 @@ impl Shared {
         );
         let max_till = entries.iter().map(|e| e.valid_till).max();
         st.log_head_seq = seq + 1;
-        st.live_blocks
-            .push_back((seq, max_till.unwrap_or_default()));
+        st.window.push(max_till.expect("nonempty"), seq);
         if forced {
             st.stats.forced_drains += 1;
         }
@@ -870,28 +868,23 @@ impl Engine {
             let point = EpochId(sb.persisted_eid);
             let mut tick = 1u64;
             telemetry.record(Cycle(tick), None, EventKind::RecoveryStart);
-            let mut restored: FastSet<u32> = FastSet::default();
-            let mut applied = 0u64;
-            for block in blocks.iter().rev() {
-                if block.max_valid_till <= point {
-                    continue;
-                }
-                for entry in block.entries.iter().rev() {
-                    if entry.covers(point) {
-                        let line = entry.addr.raw() as u32;
-                        image.write(line, &entry.value);
-                        restored.insert(line);
-                        applied += 1;
-                    }
+            let mut restored = BTreeSet::new();
+            let (mut applied, mut scanned) = (0u64, 0u64);
+            let newest_first = blocks.iter().rev().map(|b| (b.max_valid_till, &b.entries));
+            for (_, patches) in rollback(newest_first, point) {
+                scanned += 1;
+                for entry in patches {
+                    let line = entry.addr.raw() as u32;
+                    image.write(line, &entry.value);
+                    restored.insert(line);
+                    applied += 1;
                 }
             }
             // Persist the rollback, then bump the generation: one
             // superblock write atomically discards the dead timeline's
             // log. A crash anywhere in here redoes the same idempotent
             // rollback from the old generation's log.
-            let mut lines_restored: Vec<u32> = restored.iter().copied().collect();
-            lines_restored.sort_unstable();
-            for &line in &lines_restored {
+            for &line in &restored {
                 medium.persist(geometry.data_off(line), &image.read(line))?;
             }
             medium.fence()?;
@@ -917,7 +910,8 @@ impl Engine {
                 recovered: true,
                 recovered_to: point.raw(),
                 entries_applied: applied,
-                lines_restored: lines_restored.len() as u64,
+                blocks_scanned: scanned,
+                lines_restored: restored.len() as u64,
                 recovery_ns: started.elapsed().as_nanos() as u64,
             };
             (geometry, new_sb.generation, point, tick, image, report)
@@ -1243,14 +1237,15 @@ impl Drop for Engine {
 }
 
 /// Collects every valid log block of the superblock's generation whose
-/// sequence number is still inside the live window, sorted by sequence.
+/// sequence number is still inside the live window, sorted by sequence:
+/// the blocks recovery rolls back over, and what `picl store dump` reads.
 ///
 /// # Errors
 ///
 /// A live block that passed its checksum but holds an entry for a line
 /// outside the data region, or with an empty validity range, is
 /// [`StoreError::Corrupt`]: the engine never writes one.
-fn scan_log(medium: &dyn PersistOps, sb: &Superblock) -> Result<Vec<LogBlock>, StoreError> {
+pub fn scan_log(medium: &dyn PersistOps, sb: &Superblock) -> Result<Vec<LogBlock>, StoreError> {
     let mut blocks = Vec::new();
     let mut buf = vec![0u8; LOG_BLOCK_BYTES as usize];
     for slot in 0..sb.geometry.log_blocks {
@@ -1413,6 +1408,53 @@ mod tests {
         assert!(report.recovered);
         assert_eq!(report.recovered_to, 1);
         assert!(report.entries_applied >= 1);
+        assert_eq!(engine.read_line(0).unwrap(), line_of(1), "epoch 2 undone");
+    }
+
+    #[test]
+    fn rollback_stops_at_a_dead_block_the_window_still_lists() {
+        let cfg = small_cfg();
+        let medium = medium_for(&cfg);
+        {
+            let (engine, _) =
+                Engine::open(Arc::clone(&medium) as _, cfg.clone(), Telemetry::off()).unwrap();
+            // Block 0 (max ValidTill 1) dies when epoch 1 persists, but
+            // the superblock recorded the window's start before that GC.
+            engine.write_line(0, &line_of(1)).unwrap();
+            engine.write_line(1, &line_of(1)).unwrap();
+            engine.commit_epoch().unwrap();
+            engine.drain_persister().unwrap();
+            // Block 1 (max ValidTill 2) protects an in-place epoch-2 write.
+            engine.write_line(0, &line_of(9)).unwrap();
+            let mut st = engine.lock();
+            engine.shared.drain(&mut st, true).unwrap();
+            drop(st);
+            let off = engine.geometry().data_off(0);
+            engine.shared.medium.persist(off, &line_of(9)).unwrap();
+            engine.shared.medium.fence().unwrap();
+        }
+        let image = medium.surviving_image();
+        let survivor = Arc::new(CountingMedium::from_image(image.clone()));
+        let sb = Superblock::decode(&image[..SB_BYTES as usize]).unwrap();
+        let blocks = scan_log(survivor.as_ref(), &sb).unwrap();
+        assert_eq!(blocks.len(), 2, "the on-media window lists the dead block");
+        // What a scan of every live block yields: each covering entry,
+        // newest block first, each block's entries last to first.
+        let point = EpochId(sb.persisted_eid);
+        let mut want = image[DATA_OFFSET as usize..][..cfg.lines as usize * LINE].to_vec();
+        for entry in blocks.iter().rev().flat_map(|b| b.entries.iter().rev()) {
+            if entry.covers(point) {
+                let at = entry.addr.raw() as usize * LINE;
+                want[at..at + LINE].copy_from_slice(&entry.value);
+            }
+        }
+        let (engine, report) = Engine::open(survivor, cfg.clone(), Telemetry::off()).unwrap();
+        assert_eq!(report.recovered_to, 1);
+        assert_eq!((report.blocks_scanned, report.entries_applied), (1, 1));
+        for line in 0..cfg.lines {
+            let at = line as usize * LINE;
+            assert_eq!(engine.read_line(line).unwrap()[..], want[at..at + LINE]);
+        }
         assert_eq!(engine.read_line(0).unwrap(), line_of(1), "epoch 2 undone");
     }
 

@@ -48,7 +48,8 @@ pub mod slots;
 pub mod workload;
 
 pub use engine::{
-    min_log_blocks, CommitTicket, Engine, EngineConfig, EngineStats, OpenReport, StoreError,
+    min_log_blocks, scan_log, CommitTicket, Engine, EngineConfig, EngineStats, OpenReport,
+    StoreError,
 };
 pub use kv::{MAX_KEY_BYTES, MAX_VALUE_BYTES};
 pub use layout::{Geometry, UndoEntry, UNDO_BUFFER_BYTES, UNDO_BUFFER_ENTRIES};

@@ -11,7 +11,9 @@
 //! * [`undo`], [`buffer`], [`bloom`] — the PiCL protocol kernel shared by
 //!   the simulator (`picl`) and the store engine (`picl-store`): the
 //!   `(ValidFrom, ValidTill)` undo entry and its capture rule
-//!   ([`undo::undo_range`]), the coalescing undo buffer, and the bloom
+//!   ([`undo::undo_range`]), the multi-undo rollback ([`undo::rollback`])
+//!   and the live-log window with its ValidTill watermark and GC
+//!   ([`undo::LogWindow`]), the coalescing undo buffer, and the bloom
 //!   filter that guards in-place write-backs against volatile entries.
 //! * [`time`] — simulation clock types ([`Cycle`]) and nanosecond/cycle
 //!   conversion at a configured core frequency.

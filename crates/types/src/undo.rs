@@ -1,4 +1,7 @@
-//! Multi-undo log entries (Fig. 5a) and the capture rule that creates them.
+//! Multi-undo log entries (Fig. 5a), the capture rule that creates them,
+//! and the log window and rollback the simulator and the engine share.
+
+use std::collections::VecDeque;
 
 use crate::{EpochId, LineAddr};
 
@@ -93,6 +96,75 @@ impl std::fmt::Display for UndoEntry {
     }
 }
 
+/// The multi-undo rollback (§IV-B): scans a log's blocks newest first,
+/// given as `(max ValidTill, block)`, and yields each scanned block with
+/// its entries covering `persisted`, last to first, so applying them in
+/// order leaves every line at its oldest covering pre-image. The scan
+/// stops at the first block whose max ValidTill is at or below
+/// `persisted`: max ValidTill never falls along the log
+/// ([`LogWindow::push`]), so every older block covers nothing either.
+pub fn rollback<'a, V: 'a, B: AsRef<[UndoEntry<V>]> + 'a>(
+    newest_first: impl IntoIterator<Item = (EpochId, &'a B)>,
+    persisted: EpochId,
+) -> impl Iterator<Item = (&'a B, impl Iterator<Item = &'a UndoEntry<V>>)> {
+    newest_first
+        .into_iter()
+        .take_while(move |&(max_till, _)| max_till > persisted)
+        .map(move |(_, block)| {
+            let patches = block.as_ref().iter().rev();
+            (block, patches.filter(move |e| e.covers(persisted)))
+        })
+}
+
+/// A log's live blocks, oldest first, each with its max ValidTill, which
+/// never falls along the log (§III-D): ValidTill comes from the rising
+/// SystemEID. So garbage collection pops a prefix and [`rollback`] can
+/// stop early.
+#[derive(Debug, Clone, Default)]
+pub struct LogWindow<B> {
+    blocks: VecDeque<(EpochId, B)>,
+    watermark: EpochId,
+}
+
+impl<B> LogWindow<B> {
+    /// An empty window whose blocks must reach at least `watermark` (after
+    /// a recovery, the epoch it rolled back to: later epochs are reused).
+    pub fn new(watermark: EpochId) -> Self {
+        LogWindow {
+            blocks: VecDeque::new(),
+            watermark,
+        }
+    }
+
+    /// Appends `block`, whose newest entry's ValidTill is `max_till`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_till` is below the last block's, or below the
+    /// watermark of an empty window.
+    pub fn push(&mut self, max_till: EpochId, block: B) {
+        assert!(
+            max_till >= self.watermark,
+            "ValidTill monotonicity violated: {max_till} after {}",
+            self.watermark
+        );
+        self.watermark = max_till;
+        self.blocks.push_back((max_till, block));
+    }
+
+    /// Removes and yields the blocks no recovery to `persisted` or later
+    /// can need: the prefix whose max ValidTill is at or below it.
+    pub fn expire(&mut self, persisted: EpochId) -> impl Iterator<Item = B> + '_ {
+        let dead = self.blocks.partition_point(|&(till, _)| till <= persisted);
+        self.blocks.drain(..dead).map(|(_, block)| block)
+    }
+
+    /// The live blocks with their max ValidTill, oldest first.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = (EpochId, &B)> + ExactSizeIterator {
+        self.blocks.iter().map(|(till, block)| (*till, block))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,6 +184,25 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn empty_range_panics() {
         let _ = UndoEntry::new(LineAddr::new(0), 0, EpochId(2), EpochId(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "monotonicity")]
+    fn window_rejects_a_falling_watermark() {
+        let mut w = LogWindow::new(EpochId::ZERO);
+        w.push(EpochId(5), ());
+        w.push(EpochId(4), ());
+    }
+
+    #[test]
+    fn window_expires_a_prefix() {
+        let mut w = LogWindow::new(EpochId(1));
+        for (seq, till) in [(0, 2), (1, 3), (2, 3), (3, 9)] {
+            w.push(EpochId(till), seq);
+        }
+        assert_eq!(w.expire(EpochId(3)).collect::<Vec<_>>(), [0, 1, 2]);
+        assert_eq!(w.expire(EpochId(3)).count(), 0);
+        assert_eq!(w.iter().collect::<Vec<_>>(), [(EpochId(9), &3)]);
     }
 
     #[test]

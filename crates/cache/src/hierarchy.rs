@@ -42,7 +42,8 @@
 //! no dirty line can hide outside its bucket. Drains emit lines sorted by
 //! address, so the NVM write order (and therefore every downstream timing)
 //! is identical between the fast path and the full-scan reference path
-//! ([`Hierarchy::set_reference_scan`]).
+//! ([`Hierarchy::set_reference_scan`]); [`Hierarchy::drain_work`] tells
+//! which path served the drains.
 
 use picl_nvm::{AccessClass, Nvm};
 use picl_telemetry::{EventKind, Telemetry};
@@ -112,6 +113,16 @@ pub struct HierarchyStats {
     pub loads: Counter,
 }
 
+/// Drains served, and the lines their full scans examined. Kept apart
+/// from [`HierarchyStats`], which must not differ between the two paths.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DrainWork {
+    /// Calls to the `take_*` drains, whichever path served them.
+    pub drains: u64,
+    /// Resident lines the reference path's full scans examined.
+    pub scanned_lines: u64,
+}
+
 /// The three-level hierarchy shared by all cores.
 #[derive(Debug)]
 pub struct Hierarchy {
@@ -135,6 +146,7 @@ pub struct Hierarchy {
     /// When set, drains and counts use brute-force full scans (the
     /// pre-index behavior) instead of the epoch index.
     reference_scan: bool,
+    drain_work: DrainWork,
 }
 
 /// LLC directory word naming `core` as the line's owner.
@@ -171,6 +183,7 @@ impl Hierarchy {
             dirty_total: 0,
             dirty_tagged: 0,
             reference_scan: false,
+            drain_work: DrainWork::default(),
         }
     }
 
@@ -185,6 +198,11 @@ impl Hierarchy {
     /// cheap to flip back.
     pub fn set_reference_scan(&mut self, reference: bool) {
         self.reference_scan = reference;
+    }
+
+    /// Drains served so far, and the lines their full scans examined.
+    pub fn drain_work(&self) -> DrainWork {
+        self.drain_work
     }
 
     /// Number of cores.
@@ -468,6 +486,7 @@ impl Hierarchy {
     /// returned sorted by address.
     pub fn take_dirty_lines_into(&mut self, out: &mut Vec<FlushLine>) {
         out.clear();
+        self.drain_work.drains += 1;
         if self.reference_scan {
             self.take_matching_scan(|m| m.dirty, out);
             self.epoch_index.clear();
@@ -499,6 +518,7 @@ impl Hierarchy {
     /// vector (cleared first). Lines are returned sorted by address.
     pub fn take_lines_with_eid_into(&mut self, eid: EpochId, out: &mut Vec<FlushLine>) {
         out.clear();
+        self.drain_work.drains += 1;
         if self.reference_scan {
             self.take_matching_scan(|m| m.dirty && m.eid == Some(eid), out);
             self.epoch_index.remove(&eid);
@@ -572,8 +592,10 @@ impl Hierarchy {
     ) {
         let mut grabbed = 0usize;
         let mut tagged = 0usize;
+        let mut examined = 0u64;
         {
             let mut grab = |addr: LineAddr, word: &mut u64, value: &mut u64| {
+                examined += 1;
                 if *word & OWNED != 0 {
                     return;
                 }
@@ -598,6 +620,7 @@ impl Hierarchy {
         }
         self.dirty_total -= grabbed;
         self.dirty_tagged -= tagged;
+        self.drain_work.scanned_lines += examined;
     }
 
     /// Read-only full scan of every dirty line, sorted by address — the
@@ -978,9 +1001,27 @@ mod tests {
             let e1 = h.take_lines_with_eid(EpochId(1));
             let e2 = h.take_lines_with_eid(EpochId(2));
             let rest = h.take_dirty_lines();
-            (e1, e2, rest)
+            ((e1, e2, rest), h.drain_work())
         };
-        assert_eq!(run(false), run(true));
+        let (fast, fast_work) = run(false);
+        let (reference, reference_work) = run(true);
+        assert_eq!(fast, reference);
+        // Three drains each way; every reference scan examines the eight
+        // resident copies of the four lines, the fast path none.
+        assert_eq!(
+            fast_work,
+            DrainWork {
+                drains: 3,
+                scanned_lines: 0
+            }
+        );
+        assert_eq!(
+            reference_work,
+            DrainWork {
+                drains: 3,
+                scanned_lines: 3 * 8
+            }
+        );
     }
 
     #[test]

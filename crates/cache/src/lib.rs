@@ -34,7 +34,7 @@ pub mod packed;
 pub mod scheme;
 pub mod set_assoc;
 
-pub use hierarchy::{AccessResult, Hierarchy, HierarchyStats, HitLevel};
+pub use hierarchy::{AccessResult, DrainWork, Hierarchy, HierarchyStats, HitLevel};
 pub use line::{CacheLineMeta, FlushLine};
 pub use packed::{PackedInsertion, PackedLineCache};
 pub use scheme::{

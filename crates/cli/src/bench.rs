@@ -1,27 +1,28 @@
 //! `picl bench` — the fast-vs-reference differential.
 //!
 //! Runs a pinned scheme×workload matrix twice per cell: once on the
-//! optimized fast paths (epoch-indexed drains, delta snapshots) and once
-//! on the unoptimized reference paths (full-scan drains, eager deep-clone
-//! snapshots), requiring the two [`RunReport`]s to be bit-identical — the
-//! differential safety net for every hot-path optimization. Reports
-//! events/sec (simulated instructions per wall-clock second) for both
-//! runs and emits them as a `picl-bench-v2` JSON document.
-//!
-//! Throughput regressions are judged by the paired runs of the
-//! `benchmark/` package, not here. The one speed check this command
-//! makes compares two runs of the same process: in full mode the paper
-//! cell's fast path must beat its own reference run by
-//! [`MIN_PAPER_SPEEDUP`], which catches a fast path that has silently
-//! fallen back to the reference scan.
+//! optimized fast paths (epoch-indexed drains, golden snapshots folded
+//! through the persisted frontier) and once on the reference paths
+//! (full-scan drains, a golden chain that never folds). A cell passes
+//! only if the two [`RunReport`]s are bit-identical; the fast side's
+//! drains examined no line by full scan while the reference side's
+//! examined some (unless the scheme never drains, as Ideal does not);
+//! and every epoch the fast machine can still reconstruct has the same
+//! image on the reference machine. The scan
+//! counts are exact, so the gate needs no noise margin. Events/sec
+//! (simulated instructions per wall-clock second) of both runs and their
+//! ratio are reported, in a `picl-bench-v3` JSON document, but gate
+//! nothing: throughput is judged by the paired runs of `benchmark/`.
 
 use std::time::Instant;
 
-use picl_sim::{RunReport, SchemeKind, Simulation, WorkloadSpec};
+use picl_cache::DrainWork;
+use picl_nvm::DeltaSnapshots;
+use picl_sim::{Machine, RunReport, SchemeKind, Simulation, WorkloadSpec};
 use picl_telemetry::json::{escape as json_escape, validate_json};
 use picl_trace::mixes::table_v_mixes;
 use picl_trace::spec::SpecBenchmark;
-use picl_types::SystemConfig;
+use picl_types::{EpochId, SystemConfig};
 
 use crate::args::{ArgError, Args};
 
@@ -34,26 +35,23 @@ const QUICK_EPOCH_LEN: u64 = 10_000;
 const PAPER_INSTRUCTIONS: u64 = 400_000;
 /// Epoch length for the paper cell.
 const PAPER_EPOCH_LEN: u64 = 1_000;
-/// Label of the paper cell, the one the same-run speed check reads.
+/// Label of the paper cell.
 const PAPER_LABEL: &str = "PiCL/W0 x8 paper";
-/// The paper cell's fast path must run at least this many times the
-/// reference path's events/sec. Six `--scale 0.5` runs on a 2-vCPU host
-/// measured 23–57×; a fast path that degraded to the full scan would sit
-/// near 1×.
-const MIN_PAPER_SPEEDUP: f64 = 10.0;
 
 /// One measured matrix cell.
 #[derive(Debug, Clone)]
 struct CellResult {
     label: String,
-    scheme: String,
-    workload: String,
-    cores: usize,
-    instructions: u64,
+    /// The fast side's report, identical to the reference side's.
+    report: RunReport,
     /// Optimized-path events (instructions) per wall-clock second.
     events_per_sec: f64,
     /// Reference-path events per wall-clock second.
     reference_events_per_sec: f64,
+    fast_work: DrainWork,
+    reference_work: DrainWork,
+    /// Epochs whose images the two machines were compared on.
+    epochs_compared: usize,
 }
 
 impl CellResult {
@@ -85,8 +83,7 @@ fn quick_cells(scale: f64) -> Vec<(String, Simulation)> {
         .collect()
 }
 
-/// The paper cell: PiCL on the W0 mix, 8 cores, 16 MB LLC, snapshots on —
-/// the cell the same-run speed check reads.
+/// The paper cell: PiCL on the W0 mix, 8 cores, 16 MB LLC, snapshots on.
 fn paper_cell(scale: f64) -> (String, Simulation) {
     let mut cfg = SystemConfig::paper_multicore(8);
     cfg.epoch.epoch_len_instructions = scaled(PAPER_EPOCH_LEN, scale, 1_000);
@@ -100,62 +97,99 @@ fn paper_cell(scale: f64) -> (String, Simulation) {
     (PAPER_LABEL.to_owned(), sim)
 }
 
-/// Runs one cell on both paths, enforcing the differential check.
+/// Runs one cell on both paths and judges it.
 fn run_cell(label: &str, sim: &Simulation) -> Result<CellResult, ArgError> {
-    let timed = |reference: bool| -> Result<(RunReport, f64), ArgError> {
+    let timed = |reference: bool| -> Result<(Machine, f64), ArgError> {
         let started = Instant::now();
-        let report = sim
+        let machine = sim
             .clone()
             .reference_mode(reference)
-            .run()
+            .run_machine()
             .map_err(|e| ArgError(e.to_string()))?;
-        Ok((report, started.elapsed().as_secs_f64().max(1e-9)))
+        Ok((machine, started.elapsed().as_secs_f64().max(1e-9)))
     };
     let (fast, fast_secs) = timed(false)?;
     let (reference, reference_secs) = timed(true)?;
-    if fast != reference {
+    let epochs_compared = judge_cell(label, &fast, &reference)?;
+    let report = fast.report();
+    Ok(CellResult {
+        label: label.to_owned(),
+        events_per_sec: report.instructions as f64 / fast_secs,
+        reference_events_per_sec: report.instructions as f64 / reference_secs,
+        report,
+        fast_work: fast.drain_work(),
+        reference_work: reference.drain_work(),
+        epochs_compared,
+    })
+}
+
+/// The differential gate on one cell's two finished machines: identical
+/// reports, each side's drains on its own path, identical images.
+/// Returns the number of epochs whose images were compared.
+fn judge_cell(label: &str, fast: &Machine, reference: &Machine) -> Result<usize, ArgError> {
+    if fast.report() != reference.report() {
         return Err(ArgError(format!(
             "differential check failed: {label} reports diverge between the \
              optimized and reference paths"
         )));
     }
-    Ok(CellResult {
-        label: label.to_owned(),
-        scheme: fast.scheme.to_owned(),
-        workload: fast.workload.clone(),
-        cores: fast.cores,
-        instructions: fast.instructions,
-        events_per_sec: fast.instructions as f64 / fast_secs,
-        reference_events_per_sec: fast.instructions as f64 / reference_secs,
-    })
-}
-
-/// The same-run speed check: in full mode, fails unless the paper cell's
-/// fast path ran at least [`MIN_PAPER_SPEEDUP`]× its reference path, and
-/// returns that speedup. Quick mode has no paper cell and passes.
-fn check_paper_speedup(quick: bool, cells: &[CellResult]) -> Result<Option<f64>, ArgError> {
-    if quick {
-        return Ok(None);
-    }
-    let speedup = cells
-        .iter()
-        .find(|c| c.label == PAPER_LABEL)
-        .ok_or_else(|| ArgError(format!("full matrix has no {PAPER_LABEL:?} cell")))?
-        .speedup();
-    if speedup < MIN_PAPER_SPEEDUP {
+    let (work, reference_work) = (fast.drain_work(), reference.drain_work());
+    if work.scanned_lines > 0 {
         return Err(ArgError(format!(
-            "paper cell's fast path is only {speedup:.2}x its reference path \
-             (need {MIN_PAPER_SPEEDUP}x)"
+            "{label}: the fast path's drains examined {} lines by full scan \
+             instead of the epoch index",
+            work.scanned_lines
         )));
     }
-    Ok(Some(speedup))
+    if reference_work.drains > 0 && reference_work.scanned_lines == 0 {
+        return Err(ArgError(format!(
+            "{label}: the reference path's {} drains examined 0 lines by full \
+             scan, so the differential compared the fast path with itself",
+            reference_work.drains
+        )));
+    }
+    let (Some(fast), Some(reference)) = (fast.golden_snapshots(), reference.golden_snapshots())
+    else {
+        unreachable!("bench cells keep snapshots");
+    };
+    compare_images(label, fast, reference)
 }
 
-/// Renders the `picl-bench-v2` document.
+/// Fails unless every epoch `fast` can still reconstruct has the same
+/// image in `reference`, an unfolded chain of the same commits. Returns
+/// the epochs compared.
+fn compare_images(
+    label: &str,
+    fast: &DeltaSnapshots,
+    reference: &DeltaSnapshots,
+) -> Result<usize, ArgError> {
+    if reference.horizon() != EpochId::ZERO {
+        return Err(ArgError(format!(
+            "{label}: the reference golden chain folded through {}, \
+             so the image check would compare folded with folded",
+            reference.horizon()
+        )));
+    }
+    for epoch in fast.epochs() {
+        let image = |chain: &DeltaSnapshots| chain.reconstruct(epoch).expect("a committed epoch");
+        let lines = image(fast).diff(&image(reference));
+        if let Some(first) = lines.first() {
+            return Err(ArgError(format!(
+                "{label}: the golden image of {epoch} differs from the \
+                 reference's at {} lines, first line {}",
+                lines.len(),
+                first.raw()
+            )));
+        }
+    }
+    Ok(fast.epochs().count())
+}
+
+/// Renders the `picl-bench-v3` document.
 fn to_json(mode: &str, cells: &[CellResult], total_seconds: f64) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"picl-bench-v2\",\n");
+    out.push_str("  \"schema\": \"picl-bench-v3\",\n");
     out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
     out.push_str("  \"cells\": [\n");
     for (i, cell) in cells.iter().enumerate() {
@@ -163,15 +197,20 @@ fn to_json(mode: &str, cells: &[CellResult], total_seconds: f64) -> String {
             "    {{\"label\": \"{}\", \"scheme\": \"{}\", \"workload\": \"{}\", \
              \"cores\": {}, \"instructions\": {}, \"events_per_sec\": {:.1}, \
              \"reference_events_per_sec\": {:.1}, \"speedup\": {:.3}, \
-             \"identical\": true}}{}\n",
+             \"drains\": {}, \"fast_scanned_lines\": {}, \
+             \"reference_scanned_lines\": {}, \"epochs_compared\": {}}}{}\n",
             json_escape(&cell.label),
-            json_escape(&cell.scheme),
-            json_escape(&cell.workload),
-            cell.cores,
-            cell.instructions,
+            json_escape(cell.report.scheme),
+            json_escape(&cell.report.workload),
+            cell.report.cores,
+            cell.report.instructions,
             cell.events_per_sec,
             cell.reference_events_per_sec,
             cell.speedup(),
+            cell.reference_work.drains,
+            cell.fast_work.scanned_lines,
+            cell.reference_work.scanned_lines,
+            cell.epochs_compared,
             if i + 1 == cells.len() { "" } else { "," }
         ));
     }
@@ -200,20 +239,22 @@ pub fn cmd_bench(args: &Args) -> Result<(), ArgError> {
     }
 
     println!(
-        "{:<22}{:>10}{:>14}{:>14}{:>9}",
-        "cell", "instr", "events/s", "ref ev/s", "speedup"
+        "{:<22}{:>10}{:>14}{:>14}{:>9}{:>13}{:>8}",
+        "cell", "instr", "events/s", "ref ev/s", "speedup", "ref scanned", "epochs"
     );
     let started = Instant::now();
     let mut cells = Vec::with_capacity(matrix.len());
     for (label, sim) in &matrix {
         let cell = run_cell(label, sim)?;
         println!(
-            "{:<22}{:>10}{:>14.0}{:>14.0}{:>8.2}x",
+            "{:<22}{:>10}{:>14.0}{:>14.0}{:>8.2}x{:>13}{:>8}",
             cell.label,
-            cell.instructions,
+            cell.report.instructions,
             cell.events_per_sec,
             cell.reference_events_per_sec,
-            cell.speedup()
+            cell.speedup(),
+            cell.reference_work.scanned_lines,
+            cell.epochs_compared
         );
         cells.push(cell);
     }
@@ -229,56 +270,135 @@ pub fn cmd_bench(args: &Args) -> Result<(), ArgError> {
             cells.len()
         );
     }
-
-    if let Some(speedup) = check_paper_speedup(quick, &cells)? {
-        println!(
-            "paper cell: fast path {speedup:.2}x its reference path \
-             (floor {MIN_PAPER_SPEEDUP}x) — ok"
-        );
-    }
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use picl_cache::{HierarchyStats, SchemeStats};
+    use picl_nvm::NvmStats;
     use picl_telemetry::json::Value;
+    use picl_types::{Cycle, LineAddr};
 
     fn cell(label: &str, events_per_sec: f64, reference_events_per_sec: f64) -> CellResult {
         CellResult {
             label: label.into(),
-            scheme: "PiCL".into(),
-            workload: "gcc".into(),
-            cores: 1,
-            instructions: 1_000_000,
+            report: RunReport {
+                scheme: "PiCL",
+                workload: "gcc".into(),
+                cores: 1,
+                instructions: 1_000_000,
+                total_cycles: Cycle::ZERO,
+                commits: 0,
+                forced_commits: 0,
+                stall_cycles: 0,
+                scheme_stats: SchemeStats::default(),
+                nvm: NvmStats::default(),
+                hierarchy: HierarchyStats::default(),
+            },
             events_per_sec,
             reference_events_per_sec,
+            fast_work: DrainWork {
+                drains: 100,
+                scanned_lines: 0,
+            },
+            reference_work: DrainWork {
+                drains: 100,
+                scanned_lines: 52_000,
+            },
+            epochs_compared: 4,
         }
     }
 
-    #[test]
-    fn paper_speedup_check_needs_ten_x_in_full_mode() {
-        let quick_cell = cell("PiCL/gcc x1", 2_000.0, 1_000.0);
-        let paper = |speedup: f64| cell(PAPER_LABEL, speedup * 1_000.0, 1_000.0);
+    /// Quick cell `cell` at a small scale (0 is Ideal, 5 PiCL), run with
+    /// the fast and the reference side each on the given path.
+    fn pair(
+        cell: usize,
+        fast_on_reference: bool,
+        reference_on_reference: bool,
+    ) -> (Machine, Machine) {
+        let (_, sim) = quick_cells(0.02).swap_remove(cell);
+        let run = |on: bool| sim.clone().reference_mode(on).run_machine().unwrap();
+        (run(fast_on_reference), run(reference_on_reference))
+    }
 
-        // Quick mode has no paper cell and nothing to check.
-        assert_eq!(
-            check_paper_speedup(true, std::slice::from_ref(&quick_cell)).unwrap(),
-            None
-        );
-        // Full mode passes at or above the floor…
-        assert_eq!(
-            check_paper_speedup(false, &[quick_cell.clone(), paper(10.0)]).unwrap(),
-            Some(10.0)
-        );
-        assert_eq!(
-            check_paper_speedup(false, &[quick_cell.clone(), paper(35.0)]).unwrap(),
-            Some(35.0)
-        );
-        // …and fails below it, or when the paper cell is missing.
-        let err = check_paper_speedup(false, &[quick_cell.clone(), paper(9.5)]).unwrap_err();
-        assert!(err.to_string().contains("9.50x"), "{err}");
-        assert!(check_paper_speedup(false, &[quick_cell]).is_err());
+    #[test]
+    fn gate_passes_a_true_pair() {
+        let (fast, reference) = pair(5, false, true);
+        let epochs = judge_cell("PiCL/gcc x1", &fast, &reference).unwrap();
+        assert!(epochs >= 2, "{epochs} epochs compared");
+        assert!(fast.drain_work().drains > 0);
+        assert_eq!(fast.drain_work().drains, reference.drain_work().drains);
+        // Ideal never drains, so neither side has a scan to count.
+        let (fast, reference) = pair(0, false, true);
+        assert_eq!(reference.drain_work(), DrainWork::default());
+        judge_cell("Ideal/gcc x1", &fast, &reference).unwrap();
+    }
+
+    #[test]
+    fn gate_fails_a_fast_side_that_scanned() {
+        // Both sides on the reference paths: reports and images agree,
+        // but the "fast" side's drains took the full scan.
+        let (fast, reference) = pair(5, true, true);
+        let scanned = fast.drain_work().scanned_lines;
+        assert!(scanned > 0);
+        let err = judge_cell("PiCL/gcc x1", &fast, &reference)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("PiCL/gcc x1"), "{err}");
+        assert!(err.contains(&format!("examined {scanned} lines")), "{err}");
+    }
+
+    #[test]
+    fn gate_fails_a_reference_side_that_never_scanned() {
+        // Both sides on the fast paths: the differential would compare
+        // the fast path with itself.
+        let (fast, reference) = pair(5, false, false);
+        let err = judge_cell("PiCL/gcc x1", &fast, &reference)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("examined 0 lines"), "{err}");
+        assert!(err.contains("with itself"), "{err}");
+    }
+
+    #[test]
+    fn gate_fails_one_corrupted_folded_epoch() {
+        let writes = |epoch: u64| -> Vec<(LineAddr, u64)> {
+            (0..16)
+                .map(|l| (LineAddr::new(l * 3), epoch * 100 + l))
+                .collect()
+        };
+        let mut fast = DeltaSnapshots::new();
+        let mut reference = DeltaSnapshots::new();
+        for epoch in 1..=4 {
+            fast.commit(EpochId(epoch), writes(epoch));
+            reference.commit(EpochId(epoch), writes(epoch));
+        }
+        fast.fold_through(EpochId(2));
+        assert_eq!(compare_images("cell", &fast, &reference).unwrap(), 3);
+
+        // Epoch 2 folds with one line that its commit never wrote.
+        let mut corrupt = DeltaSnapshots::new();
+        for epoch in 1..=4 {
+            let mut delta = writes(epoch);
+            if epoch == 2 {
+                delta.push((LineAddr::new(1_000), 7));
+            }
+            corrupt.commit(EpochId(epoch), delta);
+        }
+        corrupt.fold_through(EpochId(2));
+        let err = compare_images("cell", &corrupt, &reference)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("golden image of E2"), "{err}");
+        assert!(err.contains("at 1 lines, first line 1000"), "{err}");
+
+        // A reference chain that folded checks nothing.
+        let err = compare_images("cell", &fast, &fast)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("folded with folded"), "{err}");
     }
 
     #[test]
@@ -286,12 +406,16 @@ mod tests {
         let json = to_json("full", &[cell(PAPER_LABEL, 32_000.0, 1_000.0)], 1.0);
         validate_json(&json).unwrap();
         let doc = Value::parse(&json).unwrap();
-        assert_eq!(doc.field_str("schema").unwrap(), "picl-bench-v2");
+        assert_eq!(doc.field_str("schema").unwrap(), "picl-bench-v3");
         let cells = doc.get("cells").and_then(Value::as_arr).unwrap();
         assert_eq!(cells.len(), 1);
         assert_eq!(cells[0].field_str("label").unwrap(), PAPER_LABEL);
         assert_eq!(cells[0].get("speedup").and_then(Value::as_f64), Some(32.0));
-        assert!(json.contains("\"identical\": true"), "{json}");
+        let count = |field: &str| cells[0].get(field).and_then(Value::as_f64);
+        assert_eq!(count("fast_scanned_lines"), Some(0.0));
+        assert_eq!(count("reference_scanned_lines"), Some(52_000.0));
+        assert_eq!(count("drains"), Some(100.0));
+        assert_eq!(count("epochs_compared"), Some(4.0));
     }
 
     #[test]

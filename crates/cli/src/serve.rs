@@ -390,6 +390,7 @@ fn serve_torture(args: &Args) -> Result<(), ArgError> {
     let inconsistent = report.count(|o| !o.judgement.consistent);
     let rpo_violations = report.count(|o| !o.judgement.rpo_ok);
     let flight_failures = report.count(|o| !o.flight_ok);
+    let plan_mismatches = report.count(|o| !o.recovery_matches_plan());
     let judgements = || report.outcomes.iter().map(|o| &o.judgement);
     let worst_lost = judgements().map(Judgement::epochs_lost).max().unwrap_or(0);
     let total_replayed: u64 = judgements().map(|j| j.entries_replayed).sum();
@@ -412,21 +413,22 @@ fn serve_torture(args: &Args) -> Result<(), ArgError> {
     );
     println!(
         "oracle: {inconsistent} inconsistent, {rpo_violations} RPO violations, \
-         {flight_failures} unreadable flight logs ({flight_lines} snapshot lines recovered); \
-         worst epochs lost {worst_lost}, {total_replayed} undo entries replayed across all \
+         {flight_failures} unreadable flight logs ({flight_lines} snapshot lines recovered), \
+         {plan_mismatches} recoveries off their log's plan; worst epochs lost {worst_lost}, {total_replayed} undo entries replayed across all \
          recoveries, slowest recovery {:.3} ms",
         max_recovery_ns as f64 / 1e6
     );
     if report.passed() {
         println!(
             "serve torture: PASS (every session prefix-consistent within the RPO bound, \
-             every flight log readable after the kill)"
+             every flight log readable after the kill, every rollback as its log planned)"
         );
         Ok(())
     } else {
         Err(ArgError(format!(
             "serve torture: {inconsistent} inconsistent recoveries, \
-             {rpo_violations} RPO violations, {flight_failures} unreadable flight logs"
+             {rpo_violations} RPO violations, {flight_failures} unreadable flight logs, \
+             {plan_mismatches} recoveries off their log's plan"
         )))
     }
 }

@@ -4,8 +4,8 @@
 //! Subcommands:
 //!
 //! - `dump` — print a store file's superblock and live undo log, and what
-//!   recovery would scan and replay (the engine's own log scan and
-//!   rollback, without writing anything).
+//!   recovery would scan and replay (`picl_store::plan_recovery`: the
+//!   engine's own log scan and rollback, without writing anything).
 //! - `verify` — recover a `serve run` store file and judge it against the
 //!   run's seeded session streams (nonzero exit on any inconsistency).
 //! - `simdiff` — run one workload through both the store and the
@@ -15,10 +15,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use picl_crashlab::{run_store_diff, StoreDiffSpec, Victim};
-use picl_store::layout::{Geometry, Superblock, SB_BYTES};
-use picl_store::{min_log_blocks, scan_log, EngineConfig, FileMedium, PersistOps};
-use picl_types::undo::rollback;
-use picl_types::EpochId;
+use picl_store::layout::Geometry;
+use picl_store::{min_log_blocks, plan_recovery, EngineConfig, FileMedium, PersistOps};
 
 use crate::args::{ArgError, Args};
 
@@ -124,11 +122,8 @@ fn store_dump(args: &Args) -> Result<(), ArgError> {
     let path = required_path(args)?;
     let medium = FileMedium::open_existing(&path)
         .map_err(|e| ArgError(format!("cannot open {}: {e}", path.display())))?;
-    let mut head = [0u8; SB_BYTES as usize];
-    medium
-        .read(0, &mut head)
-        .map_err(|e| ArgError(format!("read superblock: {e}")))?;
-    let sb = Superblock::decode(&head).map_err(|e| ArgError(format!("{}: {e}", path.display())))?;
+    let plan = plan_recovery(&medium).map_err(|e| ArgError(format!("{}: {e}", path.display())))?;
+    let sb = plan.superblock;
     println!(
         "{}: {} lines x 64 B data, {} x 4 KB log blocks, generation {}, \
          persisted epoch {}, log window [{}, {})",
@@ -140,19 +135,10 @@ fn store_dump(args: &Args) -> Result<(), ArgError> {
         sb.log_start_seq,
         sb.log_head_seq
     );
-    let blocks =
-        scan_log(&medium, &sb).map_err(|e| ArgError(format!("{}: {e}", path.display())))?;
-    let entries: usize = blocks.iter().map(|b| b.entries.len()).sum();
-    let newest_first = blocks.iter().rev().map(|b| (b.max_valid_till, &b.entries));
-    let (mut scanned, mut replayed) = (0, 0);
-    for (_, patches) in rollback(newest_first, EpochId(sb.persisted_eid)) {
-        scanned += 1;
-        replayed += patches.count();
-    }
     println!(
-        "log: {} live blocks, {entries} undo entries; recovery would scan \
-         {scanned} blocks and would replay {replayed} entries",
-        blocks.len()
+        "log: {} live blocks, {} undo entries; recovery would scan {} blocks \
+         and would replay {} entries",
+        plan.live_blocks, plan.entries, plan.blocks_scanned, plan.entries_replayed
     );
     Ok(())
 }
@@ -291,14 +277,12 @@ mod tests {
         // A checksummed live block whose entry names a line past the data
         // region: recovery refuses it, so dump must not count it.
         let medium = FileMedium::open_existing(&path).unwrap();
-        let mut head = [0u8; SB_BYTES as usize];
-        medium.read(0, &mut head).unwrap();
-        let sb = Superblock::decode(&head).unwrap();
+        let sb = plan_recovery(&medium).unwrap().superblock;
         let entry = UndoEntry::new(
             picl_types::LineAddr::new(u64::from(sb.geometry.lines)),
             [7; 64],
-            EpochId(sb.persisted_eid),
-            EpochId(sb.persisted_eid + 1),
+            picl_types::EpochId(sb.persisted_eid),
+            picl_types::EpochId(sb.persisted_eid + 1),
         );
         let block = encode_log_block(sb.generation, sb.log_head_seq, &[entry]);
         let off = sb.geometry.log_slot_off(sb.log_head_seq);

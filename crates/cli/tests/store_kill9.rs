@@ -48,10 +48,12 @@ fn each_kill_class_recovers_within_the_rpo_bound() {
             key_space: 12,
         },
     ];
+    let mut replayed = Vec::new();
     for (v, victim) in victims.into_iter().enumerate() {
         for (i, class) in KillClass::ALL.into_iter().enumerate() {
             let spec = spec(&format!("class-{v}-{i}"), 40 + i as u64, victim, class);
             let outcome = run_trial(&spec).expect("harness");
+            replayed.push(outcome.judgement.entries_replayed);
             assert!(
                 outcome.passed(),
                 "{victim:?} {} trial failed the oracle: {outcome:?}",
@@ -68,6 +70,12 @@ fn each_kill_class_recovers_within_the_rpo_bound() {
             let _ = std::fs::remove_file(&spec.store_path);
         }
     }
+    // `passed` holds each recovery to the plan read from its killed
+    // file; that check bites only where a rollback replays something.
+    assert!(
+        replayed.iter().any(|&n| n >= 1),
+        "no trial replayed an undo entry: {replayed:?}"
+    );
 }
 
 #[test]

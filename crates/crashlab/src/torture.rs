@@ -9,10 +9,12 @@
 //! parent watches that stream and kills the child with SIGKILL at a
 //! scheduled point in one of three classes — mid-epoch, at a commit
 //! boundary, or inside the persister's in-place write burst (held open by
-//! `--persist-stall-ms`). It then recovers the file in-process and judges
-//! it with [`judge_recovery`]: per-session prefix consistency, exact for a
-//! one-session child, plus the RPO bound. Every child also runs a flight
-//! recorder whose log must still parse after the kill.
+//! `--persist-stall-ms`). It reads the killed file's log with
+//! [`plan_recovery`], then recovers the file in-process and judges it with
+//! [`judge_recovery`]: per-session prefix consistency, exact for a
+//! one-session child, plus the RPO bound. The rollback must scan and
+//! replay exactly the blocks and entries the plan predicted. Every child
+//! also runs a flight recorder whose log must still parse after the kill.
 //!
 //! `kill -9` is a *process*-death model: writes the kernel already
 //! accepted survive in the page cache, so it under-approximates power
@@ -28,7 +30,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use picl_serve::stream::{first_matching_count, ops_through_epoch, session_ops};
-use picl_store::{slots, Engine, EngineConfig, FileMedium, Model};
+use picl_store::{plan_recovery, slots, Engine, EngineConfig, FileMedium, LogPlan, Model};
 use picl_telemetry::Telemetry;
 use picl_types::Rng;
 
@@ -338,12 +340,25 @@ pub struct TortureOutcome {
     pub flight_ok: bool,
     /// Complete snapshot lines recovered from the flight log.
     pub flight_lines: u64,
+    /// The rollback [`plan_recovery`] read from the killed file before
+    /// recovery opened it.
+    pub plan: LogPlan,
 }
 
 impl TortureOutcome {
+    /// Whether recovery scanned and replayed exactly what the plan read
+    /// from the killed file predicted.
+    pub fn recovery_matches_plan(&self) -> bool {
+        self.plan.blocks_scanned == self.judgement.blocks_scanned
+            && self.plan.entries_replayed == self.judgement.entries_replayed
+    }
+
     /// Whether the trial met the PiCL contract.
     pub fn passed(&self) -> bool {
-        self.judgement.consistent && self.judgement.rpo_ok && self.flight_ok
+        self.judgement.consistent
+            && self.judgement.rpo_ok
+            && self.flight_ok
+            && self.recovery_matches_plan()
     }
 }
 
@@ -402,6 +417,11 @@ pub fn run_trial(spec: &TortureSpec) -> Result<TortureOutcome, String> {
         Ok(summary) => (true, summary.lines),
         Err(_) => (false, 0),
     };
+    // Read the killed file's log before recovery rewrites it.
+    let plan = FileMedium::open_existing(&spec.store_path)
+        .map_err(|e| e.to_string())
+        .and_then(|medium| plan_recovery(&medium).map_err(|e| e.to_string()))
+        .map_err(|e| format!("plan {}: {e}", spec.store_path.display()))?;
     let judgement = judge_recovery(
         &spec.store_path,
         spec.seed,
@@ -415,6 +435,7 @@ pub fn run_trial(spec: &TortureSpec) -> Result<TortureOutcome, String> {
         judgement,
         flight_ok,
         flight_lines,
+        plan,
     })
 }
 

@@ -10,10 +10,13 @@
 //! * [`timing`] — when each access completes: per-bank open-row tracking,
 //!   bank occupancy, shared-link occupancy, and bulk sequential writes that
 //!   amortize one row activation over up to a full row of data.
-//! * [`state`] — what memory *contains*: a functional line-value store used
-//!   for crash-injection and recovery-correctness testing, paged at one
-//!   host cache line ([`CompactMemory`]) for the NVM contents and at 4 KB
-//!   ([`MainMemory`]) for the full images the crash oracle builds.
+//! * [`state`] — what memory *contains*: a functional line-value store
+//!   ([`MainMemory`], paged at one host cache line) used for
+//!   crash-injection and recovery-correctness testing; the NVM contents
+//!   and every golden image the crash oracle builds share it.
+//! * [`snapshot`] — the crash oracle's golden history ([`DeltaSnapshots`]):
+//!   one delta per epoch commit, folded into a base behind the persisted
+//!   frontier.
 //! * [`request`] — the access-class vocabulary ([`AccessClass`]) that lets
 //!   the Fig. 12 harness split NVM traffic into sequential logging, random
 //!   logging, and write-backs exactly as the paper does.
@@ -42,7 +45,7 @@ pub mod timing;
 pub use dram_buffer::DramBuffer;
 pub use request::{AccessClass, MemRequest, RequestKind, TrafficCategory};
 pub use snapshot::DeltaSnapshots;
-pub use state::{CompactMemory, MainMemory};
+pub use state::MainMemory;
 pub use timing::{NvmStats, NvmTiming};
 
 use picl_telemetry::{EventKind, Telemetry};
@@ -53,7 +56,7 @@ use picl_types::{config::NvmConfig, Cycle, LineAddr};
 #[derive(Debug, Clone)]
 pub struct Nvm {
     timing: NvmTiming,
-    state: CompactMemory,
+    state: MainMemory,
     telemetry: Telemetry,
 }
 
@@ -62,7 +65,7 @@ impl Nvm {
     pub fn new(cfg: NvmConfig, clock: ClockDomain) -> Self {
         Nvm {
             timing: NvmTiming::new(cfg, clock),
-            state: CompactMemory::new(),
+            state: MainMemory::new(),
             telemetry: Telemetry::off(),
         }
     }
@@ -143,13 +146,13 @@ impl Nvm {
     }
 
     /// Functional contents of main memory.
-    pub fn state(&self) -> &CompactMemory {
+    pub fn state(&self) -> &MainMemory {
         &self.state
     }
 
     /// Mutable functional contents; used by recovery to patch memory and by
     /// tests to install initial images.
-    pub fn state_mut(&mut self) -> &mut CompactMemory {
+    pub fn state_mut(&mut self) -> &mut MainMemory {
         &mut self.state
     }
 

@@ -1,40 +1,33 @@
 //! Copy-on-write golden snapshots.
 //!
-//! The machine used to deep-clone the entire logical [`MainMemory`] at
-//! every epoch commit, making commit cost O(footprint) even when the
-//! epoch wrote a handful of lines. [`DeltaSnapshots`] stores one forward
-//! delta per committed epoch — every `(line, token)` write since the
-//! previous commit, in program order, so the last write to a line is its
-//! committed value — and reconstructs a full image only when a crash
-//! actually needs one. Commit cost becomes O(writes this epoch);
-//! reconstruction is O(footprint + writes held in deltas), paid only on
-//! the (rare) crash path.
+//! [`DeltaSnapshots`] stores one forward delta per committed epoch —
+//! every `(line, token)` write since the previous commit, in program
+//! order, so the last write to a line is its committed value — and
+//! reconstructs a full [`MainMemory`] image only when a crash or a check
+//! needs one. Commit cost is O(writes this epoch); reconstruction is a
+//! clone of the base plus the held deltas, paid only on that path.
 //!
 //! History is bounded by a *horizon*: [`DeltaSnapshots::fold_through`]
 //! merges every delta at or before an epoch into a base, after which
 //! epochs before the horizon are no longer reconstructible. A recovery
 //! can only ever target the persisted frontier, so folding through it
 //! after every commit loses no image a correct recovery needs, and the
-//! chain holds only the epochs still in flight however long the run.
-//!
-//! The base is a [`CompactMemory`], paged 8 lines at a time rather than
-//! [`MainMemory`]'s 512: a sparse write set spreads over many 4 KB pages,
-//! and a 4 KB page holds 512 tokens whether one line of it was written or
-//! all of them.
+//! chain holds only the epochs still in flight however long the run. A
+//! chain that is never folded is the reference: it holds one entry per
+//! store and can reconstruct every epoch it was given.
 //!
 //! [`EpochId::ZERO`] is the empty power-on image: it is always
 //! reconstructible and never stored.
 
 use picl_types::{EpochId, LineAddr};
 
-use crate::state::{CompactMemory, MainMemory};
+use crate::state::MainMemory;
 
-/// A base image plus an ordered chain of per-epoch forward deltas over
-/// [`MainMemory`].
+/// A base image plus an ordered chain of per-epoch forward deltas.
 #[derive(Debug, Clone, Default)]
 pub struct DeltaSnapshots {
     /// The image as of `horizon`'s commit: every folded delta applied.
-    base: CompactMemory,
+    base: MainMemory,
     /// The oldest reconstructible epoch besides [`EpochId::ZERO`].
     horizon: EpochId,
     /// Monotonically increasing epoch ids after `horizon`; `deltas[i].1`
@@ -102,9 +95,7 @@ impl DeltaSnapshots {
 
     /// Whether `epoch` can be reconstructed.
     pub fn contains(&self, epoch: EpochId) -> bool {
-        epoch == EpochId::ZERO
-            || epoch == self.horizon
-            || self.deltas.iter().any(|(e, _)| *e == epoch)
+        epoch == EpochId::ZERO || self.epochs().any(|e| e == epoch)
     }
 
     /// The most recently committed epoch.
@@ -118,6 +109,12 @@ impl DeltaSnapshots {
         self.horizon
     }
 
+    /// Every reconstructible epoch from the horizon to the latest commit,
+    /// oldest first.
+    pub fn epochs(&self) -> impl Iterator<Item = EpochId> + '_ {
+        std::iter::once(self.horizon).chain(self.deltas.iter().map(|(e, _)| *e))
+    }
+
     /// Rebuilds the full memory image as of the commit of `epoch`, or
     /// `None` if that epoch was never committed or lies behind the
     /// horizon. `EpochId::ZERO` yields the power-on
@@ -129,10 +126,7 @@ impl DeltaSnapshots {
         if !self.contains(epoch) {
             return None;
         }
-        let mut image = MainMemory::new();
-        for (line, value) in self.base.iter() {
-            image.write_line(line, value);
-        }
+        let mut image = self.base.clone();
         for (_, delta) in self.deltas.iter().take_while(|(e, _)| *e <= epoch) {
             for &(line, value) in delta {
                 image.write_line(line, value);
@@ -353,6 +347,7 @@ mod tests {
         snaps.fold_through(EpochId(2));
 
         assert_eq!(snaps.horizon(), EpochId(2));
+        assert_eq!(snaps.epochs().collect::<Vec<_>>(), [EpochId(2), EpochId(3)]);
         assert_eq!(snaps.delta_lines(), 3, "only epoch 3's writes stay");
         assert_eq!(snaps.latest(), EpochId(3));
         assert!(!snaps.contains(EpochId(1)));

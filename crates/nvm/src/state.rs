@@ -10,64 +10,56 @@
 //!
 //! # Layout
 //!
-//! An image ([`PagedImage`]) stores tokens in pages of `PAGE_LINES` lines.
-//! A hash map keyed by a line's 512-line (4 KB of tokens) region holds the
+//! A [`MainMemory`] stores tokens in pages of 8 lines: 64 bytes, one host
+//! cache line. A hash map keyed by a line's 512-line region holds the
 //! region's pages in order, with a bitmap of which pages it holds. One
 //! hash lookup serves every line of a region, the map has one entry per
-//! touched region whatever the page width, and the access inside a page
-//! is a plain indexed load. The page width is a const parameter; one
-//! implementation serves two widths:
+//! touched region, and the access inside a page is a plain indexed load.
 //!
-//! * [`MainMemory`]: 512-line pages, one per region, for images built in
-//!   full and then compared or cloned — golden reconstructions, the
-//!   logical image, and reference mode's eager per-commit clones. Their
-//!   diffs and clones are contiguous array sweeps.
-//! * [`CompactMemory`]: 8-line (64-byte, one host cache line) pages, for
-//!   the two long-lived, incrementally written images — the NVM contents
-//!   ([`crate::Nvm::state`]) and the golden history's folded base (see
-//!   [`crate::snapshot`]). Their writes are sparse: at footprint scale 1.0
-//!   the 8-core paper mix (W0, 56M instructions) touches about 235k lines
-//!   on about 10k regions, a median 17 of each region's 512 lines. At
-//!   512-line pages that is 41 MB of token storage; at 8-line pages the
-//!   same lines fill about 120k pages, 7.7 MB.
+//! Every image has this one width: the NVM contents ([`crate::Nvm::state`]),
+//! the golden history's folded base and the images reconstructed from it
+//! (see [`crate::snapshot`]). Their writes are sparse: at footprint scale
+//! 1.0 the 8-core paper mix (W0, 56M instructions) touches about 235k
+//! lines on about 10k regions, a median 17 of each region's 512 lines.
+//! At 512-line pages that is 41 MB of token storage; at 8-line pages the
+//! same lines fill about 120k pages, 7.7 MB.
 //!
 //! A page is freed once all of its tokens are back to
 //! [`MainMemory::INITIAL`], and a region once it holds no page, so two
-//! images are equal iff their maps are. Images of different widths
-//! compare with [`PagedImage::diff`].
+//! images are equal iff their maps are.
 
 use picl_types::hash::FastMap;
 use picl_types::LineAddr;
 
-/// The simulator's full-image width: 512 tokens = 4 KB per page.
-pub type MainMemory = PagedImage<512>;
-
-/// The long-lived images' width: 8 tokens = 64 bytes per page.
-pub type CompactMemory = PagedImage<8>;
+/// Lines per page: 8 tokens, 64 bytes.
+const PAGE_LINES: usize = 8;
+const PAGE_SHIFT: u32 = PAGE_LINES.trailing_zeros();
 
 /// Lines per region, the hash map's unit: 512, so a region holds at most
-/// 64 pages of the narrowest width and its bitmap fits a `u64`.
+/// 64 pages and its bitmap fits a `u64`.
 const REGION_SHIFT: u32 = 9;
 const REGION_LINES: usize = 1 << REGION_SHIFT;
 
-/// A sparse map from cache line to its current value token, paged
-/// `PAGE_LINES` lines at a time: a power of two from 8 to 512.
+type Page = [u64; PAGE_LINES];
+
+/// A sparse map from cache line to its current value token, paged eight
+/// lines at a time.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PagedImage<const PAGE_LINES: usize> {
-    regions: FastMap<u64, Region<PAGE_LINES>>,
+pub struct MainMemory {
+    regions: FastMap<u64, Region>,
     touched: usize,
 }
 
 /// The held pages of one region.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct Region<const PAGE_LINES: usize> {
+struct Region {
     /// Bit `i` is set iff page `i` of the region is held; never 0.
     held: u64,
     /// The held pages, in page order.
-    pages: Box<[[u64; PAGE_LINES]]>,
+    pages: Box<[Page]>,
 }
 
-impl<const PAGE_LINES: usize> Region<PAGE_LINES> {
+impl Region {
     /// Index into `pages` of page `page`: `Ok` if held, else `Err` with
     /// the index it would be inserted at.
     #[inline]
@@ -81,17 +73,20 @@ impl<const PAGE_LINES: usize> Region<PAGE_LINES> {
         }
     }
 
-    /// The tokens of lines `start..start + len` of the region, which lie
-    /// on one page, if that page is held.
-    fn tokens(&self, start: usize, len: usize) -> Option<&[u64]> {
-        let off = start % PAGE_LINES;
-        self.slot(start / PAGE_LINES)
-            .ok()
-            .map(|s| &self.pages[s][off..off + len])
+    /// Page `page`'s tokens, if held.
+    fn page(&self, page: usize) -> Option<&Page> {
+        self.slot(page).ok().map(|s| &self.pages[s])
+    }
+
+    /// The held pages with their indices, in page order.
+    fn held_pages(&self) -> impl Iterator<Item = (usize, &Page)> + '_ {
+        (0..REGION_LINES / PAGE_LINES)
+            .filter(|&p| self.held >> p & 1 == 1)
+            .zip(self.pages.iter())
     }
 
     /// Holds `page` as `[slot]` of `pages`, where it is not held yet.
-    fn insert(&mut self, page: usize, slot: usize, tokens: [u64; PAGE_LINES]) {
+    fn insert(&mut self, page: usize, slot: usize, tokens: Page) {
         let mut pages = std::mem::take(&mut self.pages).into_vec();
         pages.reserve_exact(1);
         pages.insert(slot, tokens);
@@ -108,26 +103,13 @@ impl<const PAGE_LINES: usize> Region<PAGE_LINES> {
     }
 }
 
-impl<const PAGE_LINES: usize> PagedImage<PAGE_LINES> {
+impl MainMemory {
     /// Value of any line that has never been written.
     pub const INITIAL: u64 = 0;
 
-    const PAGE_SHIFT: u32 = {
-        assert!(
-            PAGE_LINES.is_power_of_two()
-                && PAGE_LINES * 64 >= REGION_LINES
-                && PAGE_LINES <= REGION_LINES,
-            "a page is 2^k lines, 8 to 512"
-        );
-        PAGE_LINES.trailing_zeros()
-    };
-
     /// An empty (all-[`INITIAL`](Self::INITIAL)) memory.
     pub fn new() -> Self {
-        PagedImage {
-            regions: FastMap::default(),
-            touched: 0,
-        }
+        MainMemory::default()
     }
 
     /// A line's region, page within the region, and offset in the page.
@@ -137,14 +119,14 @@ impl<const PAGE_LINES: usize> PagedImage<PAGE_LINES> {
         let idx = (raw & (REGION_LINES as u64 - 1)) as usize;
         (
             raw >> REGION_SHIFT,
-            idx >> Self::PAGE_SHIFT,
+            idx >> PAGE_SHIFT,
             idx & (PAGE_LINES - 1),
         )
     }
 
     #[inline]
-    fn join(region: u64, idx: usize) -> LineAddr {
-        LineAddr::new((region << REGION_SHIFT) | idx as u64)
+    fn join(region: u64, page: usize, off: usize) -> LineAddr {
+        LineAddr::new((region << REGION_SHIFT) | (page * PAGE_LINES + off) as u64)
     }
 
     /// Reads a line's value token.
@@ -153,7 +135,7 @@ impl<const PAGE_LINES: usize> PagedImage<PAGE_LINES> {
         let (rk, page, off) = Self::split(line);
         self.regions
             .get(&rk)
-            .and_then(|r| r.slot(page).ok().map(|s| r.pages[s][off]))
+            .and_then(|r| r.page(page).map(|p| p[off]))
             .unwrap_or(Self::INITIAL)
     }
 
@@ -219,66 +201,39 @@ impl<const PAGE_LINES: usize> PagedImage<PAGE_LINES> {
     /// Iterates over `(line, value)` pairs holding non-initial values.
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, u64)> + '_ {
         self.regions.iter().flat_map(|(&rk, region)| {
-            (0..REGION_LINES / PAGE_LINES)
-                .filter(|&p| region.held >> p & 1 == 1)
-                .zip(region.pages.iter())
-                .flat_map(move |(p, page)| {
-                    page.iter()
-                        .enumerate()
-                        .filter(|(_, &v)| v != Self::INITIAL)
-                        .map(move |(i, &v)| (Self::join(rk, p * PAGE_LINES + i), v))
-                })
+            region.held_pages().flat_map(move |(p, page)| {
+                page.iter()
+                    .enumerate()
+                    .filter(|(_, &v)| v != Self::INITIAL)
+                    .map(move |(i, &v)| (Self::join(rk, p, i), v))
+            })
         })
     }
 
-    /// Lines whose values differ between two images, in sorted order. The
-    /// images may have different page widths.
-    ///
-    /// Used by tests to produce readable recovery-mismatch diagnostics.
-    pub fn diff<const OTHER: usize>(&self, other: &PagedImage<OTHER>) -> Vec<LineAddr> {
+    /// Lines whose values differ between two images, in sorted order:
+    /// the crash oracle's mismatch list.
+    pub fn diff(&self, other: &MainMemory) -> Vec<LineAddr> {
         let mut out = Vec::new();
-        self.diff_into(other, &mut out);
+        self.diff_pages(other, true, &mut out);
+        other.diff_pages(self, false, &mut out);
+        out.sort_unstable();
         out
     }
 
-    /// [`diff`](Self::diff) writing into a caller-owned buffer, so hot
-    /// callers (crash validation on every injected crash) can reuse one
-    /// allocation. Clears `out` first.
-    pub fn diff_into<const OTHER: usize>(
-        &self,
-        other: &PagedImage<OTHER>,
-        out: &mut Vec<LineAddr>,
-    ) {
-        out.clear();
-        self.diff_pass(other, true, out);
-        other.diff_pass(self, false, out);
-        out.sort_unstable();
-    }
-
-    /// Walks this image's held tokens in aligned chunks of
-    /// `min(PAGE_LINES, OTHER)` lines, each on one page of either image,
-    /// and pushes the lines that differ from `other`: in every chunk
-    /// `other` does not hold, and — if `shared` — in those it does.
-    fn diff_pass<const OTHER: usize>(
-        &self,
-        other: &PagedImage<OTHER>,
-        shared: bool,
-        out: &mut Vec<LineAddr>,
-    ) {
-        let chunk = PAGE_LINES.min(OTHER);
+    /// Pushes the lines of this image's held pages that differ from
+    /// `other`: on every page `other` does not hold, and — if `shared` —
+    /// on those it does.
+    fn diff_pages(&self, other: &MainMemory, shared: bool, out: &mut Vec<LineAddr>) {
         for (&rk, region) in &self.regions {
             let theirs = other.regions.get(&rk);
-            for start in (0..REGION_LINES).step_by(chunk) {
-                let Some(mine) = region.tokens(start, chunk) else {
-                    continue;
-                };
-                let theirs = theirs.and_then(|r| r.tokens(start, chunk));
+            for (p, mine) in region.held_pages() {
+                let theirs = theirs.and_then(|r| r.page(p));
                 if theirs.is_some() && !shared {
                     continue;
                 }
                 for (i, &a) in mine.iter().enumerate() {
                     if a != theirs.map_or(Self::INITIAL, |t| t[i]) {
-                        out.push(Self::join(rk, start + i));
+                        out.push(Self::join(rk, p, i));
                     }
                 }
             }
@@ -290,6 +245,7 @@ impl<const PAGE_LINES: usize> PagedImage<PAGE_LINES> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     #[test]
     fn reads_default_to_initial() {
@@ -391,50 +347,54 @@ mod tests {
     #[test]
     fn isolated_lines_cost_one_compact_page_each() {
         // Lines 512 apart: each sits alone in its region, and costs one
-        // 8-token page in the compact store.
-        let mut c = CompactMemory::new();
+        // 8-token page.
+        let mut c = MainMemory::new();
         for k in 0..16u64 {
             c.write_line(LineAddr::new(k * 512 + 3), k + 1);
         }
         assert_eq!(c.touched_lines(), 16);
         assert_eq!(c.page_count(), 16);
-        // Eight neighbouring lines share one compact page; the ninth
-        // opens the next.
-        let mut d = CompactMemory::new();
+        // Eight neighbouring lines share one page; the ninth opens the
+        // next.
+        let mut d = MainMemory::new();
         for l in 16..25u64 {
             d.write_line(LineAddr::new(l), l);
         }
         assert_eq!(d.page_count(), 2);
         assert_eq!(d.read_line(LineAddr::new(24)), 24);
-        assert_eq!(d.read_line(LineAddr::new(25)), CompactMemory::INITIAL);
+        assert_eq!(d.read_line(LineAddr::new(25)), MainMemory::INITIAL);
     }
 
     #[test]
     fn writing_initial_back_frees_the_page() {
-        let mut c = CompactMemory::new();
+        let mut c = MainMemory::new();
         for l in 8..16u64 {
             c.write_line(LineAddr::new(l), l);
         }
         assert_eq!(c.page_count(), 1);
         for l in 8..15u64 {
-            c.write_line(LineAddr::new(l), CompactMemory::INITIAL);
+            c.write_line(LineAddr::new(l), MainMemory::INITIAL);
             assert_eq!(c.page_count(), 1, "line 15 still holds a token");
         }
-        assert_eq!(c.write_line(LineAddr::new(15), CompactMemory::INITIAL), 15);
+        assert_eq!(c.write_line(LineAddr::new(15), MainMemory::INITIAL), 15);
         assert_eq!(c.page_count(), 0);
         assert_eq!(c.touched_lines(), 0);
         // Equality is map equality: the emptied image is the empty image.
-        assert_eq!(c, CompactMemory::new());
+        assert_eq!(c, MainMemory::new());
         // Rewriting INITIAL over INITIAL in a live page keeps the page.
         c.write_line(LineAddr::new(9), 4);
-        c.write_line(LineAddr::new(10), CompactMemory::INITIAL);
+        c.write_line(LineAddr::new(10), MainMemory::INITIAL);
         assert_eq!(c.page_count(), 1);
     }
 
+    /// Named for the two page widths images once came in; with one width
+    /// left it checks the two-sided diff over a page both images hold but
+    /// disagree on (lines 3 and 7 of page 0), a page they agree on (600)
+    /// and a region only one holds (`1 << 30`).
     #[test]
     fn diff_crosses_page_widths() {
         let mut golden = MainMemory::new();
-        let mut nvm = CompactMemory::new();
+        let mut nvm = MainMemory::new();
         golden.write_line(LineAddr::new(3), 1);
         golden.write_line(LineAddr::new(600), 2);
         nvm.write_line(LineAddr::new(600), 2);
@@ -445,13 +405,20 @@ mod tests {
         assert_eq!(nvm.diff(&golden), want);
     }
 
-    /// `writes` applied in order to an empty image of any width.
-    fn build<const N: usize>(writes: &[(u64, u64)]) -> PagedImage<N> {
-        let mut image = PagedImage::<N>::new();
+    /// `writes` applied in order to an empty image, and to a line map
+    /// that holds only non-initial values.
+    fn build(writes: &[(u64, u64)]) -> (MainMemory, BTreeMap<u64, u64>) {
+        let mut image = MainMemory::new();
+        let mut model = BTreeMap::new();
         for &(line, value) in writes {
             image.write_line(LineAddr::new(line), value);
+            if value == MainMemory::INITIAL {
+                model.remove(&line);
+            } else {
+                model.insert(line, value);
+            }
         }
-        image
+        (image, model)
     }
 
     /// Writes over four regions, so images share some regions and pages
@@ -462,26 +429,81 @@ mod tests {
 
     proptest! {
         #[test]
-        fn cross_width_diff_matches_full_images(a in writes(), b in writes()) {
-            let want = build::<512>(&a).diff(&build::<512>(&b));
-            prop_assert_eq!(build::<8>(&a).diff(&build::<512>(&b)), want.clone());
-            prop_assert_eq!(build::<512>(&a).diff(&build::<8>(&b)), want.clone());
-            prop_assert_eq!(build::<8>(&a).diff(&build::<8>(&b)), want);
-            let (full, compact) = (build::<512>(&a), build::<8>(&a));
-            prop_assert_eq!(full.touched_lines(), compact.touched_lines());
-            prop_assert!(compact.diff(&full).is_empty());
-            let mut got: Vec<_> = compact.iter().collect();
-            let mut all: Vec<_> = full.iter().collect();
+        fn image_matches_a_line_map_model(a in writes(), b in writes()) {
+            let (image, model) = build(&a);
+            let (other, other_model) = build(&b);
+            prop_assert_eq!(image.touched_lines(), model.len());
+            let mut got: Vec<_> = image.iter().map(|(l, v)| (l.raw(), v)).collect();
             got.sort_unstable();
-            all.sort_unstable();
-            prop_assert_eq!(&got, &all);
+            prop_assert_eq!(got, model.iter().map(|(&l, &v)| (l, v)).collect::<Vec<_>>());
+            for line in (0..2048).step_by(7) {
+                let want = model.get(&line).copied().unwrap_or(MainMemory::INITIAL);
+                prop_assert_eq!(image.read_line(LineAddr::new(line)), want);
+            }
+            // A page is held iff one of its lines is non-initial.
+            let pages: BTreeSet<u64> = model.keys().map(|l| l / 8).collect();
+            prop_assert_eq!(image.page_count(), pages.len());
+
+            // The diff is the sorted set of lines the two maps disagree on,
+            // whichever side holds them.
+            let want: Vec<LineAddr> = model
+                .keys()
+                .chain(other_model.keys())
+                .collect::<BTreeSet<_>>()
+                .into_iter()
+                .filter(|l| model.get(l) != other_model.get(l))
+                .map(|&l| LineAddr::new(l))
+                .collect();
+            prop_assert_eq!(image.diff(&other), want.clone());
+            prop_assert_eq!(other.diff(&image), want);
+            prop_assert!(image.diff(&image.clone()).is_empty());
+            prop_assert_eq!(image == other, model == other_model);
+
+            // Writing `b` over `a` and then restoring `a`'s values frees
+            // every page and region `b` alone opened: map equality again.
+            let mut restored = image.clone();
+            for &(line, value) in &b {
+                restored.write_line(LineAddr::new(line), value);
+            }
+            for &(line, _) in &b {
+                let back = model.get(&line).copied().unwrap_or(MainMemory::INITIAL);
+                restored.write_line(LineAddr::new(line), back);
+            }
+            prop_assert_eq!(&restored, &image);
+            prop_assert_eq!(restored.page_count(), pages.len());
+
             // Erasing every line frees every page and region.
-            let mut erased = compact;
-            for &(line, _) in &got {
-                erased.write_line(line, CompactMemory::INITIAL);
+            let mut erased = image;
+            for &line in model.keys() {
+                erased.write_line(LineAddr::new(line), MainMemory::INITIAL);
             }
             prop_assert_eq!(erased.page_count(), 0);
-            prop_assert_eq!(erased, CompactMemory::new());
+            prop_assert_eq!(erased, MainMemory::new());
+        }
+
+        /// Named for the two page widths images once came in; with one
+        /// width left it checks the sparse diff against a full line-by-line
+        /// comparison of both images, and that an image rebuilt from its
+        /// own lines in the reverse order equals it.
+        #[test]
+        fn cross_width_diff_matches_full_images(a in writes(), b in writes()) {
+            let (image, _) = build(&a);
+            let (other, _) = build(&b);
+            let full: Vec<LineAddr> = (0..2048)
+                .map(LineAddr::new)
+                .filter(|&l| image.read_line(l) != other.read_line(l))
+                .collect();
+            prop_assert_eq!(image.diff(&other), full.clone());
+            prop_assert_eq!(other.diff(&image), full);
+
+            let mut lines: Vec<_> = image.iter().collect();
+            lines.sort_unstable_by(|x, y| y.cmp(x));
+            let mut rebuilt = MainMemory::new();
+            for (line, value) in lines {
+                rebuilt.write_line(line, value);
+            }
+            prop_assert!(rebuilt.diff(&image).is_empty());
+            prop_assert_eq!(rebuilt, image);
         }
     }
 }

@@ -7,18 +7,22 @@
 //!
 //! Beyond timing, the machine tracks the values every store produced: each
 //! epoch commit records the lines written since the previous one as a
-//! golden snapshot, and the *logical* memory image is derived from those
-//! snapshots on demand. Crash injection invalidates all volatile state,
-//! runs the scheme's recovery, and compares NVM contents against the
-//! golden snapshot of the epoch the scheme claims to have recovered — the
-//! end-to-end crash-consistency check the paper's FPGA prototype performed
-//! with micro-benchmarks (§V).
-
-use std::collections::BTreeMap;
+//! golden snapshot ([`DeltaSnapshots`]), and the *logical* memory image is
+//! derived from those snapshots on demand. Crash injection invalidates all
+//! volatile state, runs the scheme's recovery, and compares NVM contents
+//! against the golden snapshot of the epoch the scheme claims to have
+//! recovered — the end-to-end crash-consistency check the paper's FPGA
+//! prototype performed with micro-benchmarks (§V).
+//!
+//! After every commit the golden chain folds through the persisted
+//! frontier, so it holds only the epochs still in flight. Reference mode
+//! ([`Machine::set_reference_mode`]) leaves the chain unfolded, one entry
+//! per store, so every committed epoch stays reconstructible from the
+//! writes alone; `picl bench` compares the two machines' images.
 
 use picl::os::boundary_handler_line;
 use picl_cache::hierarchy::AccessType;
-use picl_cache::{ConsistencyScheme, Hierarchy};
+use picl_cache::{ConsistencyScheme, DrainWork, Hierarchy};
 use picl_nvm::{DeltaSnapshots, MainMemory, Nvm};
 use picl_telemetry::{EventKind, Sampler, Telemetry};
 use picl_trace::{AccessKind, EventBatch, TraceEvent, TraceSource};
@@ -64,101 +68,6 @@ impl Core {
     }
 }
 
-/// Golden-snapshot storage backing crash validation and the logical
-/// image.
-///
-/// The default `Delta` store records one copy-on-write delta per commit
-/// (O(writes this epoch)), folds every delta at or behind the persisted
-/// frontier into a cache-line-paged base after each commit, and
-/// reconstructs a full image only when a crash needs one. `Full` keeps
-/// the original eager deep clone per commit and never folds — the
-/// unoptimized reference `picl bench` diffs against, which would catch a
-/// horizon that hid a needed epoch.
-enum SnapshotStore {
-    /// Snapshots disabled: no history and no pending writes are kept; the
-    /// power-on image is the only golden snapshot.
-    Off,
-    /// Copy-on-write per-epoch deltas folded through the persisted
-    /// frontier (default).
-    Delta(DeltaSnapshots),
-    /// Eager full clone at every commit (reference mode).
-    Full(BTreeMap<EpochId, MainMemory>),
-}
-
-impl SnapshotStore {
-    /// The full image at `epoch`'s commit, if reconstructible.
-    /// [`EpochId::ZERO`] (the power-on image) always is.
-    fn get(&self, epoch: EpochId) -> Option<MainMemory> {
-        match self {
-            SnapshotStore::Off => (epoch == EpochId::ZERO).then(MainMemory::new),
-            SnapshotStore::Delta(deltas) => deltas.reconstruct(epoch),
-            SnapshotStore::Full(map) => map
-                .get(&epoch)
-                .cloned()
-                .or_else(|| (epoch == EpochId::ZERO).then(MainMemory::new)),
-        }
-    }
-
-    /// Records `committed` with the writes in `pending` (taken; later
-    /// pushes win), then folds the delta chain through `persisted`.
-    fn commit(
-        &mut self,
-        committed: EpochId,
-        pending: &mut Vec<(LineAddr, u64)>,
-        persisted: EpochId,
-    ) {
-        match self {
-            SnapshotStore::Off => {}
-            SnapshotStore::Delta(deltas) => {
-                deltas.commit(committed, std::mem::take(pending));
-                deltas.fold_through(persisted);
-            }
-            SnapshotStore::Full(map) => {
-                let image = apply(Self::last_full(map), pending.drain(..));
-                map.insert(committed, image);
-            }
-        }
-    }
-
-    /// The image as of the most recent commit.
-    ///
-    /// # Panics
-    ///
-    /// Panics with snapshots off, which keep no history.
-    fn latest(&self) -> MainMemory {
-        match self {
-            SnapshotStore::Off => panic!("the logical image needs snapshots on"),
-            SnapshotStore::Delta(deltas) => deltas
-                .reconstruct(deltas.latest())
-                .expect("the latest commit is always reconstructible"),
-            SnapshotStore::Full(map) => Self::last_full(map),
-        }
-    }
-
-    fn last_full(map: &BTreeMap<EpochId, MainMemory>) -> MainMemory {
-        map.values().next_back().cloned().unwrap_or_default()
-    }
-
-    /// Drops every snapshot strictly after `epoch` (crash rewind).
-    fn truncate_after(&mut self, epoch: EpochId) {
-        match self {
-            SnapshotStore::Off => {}
-            SnapshotStore::Delta(deltas) => deltas.truncate_after(epoch),
-            SnapshotStore::Full(map) => {
-                map.split_off(&epoch.next());
-            }
-        }
-    }
-}
-
-/// `image` with `writes` applied in order.
-fn apply(mut image: MainMemory, writes: impl IntoIterator<Item = (LineAddr, u64)>) -> MainMemory {
-    for (line, value) in writes {
-        image.write_line(line, value);
-    }
-    image
-}
-
 /// Result of an injected crash and recovery.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrashReport {
@@ -181,7 +90,13 @@ pub struct Machine {
     mem: Nvm,
     scheme: Box<dyn ConsistencyScheme + Send>,
     cores: Vec<Core>,
-    snapshots: SnapshotStore,
+    /// Golden snapshots: one delta per commit. `None` with snapshots
+    /// off, when no history is kept and the power-on image is the only
+    /// golden snapshot.
+    snapshots: Option<DeltaSnapshots>,
+    /// Reference mode: the hierarchy drains by full scans, and the golden
+    /// chain never folds.
+    reference: bool,
     /// `(line, token)` writes since the last commit — the next delta,
     /// moved whole into the snapshot store at the commit. A plain push
     /// list on the store fast path (duplicates fine: later pushes win),
@@ -189,8 +104,6 @@ pub struct Machine {
     pending_dirty: Vec<(LineAddr, u64)>,
     /// Instructions retired across all cores.
     retired: u64,
-    /// Reused across crash validations.
-    diff_scratch: Vec<LineAddr>,
     token: u64,
     instr_since_boundary: u64,
     workload_label: String,
@@ -225,13 +138,8 @@ impl Machine {
         cfg.validate().expect("valid system configuration");
         assert_eq!(traces.len(), cfg.cores, "one trace per core required");
         let hier = Hierarchy::new(&cfg);
-        // Epoch 0 (the pre-execution, all-initial image) is implicit in
-        // every store variant; nothing to record up front.
-        let snapshots = if keep_snapshots {
-            SnapshotStore::Delta(DeltaSnapshots::new())
-        } else {
-            SnapshotStore::Off
-        };
+        // Epoch 0 (the pre-execution, all-initial image) is implicit;
+        // nothing to record up front.
         Machine {
             mem: Nvm::new(cfg.nvm, cfg.clock()),
             hier,
@@ -246,10 +154,10 @@ impl Machine {
                     pos: 0,
                 })
                 .collect(),
-            snapshots,
+            snapshots: keep_snapshots.then(DeltaSnapshots::new),
+            reference: false,
             pending_dirty: Vec::new(),
             retired: 0,
-            diff_scratch: Vec::new(),
             token: 0,
             instr_since_boundary: 0,
             workload_label: workload_label.into(),
@@ -358,7 +266,17 @@ impl Machine {
     /// Panics if the machine was built with snapshots off: it then keeps
     /// neither history nor pending writes to derive the image from.
     pub fn logical_memory(&self) -> MainMemory {
-        apply(self.snapshots.latest(), self.pending_dirty.iter().copied())
+        let snapshots = self
+            .snapshots
+            .as_ref()
+            .expect("the logical image needs snapshots on");
+        let mut image = snapshots
+            .reconstruct(snapshots.latest())
+            .expect("the latest commit is always reconstructible");
+        for &(line, value) in &self.pending_dirty {
+            image.write_line(line, value);
+        }
+        image
     }
 
     /// The golden memory image at `epoch`'s commit, if reconstructible:
@@ -368,22 +286,33 @@ impl Machine {
     /// correct recovery can target) onwards. Reconstructed on demand;
     /// owned, not borrowed.
     pub fn snapshot(&self, epoch: EpochId) -> Option<MainMemory> {
-        self.snapshots.get(epoch)
+        match &self.snapshots {
+            None => (epoch == EpochId::ZERO).then(MainMemory::new),
+            Some(snapshots) => snapshots.reconstruct(epoch),
+        }
     }
 
-    /// Switches every differential knob to the unoptimized reference
-    /// implementation: the hierarchy's drains fall back to full scans and
-    /// golden snapshots become eager deep clones. `picl bench` runs each
-    /// cell both ways and requires identical reports.
+    /// The golden history, or `None` with snapshots off.
+    pub fn golden_snapshots(&self) -> Option<&DeltaSnapshots> {
+        self.snapshots.as_ref()
+    }
+
+    /// Drains the hierarchy served, and the lines its full scans examined
+    /// (none on the fast path).
+    pub fn drain_work(&self) -> DrainWork {
+        self.hier.drain_work()
+    }
+
+    /// Switches to the unoptimized reference paths: the hierarchy drains
+    /// by full scans, and the golden chain stops folding, so it keeps
+    /// every committed epoch. `picl bench` runs each cell both ways and
+    /// requires identical reports and identical images of every epoch the
+    /// fast machine still holds.
     ///
-    /// Call before running; switching discards previously taken snapshots.
+    /// Call before running.
     pub fn set_reference_mode(&mut self, on: bool) {
         self.hier.set_reference_scan(on);
-        self.snapshots = match (&self.snapshots, on) {
-            (SnapshotStore::Off, _) => SnapshotStore::Off,
-            (_, true) => SnapshotStore::Full(BTreeMap::new()),
-            (_, false) => SnapshotStore::Delta(DeltaSnapshots::new()),
-        };
+        self.reference = on;
     }
 
     /// The value of `line` if it is resident anywhere in the hierarchy.
@@ -413,7 +342,7 @@ impl Machine {
     /// nothing would read it.
     #[inline]
     fn record_write(&mut self, line: LineAddr, token: u64) {
-        if !matches!(self.snapshots, SnapshotStore::Off) {
+        if self.snapshots.is_some() {
             self.pending_dirty.push((line, token));
         }
     }
@@ -516,11 +445,12 @@ impl Machine {
                 eid: self.scheme.system_eid(),
             },
         );
-        self.snapshots.commit(
-            outcome.committed,
-            &mut self.pending_dirty,
-            self.scheme.persisted_eid(),
-        );
+        if let Some(snapshots) = &mut self.snapshots {
+            snapshots.commit(outcome.committed, std::mem::take(&mut self.pending_dirty));
+            if !self.reference {
+                snapshots.fold_through(self.scheme.persisted_eid());
+            }
+        }
         self.instr_since_boundary = 0;
     }
 
@@ -549,21 +479,12 @@ impl Machine {
             },
         );
 
-        let golden = self.snapshots.get(outcome.recovered_to);
-        let (consistent, mismatch_count, mismatches) = match &golden {
+        let (consistent, mismatch_count, mismatches) = match self.snapshot(outcome.recovered_to) {
             Some(golden) => {
-                let mut diffs = std::mem::take(&mut self.diff_scratch);
-                // A 4 KB-paged golden image against the 8-line-paged NVM
-                // contents: `diff_into` walks both widths.
-                golden.diff_into(self.mem.state(), &mut diffs);
+                let mut diffs = golden.diff(self.mem.state());
                 diffs.retain(|l| l.raw() < WORKLOAD_LINE_LIMIT);
-                let result = (
-                    Some(diffs.is_empty()),
-                    diffs.len(),
-                    diffs.iter().take(16).copied().collect(),
-                );
-                self.diff_scratch = diffs;
-                result
+                let sample = diffs.iter().take(16).copied().collect();
+                (Some(diffs.is_empty()), diffs.len(), sample)
             }
             None => (None, 0, Vec::new()),
         };
@@ -571,7 +492,9 @@ impl Machine {
         // rolled-back timeline and the uncommitted stores are dropped (their
         // epoch numbers will be reused by the new timeline), which rewinds
         // the logical image to the recovered epoch.
-        self.snapshots.truncate_after(outcome.recovered_to);
+        if let Some(snapshots) = &mut self.snapshots {
+            snapshots.truncate_after(outcome.recovered_to);
+        }
         self.pending_dirty.clear();
         self.instr_since_boundary = 0;
         CrashReport {
@@ -837,9 +760,7 @@ mod tests {
             m.run_until(step * 100_000);
             m.epoch_boundary();
             let persisted = m.scheme().persisted_eid();
-            let SnapshotStore::Delta(deltas) = &m.snapshots else {
-                unreachable!("snapshots are on");
-            };
+            let deltas = m.golden_snapshots().expect("snapshots are on");
             assert_eq!(deltas.horizon(), persisted, "folded to the frontier");
             assert_eq!(
                 deltas.base_lines(),
@@ -868,7 +789,7 @@ mod tests {
         let mut m = picl_on_gcc(false);
         m.run_until(200_000);
         assert!(m.report().commits > 10);
-        assert!(matches!(m.snapshots, SnapshotStore::Off));
+        assert!(m.golden_snapshots().is_none());
         assert_eq!(m.pending_dirty.capacity(), 0, "a store was queued");
         assert!(m.snapshot(m.scheme().persisted_eid()).is_none());
         assert!(m.snapshot(EpochId::ZERO).is_some());

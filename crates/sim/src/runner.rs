@@ -239,9 +239,10 @@ impl Simulation {
         self
     }
 
-    /// Runs on the unoptimized reference paths (full-scan drains, eager
-    /// deep-clone snapshots). Reports must be identical either way; `picl
-    /// bench` checks exactly that.
+    /// Runs on the unoptimized reference paths (full-scan drains, a golden
+    /// chain that never folds). Reports must be identical either way;
+    /// `picl bench` checks that, and the images of every epoch both
+    /// machines hold.
     pub fn reference_mode(mut self, on: bool) -> Simulation {
         self.reference_mode = on;
         self
@@ -271,10 +272,20 @@ impl Simulation {
     ///
     /// Returns a [`ConfigError`] if the system configuration is invalid.
     pub fn run(self) -> Result<RunReport, ConfigError> {
+        Ok(self.run_machine()?.report())
+    }
+
+    /// Runs the simulation to completion and returns the machine, for
+    /// callers that inspect more than its report.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ConfigError`] if the system configuration is invalid.
+    pub fn run_machine(self) -> Result<Machine, ConfigError> {
         let budget = self.instructions_per_core;
         let mut machine = self.into_machine()?;
         machine.run(budget);
-        Ok(machine.report())
+        Ok(machine)
     }
 }
 

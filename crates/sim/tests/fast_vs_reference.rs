@@ -1,17 +1,19 @@
 //! Property test: the optimized packed-table paths against the retained
 //! reference scan, end to end, for every consistency scheme.
 //!
-//! Reference mode drives drains and snapshot bookkeeping through full
-//! struct-level scans of the hierarchy; fast mode uses the packed SoA
-//! tables, the epoch index, and delta snapshots. Arbitrary combinations
-//! of scheme, workload, epoch length, and seed — which between them
-//! exercise stores, capacity evictions, asynchronous cache scans, and
-//! epoch commits in every interleaving the machine can produce — must
-//! yield bit-identical run reports. Crash-at-instant recovery must agree
-//! between the two modes as well, including crash points long after the
-//! delta chain has folded its history behind the persisted frontier into
-//! a base image (the reference clones never fold, so a fold that hid an
-//! epoch a recovery needs shows up as a diverging crash report).
+//! Reference mode drives drains through full scans of the hierarchy and
+//! never folds its golden chain; fast mode uses the packed SoA tables,
+//! the epoch index, and a chain folded through the persisted frontier
+//! after every commit. Arbitrary combinations of scheme, workload, epoch
+//! length, and seed — which between them exercise stores, capacity
+//! evictions, asynchronous cache scans, and epoch commits in every
+//! interleaving the machine can produce — must yield bit-identical run
+//! reports. Crash-at-instant recovery must agree between the two modes as
+//! well, including crash points long after the fast chain has folded its
+//! history into a base image. Each crash is also judged on its own: the
+//! golden image of the recovered epoch must exist for every scheme, and
+//! match NVM for every scheme but Ideal, so a fold that hid or corrupted
+//! a needed epoch fails even where both modes would agree.
 
 use proptest::prelude::*;
 
@@ -94,6 +96,18 @@ proptest! {
         let (fast_instr, fast) = crash(false);
         let (ref_instr, reference) = crash(true);
         prop_assert_eq!(fast_instr, ref_instr);
+        prop_assert!(
+            fast.consistent.is_some(),
+            "{:?} at {} seed {}: no golden image of {}",
+            scheme, at, seed, fast.outcome.recovered_to
+        );
+        if scheme != SchemeKind::Ideal {
+            prop_assert_eq!(
+                fast.consistent, Some(true),
+                "{:?} at {} seed {}: recovery mismatched at {:?}",
+                scheme, at, seed, fast.mismatches
+            );
+        }
         prop_assert_eq!(
             fast, reference,
             "crash reports diverged: {:?} at {} seed {}",

@@ -1236,9 +1236,54 @@ impl Drop for Engine {
     }
 }
 
+/// What recovery would do with a store's log, read without changing the
+/// medium: the live blocks [`scan_log`] finds, and the blocks and entries
+/// the [`rollback`] to the persisted epoch would scan and replay.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LogPlan {
+    /// The superblock the log was read under.
+    pub superblock: Superblock,
+    /// Live log blocks.
+    pub live_blocks: usize,
+    /// Undo entries across the live blocks.
+    pub entries: usize,
+    /// Blocks the rollback would scan (it stops at the first dead one).
+    pub blocks_scanned: u64,
+    /// Undo entries the rollback would apply.
+    pub entries_replayed: u64,
+}
+
+/// Reads `medium`'s superblock and log and plans the rollback
+/// [`Engine::open`] would run on it. `picl store dump` prints the plan,
+/// and the kill -9 torture checks each killed file's recovery against it.
+///
+/// # Errors
+///
+/// An unreadable superblock, or a log [`scan_log`] rejects, is
+/// [`StoreError::Corrupt`]; read failures are [`StoreError::Io`].
+pub fn plan_recovery(medium: &dyn PersistOps) -> Result<LogPlan, StoreError> {
+    let mut head = [0u8; SB_BYTES as usize];
+    medium.read(0, &mut head)?;
+    let superblock = Superblock::decode(&head).map_err(StoreError::Corrupt)?;
+    let blocks = scan_log(medium, &superblock)?;
+    let newest_first = blocks.iter().rev().map(|b| (b.max_valid_till, &b.entries));
+    let (mut blocks_scanned, mut entries_replayed) = (0, 0);
+    for (_, patches) in rollback(newest_first, EpochId(superblock.persisted_eid)) {
+        blocks_scanned += 1;
+        entries_replayed += patches.count() as u64;
+    }
+    Ok(LogPlan {
+        superblock,
+        live_blocks: blocks.len(),
+        entries: blocks.iter().map(|b| b.entries.len()).sum(),
+        blocks_scanned,
+        entries_replayed,
+    })
+}
+
 /// Collects every valid log block of the superblock's generation whose
 /// sequence number is still inside the live window, sorted by sequence:
-/// the blocks recovery rolls back over, and what `picl store dump` reads.
+/// the blocks recovery rolls back over.
 ///
 /// # Errors
 ///

@@ -206,7 +206,7 @@ mod tests {
     #[test]
     fn eviction_performs_read_log_modify() {
         let (mut f, _, mut m) = rig();
-        m.state_mut().write_line(LineAddr::new(5), 50);
+        m.set_line(LineAddr::new(5), 50);
         let route = f.on_dirty_eviction(
             &EvictionEvent {
                 addr: LineAddr::new(5),
@@ -253,7 +253,7 @@ mod tests {
     #[test]
     fn recovery_undoes_uncommitted_evictions() {
         let (mut f, _h, mut m) = rig();
-        m.state_mut().write_line(LineAddr::new(3), 30);
+        m.set_line(LineAddr::new(3), 30);
         // Uncommitted epoch 1 eviction overwrites line 3 in place.
         f.on_dirty_eviction(
             &EvictionEvent {
@@ -264,7 +264,7 @@ mod tests {
             &mut m,
             Cycle(0),
         );
-        m.state_mut().write_line(LineAddr::new(3), 31); // hierarchy's in-place write
+        m.set_line(LineAddr::new(3), 31); // hierarchy's in-place write
         let out = f.crash_recover(&mut m, Cycle(100));
         assert_eq!(out.recovered_to, EpochId::ZERO);
         assert_eq!(out.entries_applied, 1);

@@ -112,7 +112,7 @@ mod tests {
     fn recovery_restores_nothing() {
         let mut s = IdealNvm::new();
         let mut m = Nvm::new(NvmConfig::paper_nvm(), ClockDomain::from_mhz(2000));
-        m.state_mut().write_line(LineAddr::new(1), 99);
+        m.set_line(LineAddr::new(1), 99);
         let out = s.crash_recover(&mut m, Cycle(7));
         assert_eq!(out.recovered_to, EpochId::ZERO);
         assert_eq!(out.entries_applied, 0);

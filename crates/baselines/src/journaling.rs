@@ -263,7 +263,7 @@ mod tests {
     #[test]
     fn evictions_are_absorbed_not_in_place() {
         let (mut j, _, mut m) = rig();
-        m.state_mut().write_line(LineAddr::new(4), 40);
+        m.set_line(LineAddr::new(4), 40);
         assert_eq!(evict(&mut j, &mut m, 4, 41), EvictRoute::Absorbed);
         // Canonical memory unchanged; redo write issued.
         assert_eq!(m.state().read_line(LineAddr::new(4)), 40);
@@ -328,7 +328,7 @@ mod tests {
     #[test]
     fn recovery_discards_uncommitted_redo() {
         let (mut j, mut h, mut m) = rig();
-        m.state_mut().write_line(LineAddr::new(4), 40);
+        m.set_line(LineAddr::new(4), 40);
         // Commit epoch 1 with value 41.
         evict(&mut j, &mut m, 4, 41);
         j.on_epoch_boundary(&mut h, &mut m, Cycle(0));

@@ -239,8 +239,7 @@ impl ConsistencyScheme for ShadowPaging {
             self.page_writebacks.incr();
             let entry = self.table.peek_mut(key).expect("listed above");
             for (idx, value) in entry.delta.drain() {
-                mem.state_mut()
-                    .write_line(LineAddr::new(page.first_line().raw() + idx), value);
+                mem.set_line(LineAddr::new(page.first_line().raw() + idx), value);
             }
         }
         // Untracked overflow lines are applied directly.

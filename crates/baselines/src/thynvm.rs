@@ -153,7 +153,6 @@ impl ThyNvm {
                 let old = e.value;
                 *e = BlockEntry { value, epoch: sys };
                 t = mem.write(t, addr, old, AccessClass::RedoApplyWrite);
-                mem.state_mut().write_line(addr, old);
             } else {
                 *e = BlockEntry { value, epoch: sys };
             }
@@ -214,8 +213,7 @@ impl ThyNvm {
                 AccessClass::RedoApplyWrite,
             ));
             for (idx, v) in e.delta {
-                mem.state_mut()
-                    .write_line(LineAddr::new(page.first_line().raw() + idx), v);
+                mem.set_line(LineAddr::new(page.first_line().raw() + idx), v);
             }
         }
         t

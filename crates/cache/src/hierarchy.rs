@@ -885,7 +885,7 @@ mod tests {
     #[test]
     fn store_fires_hook_with_pre_store_metadata() {
         let (mut h, mut s, mut m) = rig(1);
-        m.state_mut().write_line(LineAddr::new(9), 77);
+        m.set_line(LineAddr::new(9), 77);
         store(&mut h, &mut s, &mut m, 0, 9, 100, 0);
         assert_eq!(s.stores.len(), 1);
         let ev = s.stores[0];
@@ -1103,7 +1103,7 @@ mod tests {
     #[test]
     fn load_returns_memory_value() {
         let (mut h, mut s, mut m) = rig(1);
-        m.state_mut().write_line(LineAddr::new(50), 123);
+        m.set_line(LineAddr::new(50), 123);
         load(&mut h, &mut s, &mut m, 0, 50, 0);
         assert_eq!(h.cached_value(LineAddr::new(50)), Some(123));
     }

@@ -7,9 +7,12 @@
 //! only if the two [`RunReport`]s are bit-identical; the fast side's
 //! drains examined no line by full scan while the reference side's
 //! examined some (unless the scheme never drains, as Ideal does not);
-//! and every epoch the fast machine can still reconstruct has the same
-//! image on the reference machine. The scan
-//! counts are exact, so the gate needs no noise margin. Events/sec
+//! every epoch the fast machine can still reconstruct has the same image
+//! on the reference machine; and a scheme that drains has folded its
+//! fast golden chain, so those images are built through the overlay on
+//! the NVM contents. A cell that neither drains nor folds (Ideal) is
+//! judged on report equality only: its two chains are built by the same
+//! code. The scan counts are exact, so the gate needs no noise margin. Events/sec
 //! (simulated instructions per wall-clock second) of both runs and their
 //! ratio are reported, in a `picl-bench-v3` JSON document, but gate
 //! nothing: throughput is judged by the paired runs of `benchmark/`.
@@ -17,7 +20,7 @@
 use std::time::Instant;
 
 use picl_cache::DrainWork;
-use picl_nvm::DeltaSnapshots;
+use picl_nvm::Nvm;
 use picl_sim::{Machine, RunReport, SchemeKind, Simulation, WorkloadSpec};
 use picl_telemetry::json::{escape as json_escape, validate_json};
 use picl_trace::mixes::table_v_mixes;
@@ -50,7 +53,8 @@ struct CellResult {
     reference_events_per_sec: f64,
     fast_work: DrainWork,
     reference_work: DrainWork,
-    /// Epochs whose images the two machines were compared on.
+    /// Epochs whose images the two machines were compared on; 0 for a
+    /// cell judged on report equality only.
     epochs_compared: usize,
 }
 
@@ -148,30 +152,42 @@ fn judge_cell(label: &str, fast: &Machine, reference: &Machine) -> Result<usize,
             reference_work.drains
         )));
     }
-    let (Some(fast), Some(reference)) = (fast.golden_snapshots(), reference.golden_snapshots())
-    else {
-        unreachable!("bench cells keep snapshots");
-    };
-    compare_images(label, fast, reference)
+    compare_images(label, fast.memory(), reference.memory(), work.drains)
 }
 
-/// Fails unless every epoch `fast` can still reconstruct has the same
-/// image in `reference`, an unfolded chain of the same commits. Returns
-/// the epochs compared.
+/// Fails unless every epoch `fast`'s golden chain can still reconstruct
+/// has the same image in `reference`'s, an unfolded chain of the same
+/// commits, and unless `fast`'s chain folded if its scheme served any of
+/// `drains`. Returns the epochs compared: none if the scheme neither
+/// drained nor folded, as the two chains are then built by the same code.
 fn compare_images(
     label: &str,
-    fast: &DeltaSnapshots,
-    reference: &DeltaSnapshots,
+    fast: &Nvm,
+    reference: &Nvm,
+    drains: u64,
 ) -> Result<usize, ArgError> {
-    if reference.horizon() != EpochId::ZERO {
+    let (Some(chain), Some(reference_chain)) = (fast.golden(), reference.golden()) else {
+        unreachable!("bench cells keep snapshots");
+    };
+    if reference_chain.horizon() != EpochId::ZERO {
         return Err(ArgError(format!(
             "{label}: the reference golden chain folded through {}, \
              so the image check would compare folded with folded",
-            reference.horizon()
+            reference_chain.horizon()
         )));
     }
-    for epoch in fast.epochs() {
-        let image = |chain: &DeltaSnapshots| chain.reconstruct(epoch).expect("a committed epoch");
+    if chain.horizon() == EpochId::ZERO {
+        if drains > 0 {
+            return Err(ArgError(format!(
+                "{label}: the fast golden chain never folded although the \
+                 scheme drained {drains} times, so the image check would \
+                 compare unfolded with unfolded"
+            )));
+        }
+        return Ok(0);
+    }
+    for epoch in chain.epochs() {
+        let image = |nvm: &Nvm| nvm.golden_image(epoch).expect("a committed epoch");
         let lines = image(fast).diff(&image(reference));
         if let Some(first) = lines.first() {
             return Err(ArgError(format!(
@@ -182,7 +198,7 @@ fn compare_images(
             )));
         }
     }
-    Ok(fast.epochs().count())
+    Ok(chain.epochs().count())
 }
 
 /// Renders the `picl-bench-v3` document.
@@ -246,15 +262,19 @@ pub fn cmd_bench(args: &Args) -> Result<(), ArgError> {
     let mut cells = Vec::with_capacity(matrix.len());
     for (label, sim) in &matrix {
         let cell = run_cell(label, sim)?;
+        let (epochs, note) = match cell.epochs_compared {
+            0 => ("-".to_owned(), "  report equality only"),
+            n => (n.to_string(), ""),
+        };
         println!(
-            "{:<22}{:>10}{:>14.0}{:>14.0}{:>8.2}x{:>13}{:>8}",
+            "{:<22}{:>10}{:>14.0}{:>14.0}{:>8.2}x{:>13}{:>8}{note}",
             cell.label,
             cell.report.instructions,
             cell.events_per_sec,
             cell.reference_events_per_sec,
             cell.speedup(),
             cell.reference_work.scanned_lines,
-            cell.epochs_compared
+            epochs
         );
         cells.push(cell);
     }
@@ -330,10 +350,47 @@ mod tests {
         assert!(epochs >= 2, "{epochs} epochs compared");
         assert!(fast.drain_work().drains > 0);
         assert_eq!(fast.drain_work().drains, reference.drain_work().drains);
-        // Ideal never drains, so neither side has a scan to count.
+        // Ideal never drains, so neither side has a scan to count, and
+        // never folds: its check is report equality only.
         let (fast, reference) = pair(0, false, true);
         assert_eq!(reference.drain_work(), DrainWork::default());
-        judge_cell("Ideal/gcc x1", &fast, &reference).unwrap();
+        assert_eq!(judge_cell("Ideal/gcc x1", &fast, &reference).unwrap(), 0);
+    }
+
+    /// A memory keeping a golden history with `writes(e)` committed at
+    /// each epoch `e` of `epochs`, folded through `fold`.
+    fn history(
+        epochs: std::ops::RangeInclusive<u64>,
+        writes: impl Fn(u64) -> Vec<(LineAddr, u64)>,
+        fold: Option<EpochId>,
+    ) -> Nvm {
+        let mut nvm = Nvm::new(
+            picl_types::config::NvmConfig::paper_nvm(),
+            picl_types::time::ClockDomain::from_mhz(2000),
+        );
+        nvm.keep_golden_history();
+        for epoch in epochs {
+            nvm.commit_golden(EpochId(epoch), writes(epoch), fold);
+        }
+        nvm
+    }
+
+    #[test]
+    fn gate_fails_a_fast_side_that_never_folded() {
+        // A fast chain that never folded builds its images as the
+        // reference does, so a scheme that drained must have folded.
+        let writes = |epoch: u64| vec![(LineAddr::new(epoch), epoch)];
+        let unfolded = history(1..=3, writes, None);
+        let reference = history(1..=3, writes, None);
+        let err = compare_images("cell", &unfolded, &reference, 12)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("never folded"), "{err}");
+        assert!(err.contains("drained 12 times"), "{err}");
+        // With no drain (Ideal) the cell is judged on its reports alone.
+        assert_eq!(compare_images("cell", &unfolded, &reference, 0).unwrap(), 0);
+        let folded = history(1..=3, writes, Some(EpochId(2)));
+        assert_eq!(compare_images("cell", &folded, &reference, 12).unwrap(), 2);
     }
 
     #[test]
@@ -369,33 +426,31 @@ mod tests {
                 .map(|l| (LineAddr::new(l * 3), epoch * 100 + l))
                 .collect()
         };
-        let mut fast = DeltaSnapshots::new();
-        let mut reference = DeltaSnapshots::new();
-        for epoch in 1..=4 {
-            fast.commit(EpochId(epoch), writes(epoch));
-            reference.commit(EpochId(epoch), writes(epoch));
-        }
-        fast.fold_through(EpochId(2));
-        assert_eq!(compare_images("cell", &fast, &reference).unwrap(), 3);
+        // The fast side folds through epoch 2 at each commit.
+        let fast = history(1..=4, writes, Some(EpochId(2)));
+        let reference = history(1..=4, writes, None);
+        assert_eq!(compare_images("cell", &fast, &reference, 1).unwrap(), 3);
 
         // Epoch 2 folds with one line that its commit never wrote.
-        let mut corrupt = DeltaSnapshots::new();
-        for epoch in 1..=4 {
-            let mut delta = writes(epoch);
-            if epoch == 2 {
-                delta.push((LineAddr::new(1_000), 7));
-            }
-            corrupt.commit(EpochId(epoch), delta);
-        }
-        corrupt.fold_through(EpochId(2));
-        let err = compare_images("cell", &corrupt, &reference)
+        let corrupt = history(
+            1..=4,
+            |epoch| {
+                let mut delta = writes(epoch);
+                if epoch == 2 {
+                    delta.push((LineAddr::new(1_000), 7));
+                }
+                delta
+            },
+            Some(EpochId(2)),
+        );
+        let err = compare_images("cell", &corrupt, &reference, 1)
             .unwrap_err()
             .to_string();
         assert!(err.contains("golden image of E2"), "{err}");
         assert!(err.contains("at 1 lines, first line 1000"), "{err}");
 
         // A reference chain that folded checks nothing.
-        let err = compare_images("cell", &fast, &fast)
+        let err = compare_images("cell", &fast, &fast, 1)
             .unwrap_err()
             .to_string();
         assert!(err.contains("folded with folded"), "{err}");

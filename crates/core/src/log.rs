@@ -235,7 +235,7 @@ mod tests {
         let mut log = UndoLog::new();
         let mut m = mem();
         // Memory currently holds the epoch-3 value of line 7.
-        m.state_mut().write_line(LineAddr::new(7), 33);
+        m.set_line(LineAddr::new(7), 33);
         // Pre-image from epoch 1, overwritten in epoch 3.
         log.append_flush(vec![e(7, 11, 1, 3)], &mut m, Cycle(0));
         let (applied, done) = log.recover(&mut m, EpochId(2), Cycle(100));
@@ -248,7 +248,7 @@ mod tests {
     fn recovery_skips_non_covering_entries() {
         let mut log = UndoLog::new();
         let mut m = mem();
-        m.state_mut().write_line(LineAddr::new(7), 33);
+        m.set_line(LineAddr::new(7), 33);
         log.append_flush(vec![e(7, 11, 1, 3)], &mut m, Cycle(0));
         // Recovering to epoch 3 itself: the entry's range [1,3) excludes 3.
         let (applied, _) = log.recover(&mut m, EpochId(3), Cycle(0));
@@ -265,7 +265,7 @@ mod tests {
         // Line 5 was A1 (epoch 1), evicted, rewritten twice in epoch 2.
         log.append_flush(vec![e(5, 100, 1, 2)], &mut m, Cycle(0));
         log.append_flush(vec![e(5, 200, 1, 2)], &mut m, Cycle(0));
-        m.state_mut().write_line(LineAddr::new(5), 300);
+        m.set_line(LineAddr::new(5), 300);
         let (applied, _) = log.recover(&mut m, EpochId(1), Cycle(0));
         assert_eq!(applied, 2);
         assert_eq!(
@@ -306,9 +306,9 @@ mod tests {
         // Epoch 3: C modified -> undo of C1 valid [1,3).
         log.append_flush(vec![e(12, 1, 1, 3)], &mut m, Cycle(0));
         // Memory state after some evictions: A2, B1, C3 in place.
-        m.state_mut().write_line(a, 2);
-        m.state_mut().write_line(b, 1);
-        m.state_mut().write_line(c, 3);
+        m.set_line(a, 2);
+        m.set_line(b, 1);
+        m.set_line(c, 3);
 
         // Recover to commit2: expect A2, B1, C1.
         let mut m2 = m.clone();

@@ -82,7 +82,7 @@ proptest! {
         // Evictions: final values land in place (worst case — everything
         // dirty was written back before the crash).
         for (i, &(v, _)) in current.iter().enumerate() {
-            m.state_mut().write_line(LineAddr::new(i as u64), v);
+            m.set_line(LineAddr::new(i as u64), v);
         }
 
         // Recover to the target epoch (any epoch, treating it as the
@@ -118,8 +118,8 @@ proptest! {
             store(&mut current, &mut log, &mut m_with_gc, line, epoch, token);
         }
         for (i, &(v, _)) in current.iter().enumerate() {
-            m_with_gc.state_mut().write_line(LineAddr::new(i as u64), v);
-            m_without.state_mut().write_line(LineAddr::new(i as u64), v);
+            m_with_gc.set_line(LineAddr::new(i as u64), v);
+            m_without.set_line(LineAddr::new(i as u64), v);
         }
 
         let mut log_gc = log.clone();

@@ -15,14 +15,17 @@
 //!   crash-injection and recovery-correctness testing; the NVM contents
 //!   and every golden image the crash oracle builds share it.
 //! * [`snapshot`] — the crash oracle's golden history ([`DeltaSnapshots`]):
-//!   one delta per epoch commit, folded into a base behind the persisted
-//!   frontier.
+//!   one delta per epoch commit, folded behind the persisted frontier into
+//!   a base kept as an overlay on the functional contents.
 //! * [`request`] — the access-class vocabulary ([`AccessClass`]) that lets
 //!   the Fig. 12 harness split NVM traffic into sequential logging, random
 //!   logging, and write-backs exactly as the paper does.
 //!
 //! [`Nvm`] bundles the three together as the single memory-system object the
-//! cache hierarchy and the consistency schemes talk to.
+//! cache hierarchy and the consistency schemes talk to, and holds the
+//! golden history, if one is kept, over its contents: every functional
+//! write goes through [`Nvm::set_line`], which keeps the history's
+//! overlay in step.
 //!
 //! # Example
 //!
@@ -50,13 +53,17 @@ pub use timing::{NvmStats, NvmTiming};
 
 use picl_telemetry::{EventKind, Telemetry};
 use picl_types::time::ClockDomain;
-use picl_types::{config::NvmConfig, Cycle, LineAddr};
+use picl_types::{config::NvmConfig, Cycle, EpochId, LineAddr};
 
-/// The complete memory system: timing model plus functional contents.
+/// The complete memory system: timing model plus functional contents,
+/// and optionally the crash oracle's golden history laid over them.
 #[derive(Debug, Clone)]
 pub struct Nvm {
     timing: NvmTiming,
     state: MainMemory,
+    /// The golden history, whose base is an overlay on `state`; `None`
+    /// unless [`Nvm::keep_golden_history`] was called.
+    golden: Option<DeltaSnapshots>,
     telemetry: Telemetry,
 }
 
@@ -66,6 +73,7 @@ impl Nvm {
         Nvm {
             timing: NvmTiming::new(cfg, clock),
             state: MainMemory::new(),
+            golden: None,
             telemetry: Telemetry::off(),
         }
     }
@@ -102,8 +110,21 @@ impl Nvm {
             .timing
             .access(now, &MemRequest::line_write(line, class));
         self.trace_access(now, class, true, picl_types::LINE_BYTES, done);
-        self.state.write_line(line, value);
+        self.set_line(line, value);
         done
+    }
+
+    /// Sets a line's functional contents without timing an access
+    /// (recovery patches, tests installing images), returning the
+    /// previous value. Every functional write to the contents goes
+    /// through here, so the golden history's overlay stays in step.
+    #[inline]
+    pub fn set_line(&mut self, line: LineAddr, value: u64) -> u64 {
+        let old = self.state.write_line(line, value);
+        if let Some(golden) = &mut self.golden {
+            golden.contents_written(line, old, value);
+        }
+        old
     }
 
     /// Issues a bulk sequential write of `bytes` starting at `base`
@@ -150,10 +171,61 @@ impl Nvm {
         &self.state
     }
 
-    /// Mutable functional contents; used by recovery to patch memory and by
-    /// tests to install initial images.
-    pub fn state_mut(&mut self) -> &mut MainMemory {
-        &mut self.state
+    /// Starts keeping the crash oracle's golden history over these
+    /// contents, from the power-on image. Call before any write.
+    pub fn keep_golden_history(&mut self) {
+        self.golden = Some(DeltaSnapshots::new());
+    }
+
+    /// The golden history, or `None` if none is kept.
+    #[inline]
+    pub fn golden(&self) -> Option<&DeltaSnapshots> {
+        self.golden.as_ref()
+    }
+
+    /// Records the commit of `epoch` in the golden history (see
+    /// [`DeltaSnapshots::commit`]), then folds it through `fold_through`
+    /// if given (see [`DeltaSnapshots::fold_through`]). A no-op with no
+    /// history kept.
+    pub fn commit_golden(
+        &mut self,
+        epoch: EpochId,
+        delta: Vec<(LineAddr, u64)>,
+        fold_through: Option<EpochId>,
+    ) {
+        if let Some(golden) = &mut self.golden {
+            golden.commit(epoch, delta, &self.state);
+            if let Some(frontier) = fold_through {
+                golden.fold_through(frontier, &self.state);
+            }
+        }
+    }
+
+    /// Drops the golden history strictly after `epoch` (see
+    /// [`DeltaSnapshots::truncate_after`]).
+    pub fn truncate_golden_after(&mut self, epoch: EpochId) {
+        if let Some(golden) = &mut self.golden {
+            golden.truncate_after(epoch);
+        }
+    }
+
+    /// The golden image of `epoch`, if reconstructible: always for
+    /// [`EpochId::ZERO`] (the power-on image), and with a history kept,
+    /// for every epoch it holds.
+    pub fn golden_image(&self, epoch: EpochId) -> Option<MainMemory> {
+        match &self.golden {
+            Some(golden) => golden.reconstruct(epoch, &self.state),
+            None => DeltaSnapshots::new().reconstruct(epoch, &self.state),
+        }
+    }
+
+    /// The lines where the contents differ from [`Nvm::golden_image`] of
+    /// `epoch`, sorted, or `None` where that image is.
+    pub fn golden_mismatches(&self, epoch: EpochId) -> Option<Vec<LineAddr>> {
+        match &self.golden {
+            Some(golden) => golden.mismatches(epoch, &self.state),
+            None => DeltaSnapshots::new().mismatches(epoch, &self.state),
+        }
     }
 
     /// Accumulated access statistics.

@@ -16,9 +16,11 @@
 //! hash lookup serves every line of a region, the map has one entry per
 //! touched region, and the access inside a page is a plain indexed load.
 //!
-//! Every image has this one width: the NVM contents ([`crate::Nvm::state`]),
-//! the golden history's folded base and the images reconstructed from it
-//! (see [`crate::snapshot`]). Their writes are sparse: at footprint scale
+//! Every image has this one width: the NVM contents ([`crate::Nvm::state`])
+//! and the golden images reconstructed over them (see
+//! [`crate::snapshot`]; the golden history's folded base is not an image
+//! but an overlay of the few lines where it differs from the contents).
+//! Their writes are sparse: at footprint scale
 //! 1.0 the 8-core paper mix (W0, 56M instructions) touches about 235k
 //! lines on about 10k regions, a median 17 of each region's 512 lines.
 //! At 512-line pages that is 41 MB of token storage; at 8-line pages the

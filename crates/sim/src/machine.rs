@@ -15,7 +15,8 @@
 //! prototype performed with micro-benchmarks (§V).
 //!
 //! After every commit the golden chain folds through the persisted
-//! frontier, so it holds only the epochs still in flight. Reference mode
+//! frontier, so it holds only the epochs still in flight, and its base is
+//! an overlay on the NVM contents, which keep it. Reference mode
 //! ([`Machine::set_reference_mode`]) leaves the chain unfolded, one entry
 //! per store, so every committed epoch stays reconstructible from the
 //! writes alone; `picl bench` compares the two machines' images.
@@ -90,10 +91,6 @@ pub struct Machine {
     mem: Nvm,
     scheme: Box<dyn ConsistencyScheme + Send>,
     cores: Vec<Core>,
-    /// Golden snapshots: one delta per commit. `None` with snapshots
-    /// off, when no history is kept and the power-on image is the only
-    /// golden snapshot.
-    snapshots: Option<DeltaSnapshots>,
     /// Reference mode: the hierarchy drains by full scans, and the golden
     /// chain never folds.
     reference: bool,
@@ -138,10 +135,17 @@ impl Machine {
         cfg.validate().expect("valid system configuration");
         assert_eq!(traces.len(), cfg.cores, "one trace per core required");
         let hier = Hierarchy::new(&cfg);
-        // Epoch 0 (the pre-execution, all-initial image) is implicit;
-        // nothing to record up front.
+        // Golden snapshots: one delta per commit, kept by the memory over
+        // its contents. With snapshots off no history is kept and the
+        // power-on image is the only golden snapshot. Epoch 0 (the
+        // pre-execution, all-initial image) is implicit; nothing to record
+        // up front.
+        let mut mem = Nvm::new(cfg.nvm, cfg.clock());
+        if keep_snapshots {
+            mem.keep_golden_history();
+        }
         Machine {
-            mem: Nvm::new(cfg.nvm, cfg.clock()),
+            mem,
             hier,
             scheme,
             cores: traces
@@ -154,7 +158,6 @@ impl Machine {
                     pos: 0,
                 })
                 .collect(),
-            snapshots: keep_snapshots.then(DeltaSnapshots::new),
             reference: false,
             pending_dirty: Vec::new(),
             retired: 0,
@@ -266,12 +269,12 @@ impl Machine {
     /// Panics if the machine was built with snapshots off: it then keeps
     /// neither history nor pending writes to derive the image from.
     pub fn logical_memory(&self) -> MainMemory {
-        let snapshots = self
-            .snapshots
-            .as_ref()
-            .expect("the logical image needs snapshots on");
-        let mut image = snapshots
-            .reconstruct(snapshots.latest())
+        let latest = self
+            .golden_snapshots()
+            .expect("the logical image needs snapshots on")
+            .latest();
+        let mut image = self
+            .snapshot(latest)
             .expect("the latest commit is always reconstructible");
         for &(line, value) in &self.pending_dirty {
             image.write_line(line, value);
@@ -286,15 +289,13 @@ impl Machine {
     /// correct recovery can target) onwards. Reconstructed on demand;
     /// owned, not borrowed.
     pub fn snapshot(&self, epoch: EpochId) -> Option<MainMemory> {
-        match &self.snapshots {
-            None => (epoch == EpochId::ZERO).then(MainMemory::new),
-            Some(snapshots) => snapshots.reconstruct(epoch),
-        }
+        self.mem.golden_image(epoch)
     }
 
-    /// The golden history, or `None` with snapshots off.
+    /// The golden history, or `None` with snapshots off. Its base is an
+    /// overlay on [`Machine::memory`]'s contents.
     pub fn golden_snapshots(&self) -> Option<&DeltaSnapshots> {
-        self.snapshots.as_ref()
+        self.mem.golden()
     }
 
     /// Drains the hierarchy served, and the lines its full scans examined
@@ -342,7 +343,7 @@ impl Machine {
     /// nothing would read it.
     #[inline]
     fn record_write(&mut self, line: LineAddr, token: u64) {
-        if self.snapshots.is_some() {
+        if self.mem.golden().is_some() {
             self.pending_dirty.push((line, token));
         }
     }
@@ -445,12 +446,12 @@ impl Machine {
                 eid: self.scheme.system_eid(),
             },
         );
-        if let Some(snapshots) = &mut self.snapshots {
-            snapshots.commit(outcome.committed, std::mem::take(&mut self.pending_dirty));
-            if !self.reference {
-                snapshots.fold_through(self.scheme.persisted_eid());
-            }
-        }
+        let fold_through = (!self.reference).then(|| self.scheme.persisted_eid());
+        self.mem.commit_golden(
+            outcome.committed,
+            std::mem::take(&mut self.pending_dirty),
+            fold_through,
+        );
         self.instr_since_boundary = 0;
     }
 
@@ -462,8 +463,9 @@ impl Machine {
 
     /// Injects a power failure: all volatile state (caches, on-chip
     /// buffers) is lost, the scheme recovers main memory from durable
-    /// state, and — when snapshots are enabled — the result is compared
-    /// line-for-line against the golden image of the recovered epoch.
+    /// state, and the result is compared against the golden image of the
+    /// recovered epoch, on the lines where the two can differ (see
+    /// [`DeltaSnapshots::mismatches`]), without building that image.
     pub fn crash(&mut self) -> CrashReport {
         let now = self.now();
         self.telemetry.record(now, None, EventKind::CrashInjected);
@@ -479,22 +481,20 @@ impl Machine {
             },
         );
 
-        let (consistent, mismatch_count, mismatches) = match self.snapshot(outcome.recovered_to) {
-            Some(golden) => {
-                let mut diffs = golden.diff(self.mem.state());
-                diffs.retain(|l| l.raw() < WORKLOAD_LINE_LIMIT);
-                let sample = diffs.iter().take(16).copied().collect();
-                (Some(diffs.is_empty()), diffs.len(), sample)
-            }
-            None => (None, 0, Vec::new()),
-        };
+        let (consistent, mismatch_count, mismatches) =
+            match self.mem.golden_mismatches(outcome.recovered_to) {
+                Some(mut diffs) => {
+                    diffs.retain(|l| l.raw() < WORKLOAD_LINE_LIMIT);
+                    let sample = diffs.iter().take(16).copied().collect();
+                    (Some(diffs.is_empty()), diffs.len(), sample)
+                }
+                None => (None, 0, Vec::new()),
+            };
         // Execution resumes from the recovered checkpoint: snapshots of the
         // rolled-back timeline and the uncommitted stores are dropped (their
         // epoch numbers will be reused by the new timeline), which rewinds
         // the logical image to the recovered epoch.
-        if let Some(snapshots) = &mut self.snapshots {
-            snapshots.truncate_after(outcome.recovered_to);
-        }
+        self.mem.truncate_golden_after(outcome.recovered_to);
         self.pending_dirty.clear();
         self.instr_since_boundary = 0;
         CrashReport {
@@ -753,8 +753,12 @@ mod tests {
     fn golden_history_stays_bounded() {
         // After every commit the chain folds through the persisted
         // frontier: the base is exactly the frontier's image, and only
-        // the epochs after it stay deltas. The NVM contents hold no page
-        // without a touched line.
+        // the epochs after it stay deltas. The base's overlay holds just
+        // the lines where that image and the NVM contents differ: 281 to
+        // 315 at these 20 commits, under MAX_OVERLAY_LINES, while the
+        // contents grow from 958 to 14,615 lines. The NVM contents hold
+        // no page without a touched line.
+        const MAX_OVERLAY_LINES: usize = 400;
         let mut m = picl_on_gcc(true);
         for step in 1..=20u64 {
             m.run_until(step * 100_000);
@@ -762,11 +766,17 @@ mod tests {
             let persisted = m.scheme().persisted_eid();
             let deltas = m.golden_snapshots().expect("snapshots are on");
             assert_eq!(deltas.horizon(), persisted, "folded to the frontier");
+            let frontier = m.snapshot(persisted).unwrap();
             assert_eq!(
-                deltas.base_lines(),
-                deltas.reconstruct(persisted).unwrap().touched_lines(),
-                "the base is the frontier's image at {} instructions",
+                deltas.overlay_lines(),
+                frontier.diff(m.memory().state()).len(),
+                "the overlay is the frontier's image's difference at {} instructions",
                 m.instructions()
+            );
+            assert!(
+                (1..=MAX_OVERLAY_LINES).contains(&deltas.overlay_lines()),
+                "{} overlay lines",
+                deltas.overlay_lines()
             );
             let nvm = m.memory().state();
             assert!(

@@ -1162,7 +1162,7 @@ impl Engine {
 
     /// Attaches observability instruments: persister cycle timing,
     /// fence/line counters, window-wait histogram, protocol-mutex wait
-    /// and hold histograms per [`LockSite`], and the epoch-pipeline
+    /// and hold histograms per `LockSite`, and the epoch-pipeline
     /// gauges (open epochs, window occupancy, undo-buffer fill, live log
     /// blocks). Idempotent per engine — the first
     /// registry wins; until called, instrumented paths cost one relaxed

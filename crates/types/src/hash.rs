@@ -45,6 +45,28 @@ impl Hasher for FxHasher {
 /// The `BuildHasher` for [`FxHasher`].
 pub type FxBuild = BuildHasherDefault<FxHasher>;
 
+/// [`FxHasher`] with its product rotated, so that every bit of a key
+/// reaches the low bits hashbrown picks a bucket with. FxHasher's low bits
+/// depend only on the key's low bits, so keys on a power-of-two stride
+/// crowd into a fraction of the buckets; a map of arbitrary cache lines
+/// (the golden overlay) probes long runs without this.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SpreadHasher(FxHasher);
+
+impl Hasher for SpreadHasher {
+    fn finish(&self) -> u64 {
+        self.0.finish().rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.0.write(bytes);
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0.write_u64(n);
+    }
+}
+
 /// FNV-1a offset basis (64-bit).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime (64-bit).
@@ -70,6 +92,9 @@ pub type FastMap<K, V> = HashMap<K, V, FxBuild>;
 
 /// A `HashSet` with deterministic, fast hashing.
 pub type FastSet<T> = HashSet<T, FxBuild>;
+
+/// A [`FastMap`] for keys with no sequential pattern: see [`SpreadHasher`].
+pub type SpreadMap<K, V> = HashMap<K, V, BuildHasherDefault<SpreadHasher>>;
 
 #[cfg(test)]
 mod tests {
@@ -103,6 +128,24 @@ mod tests {
         assert_eq!(fnv1a_64(b"foobar"), 0x85944171f73967e8);
         // Sensitivity: one flipped bit changes the digest.
         assert_ne!(fnv1a_64(b"foobas"), fnv1a_64(b"foobar"));
+    }
+
+    #[test]
+    fn spread_hash_spreads_strided_keys() {
+        // Lines 1024 apart: FxHasher puts them all on bucket indices with
+        // ten low zero bits; the spread hash uses every low byte.
+        fn low_bytes<H: Hasher + Default>() -> usize {
+            let mut seen: FastSet<u64> = FastSet::default();
+            for i in 0..256u64 {
+                let mut h = H::default();
+                h.write_u64(i << 10);
+                seen.insert(h.finish() & 0xFF);
+            }
+            seen.len()
+        }
+        assert_eq!(low_bytes::<FxHasher>(), 1);
+        let spread = low_bytes::<SpreadHasher>();
+        assert!(spread > 128, "only {spread} distinct low bytes");
     }
 
     #[test]

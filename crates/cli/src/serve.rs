@@ -213,12 +213,14 @@ fn open_serve_kv(
     .map_err(|e| ArgError(format!("open store: {e}")))?;
     if report.recovered {
         println!(
-            "recovered {} to epoch {} ({} undo entries replayed from {} log blocks, {:.3} ms)",
+            "recovered {} to epoch {} ({} undo entries replayed from {} log blocks, \
+             {:.3} ms, log scan {:.3} ms)",
             path.display(),
             report.recovered_to,
             report.entries_applied,
             report.blocks_scanned,
-            report.recovery_ns as f64 / 1e6
+            report.recovery_ns as f64 / 1e6,
+            report.log_scan_ns as f64 / 1e6
         );
     }
     if args.is_set("progress") {

@@ -173,12 +173,13 @@ fn store_verify(args: &Args) -> Result<(), ArgError> {
     .map_err(ArgError)?;
     println!(
         "{}: recovered to epoch {} ({} undo entries replayed from {} log blocks, \
-         {:.3} ms), prefix-consistent: {}, RPO ok: {}",
+         {:.3} ms, log scan {:.3} ms), prefix-consistent: {}, RPO ok: {}",
         path.display(),
         judgement.recovered_to,
         judgement.entries_replayed,
         judgement.blocks_scanned,
         judgement.recovery_ns as f64 / 1e6,
+        judgement.log_scan_ns as f64 / 1e6,
         judgement.consistent,
         judgement.rpo_ok
     );

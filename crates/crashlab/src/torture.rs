@@ -154,6 +154,8 @@ pub struct Judgement {
     pub blocks_scanned: u64,
     /// Recovery latency in nanoseconds.
     pub recovery_ns: u64,
+    /// The part of `recovery_ns` spent scanning the log.
+    pub log_scan_ns: u64,
     /// Per-session prefix-consistency verdicts.
     pub sessions_consistent: Vec<bool>,
     /// Every session consistent, and every key scanned once and owned.
@@ -243,6 +245,7 @@ pub fn judge_recovery(
         entries_replayed: report.entries_applied,
         blocks_scanned: report.blocks_scanned,
         recovery_ns: report.recovery_ns,
+        log_scan_ns: report.log_scan_ns,
         sessions_consistent,
         consistent,
         rpo_ok: recovered_to + window >= observed_commit,

@@ -19,10 +19,12 @@
 //! is fully deterministic — the case seed is derived from the source file,
 //! test name, and case index, so CI and local runs explore the same inputs
 //! (upstream seeds from OS entropy). And failing inputs are *not* shrunk;
-//! the failing case seed is persisted to the sibling
-//! `<test-file>.proptest-regressions` file (same `cc <hex>` line format as
-//! upstream) and replayed before novel cases on the next run, which keeps
-//! regressions pinned even without shrinking.
+//! the failing case seed is persisted where upstream keeps it (same
+//! `cc <hex>` line format): a `tests/foo.rs` test's beside it in
+//! `tests/foo.proptest-regressions`, a `src/a/b.rs` test's in
+//! `<crate>/proptest-regressions/a/b.txt`. It is replayed before novel
+//! cases on the next run, which keeps regressions pinned even without
+//! shrinking.
 
 pub mod arbitrary;
 pub mod collection;

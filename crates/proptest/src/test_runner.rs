@@ -153,15 +153,25 @@ fn fail(
     msg: &str,
     passed: u32,
 ) -> ! {
-    if let Some(path) = regression_path {
-        persist_seed(path, seed, value);
-    }
+    let saved = record_failure(regression_path.as_deref(), seed, value);
     panic!(
         "proptest case failed: {msg}\n\
-         test: {test_name}, case seed: {seed:016x} (persisted), \
+         test: {test_name}, case seed: {seed:016x} ({saved}), \
          {passed} cases passed before failure\n\
          failing input: {value}"
     );
+}
+
+/// Persists a failing seed and says where it went, or why it went
+/// nowhere.
+fn record_failure(regression_path: Option<&Path>, seed: u64, value: &str) -> String {
+    match regression_path {
+        Some(path) => match persist_seed(path, seed, value) {
+            Ok(()) => format!("persisted to {}", path.display()),
+            Err(e) => format!("not persisted: {}: {e}", path.display()),
+        },
+        None => "not persisted: the test is in neither src/ nor tests/".to_owned(),
+    }
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -174,22 +184,29 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// `tests/foo.rs` → `<manifest>/tests/foo.proptest-regressions`, the
-/// sibling-file convention this repo already uses. Tests outside a `tests`
-/// directory get no persistence.
+/// Where a test's failing seeds are saved and replayed from, as upstream
+/// proptest places them:
+///
+/// * `.../src/a/b.rs` → `<manifest>/proptest-regressions/a/b.txt`, the
+///   path below the first `src` component;
+/// * `.../tests/foo.rs` → `<manifest>/tests/foo.proptest-regressions`,
+///   beside the test.
+///
+/// Any other source file gets no persistence.
 fn regression_file(source_file: &str, manifest_dir: &str) -> Option<PathBuf> {
     let src = Path::new(source_file);
-    let stem = src.file_stem()?;
+    let manifest = Path::new(manifest_dir);
+    let mut parts = src.components();
+    if parts.any(|c| c.as_os_str() == "src") {
+        let below = parts.as_path().with_extension("txt");
+        return Some(manifest.join("proptest-regressions").join(below));
+    }
     if src.parent()?.file_name()? != "tests" {
         return None;
     }
-    let dir = Path::new(manifest_dir).join("tests");
-    if !dir.is_dir() {
-        return None;
-    }
-    let mut name = stem.to_owned();
+    let mut name = src.file_stem()?.to_owned();
     name.push(".proptest-regressions");
-    Some(dir.join(name))
+    Some(manifest.join("tests").join(name))
 }
 
 /// Parses `cc <hex>` lines. Seeds this shim wrote are 16 hex digits and
@@ -213,18 +230,18 @@ fn load_regression_seeds(path: &Path) -> Vec<u64> {
         .collect()
 }
 
-fn persist_seed(path: &Path, seed: u64, value: &str) {
+fn persist_seed(path: &Path, seed: u64, value: &str) -> std::io::Result<()> {
     use std::io::Write;
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
+    }
     let header = !path.exists();
-    let Ok(mut file) = std::fs::OpenOptions::new()
+    let mut file = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
-        .open(path)
-    else {
-        return;
-    };
+        .open(path)?;
     if header {
-        let _ = writeln!(
+        writeln!(
             file,
             "# Seeds for failure cases proptest has generated in the past. It is\n\
              # automatically read and these particular cases re-run before any\n\
@@ -232,10 +249,10 @@ fn persist_seed(path: &Path, seed: u64, value: &str) {
              #\n\
              # It is recommended to check this file in to source control so that\n\
              # everyone who runs the test benefits from these saved cases."
-        );
+        )?;
     }
     let one_line = value.replace('\n', " ");
-    let _ = writeln!(file, "cc {seed:016x} # shrinks to {one_line}");
+    writeln!(file, "cc {seed:016x} # shrinks to {one_line}")
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -279,13 +296,38 @@ mod tests {
         );
     }
 
+    /// A fresh directory under the system temp dir, standing in for a
+    /// crate's manifest directory; removed on drop, unwinding included.
+    struct ScratchManifest(PathBuf);
+
+    impl ScratchManifest {
+        fn new(name: &str) -> Self {
+            let dir =
+                std::env::temp_dir().join(format!("proptest_shim_{name}_{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            ScratchManifest(dir)
+        }
+
+        fn dir(&self) -> &str {
+            self.0.to_str().unwrap()
+        }
+    }
+
+    impl Drop for ScratchManifest {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
     #[test]
     #[should_panic(expected = "proptest case failed")]
     fn run_reports_failures() {
+        let manifest = ScratchManifest::new("run_reports_failures");
         run_proptest(
             ProptestConfig::with_cases(16),
             "src/test_runner.rs",
-            env!("CARGO_MANIFEST_DIR"),
+            manifest.dir(),
             "always_false",
             (0u64..100,),
             |(_v,)| Err(TestCaseError::fail("nope")),
@@ -325,7 +367,83 @@ mod tests {
     }
 
     #[test]
-    fn regression_file_only_for_tests_dirs() {
-        assert!(regression_file("src/lib.rs", env!("CARGO_MANIFEST_DIR")).is_none());
+    fn regression_file_maps_a_tests_file_beside_it() {
+        assert_eq!(
+            regression_file("crates/serve/tests/recovery_prop.rs", "/m"),
+            Some(PathBuf::from("/m/tests/recovery_prop.proptest-regressions"))
+        );
+        assert_eq!(
+            regression_file("tests/crash_consistency.rs", "/m"),
+            Some(PathBuf::from(
+                "/m/tests/crash_consistency.proptest-regressions"
+            ))
+        );
+    }
+
+    #[test]
+    fn regression_file_maps_a_src_file_below_proptest_regressions() {
+        assert_eq!(
+            regression_file("crates/nvm/src/snapshot.rs", "/m"),
+            Some(PathBuf::from("/m/proptest-regressions/snapshot.txt"))
+        );
+        assert_eq!(
+            regression_file("src/store/kv.rs", "/m"),
+            Some(PathBuf::from("/m/proptest-regressions/store/kv.txt"))
+        );
+        assert_eq!(regression_file("examples/demo.rs", "/m"), None);
+    }
+
+    #[test]
+    fn failure_message_names_the_file_or_says_why_not() {
+        let manifest = ScratchManifest::new("failure_message");
+        let path = regression_file("crates/x/src/a/b.rs", manifest.dir()).unwrap();
+        let saved = record_failure(Some(&path), 0xab, "v = 1");
+        assert_eq!(saved, format!("persisted to {}", path.display()));
+        assert_eq!(load_regression_seeds(&path), vec![0xab]);
+        let saved = record_failure(None, 0xab, "v = 1");
+        assert!(saved.starts_with("not persisted: "), "{saved}");
+        // A directory standing where the file should go: the write fails.
+        let blocked = manifest.0.join("blocked.txt");
+        std::fs::create_dir_all(&blocked).unwrap();
+        let saved = record_failure(Some(&blocked), 0xab, "v = 1");
+        assert!(saved.starts_with("not persisted: "), "{saved}");
+    }
+
+    #[test]
+    fn a_src_failure_is_replayed_first_on_the_next_run() {
+        let manifest = ScratchManifest::new("src_replay");
+        let dir = manifest.dir();
+        let failed = catch_unwind(|| {
+            run_proptest(
+                ProptestConfig::with_cases(16),
+                "crates/x/src/lib.rs",
+                dir,
+                "odd_fails",
+                (0u64..1000,),
+                |(v,)| match v % 2 {
+                    0 => Ok(()),
+                    _ => Err(TestCaseError::fail("odd")),
+                },
+            )
+        });
+        assert!(failed.is_err());
+        let path = manifest.0.join("proptest-regressions/lib.txt");
+        let seeds = load_regression_seeds(&path);
+        assert_eq!(seeds.len(), 1, "the failing seed was saved");
+        let first = std::cell::Cell::new(None);
+        run_proptest(
+            ProptestConfig::with_cases(1),
+            "crates/x/src/lib.rs",
+            dir,
+            "odd_fails",
+            (0u64..1000,),
+            |(v,)| {
+                first.set(first.get().or(Some(v)));
+                Ok(())
+            },
+        );
+        let replayed = (0u64..1000,).pick(&mut TestRng::new(seeds[0])).0;
+        assert_eq!(first.get(), Some(replayed));
+        assert_eq!(replayed % 2, 1, "the first case run is the saved failure");
     }
 }

@@ -243,15 +243,43 @@ impl<M: PersistOps> PersistOps for LatencyMedium<M> {
 
 #[derive(Debug)]
 struct CountingState {
-    /// Durable image: reflects everything up to the last fence.
+    /// Durable image: reflects everything up to the last fence. Empty
+    /// once [`CountingMedium::surviving_image`] has handed it over.
     image: Vec<u8>,
-    /// Writes issued since the last fence, in order. Lost if the medium
-    /// dies before the next fence.
-    pending: Vec<(u64, Vec<u8>)>,
+    /// Capacity in bytes, which outlives the image.
+    len: u64,
+    /// The bytes of every write issued since the last fence, back to
+    /// back. Lost if the medium dies before the next fence.
+    pending: Vec<u8>,
+    /// Those writes in issue order: `(offset, start, len)`, where
+    /// `start..start + len` indexes `pending`.
+    spans: Vec<(usize, usize, usize)>,
     stats: PersistStats,
     /// Die when the (persist + fence) op counter reaches this value.
     kill_at_op: Option<u64>,
     dead: bool,
+    /// Set once [`CountingMedium::surviving_image`] has moved `image` out.
+    handed_over: bool,
+}
+
+impl CountingState {
+    /// Power fails: the medium stops accepting work and every unfenced
+    /// write is lost.
+    fn die(&mut self) {
+        self.dead = true;
+        self.pending = Vec::new();
+        self.spans = Vec::new();
+    }
+
+    fn check_alive(&self) -> io::Result<()> {
+        if self.dead {
+            return Err(io::Error::new(
+                io::ErrorKind::BrokenPipe,
+                "medium is dead (injected power failure)",
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// In-memory medium with exact operation counting and scheduled death.
@@ -259,7 +287,7 @@ struct CountingState {
 /// Death semantics are the adversarial power-failure model: at the fatal
 /// operation the medium stops accepting work *and discards every write
 /// issued since the last completed fence*. [`CountingMedium::surviving_image`]
-/// is what a recovery sees.
+/// cuts the power itself and hands over what a recovery sees.
 #[derive(Debug)]
 pub struct CountingMedium {
     state: Mutex<CountingState>,
@@ -272,54 +300,62 @@ impl CountingMedium {
     }
 
     /// A medium whose durable image starts as `image` (e.g. the survivor
-    /// of an earlier death, for recovery testing).
+    /// of an earlier death, for recovery testing). The medium keeps this
+    /// allocation and writes fenced bytes into it.
     pub fn from_image(image: Vec<u8>) -> CountingMedium {
         CountingMedium {
             state: Mutex::new(CountingState {
+                len: image.len() as u64,
                 image,
                 pending: Vec::new(),
+                spans: Vec::new(),
                 stats: PersistStats::default(),
                 kill_at_op: None,
                 dead: false,
+                handed_over: false,
             }),
         }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, CountingState> {
+        self.state.lock().expect("counting medium poisoned")
     }
 
     /// Schedules death at operation index `op` (0-based over the combined
     /// persist+fence sequence): the op that would be number `op` fails
     /// instead of executing, and unfenced writes are dropped.
     pub fn kill_at_op(&self, op: u64) {
-        self.state
-            .lock()
-            .expect("counting medium poisoned")
-            .kill_at_op = Some(op);
+        self.lock().kill_at_op = Some(op);
     }
 
-    /// Whether the scheduled death has occurred.
+    /// Whether the medium has died (by schedule or by
+    /// [`CountingMedium::surviving_image`]).
     pub fn is_dead(&self) -> bool {
-        self.state.lock().expect("counting medium poisoned").dead
+        self.lock().dead
     }
 
-    /// The durable bytes (everything fenced before death or now).
+    /// Cuts the power and hands over the durable bytes: everything fenced
+    /// before death or now. The medium dies if it has not already, its
+    /// unfenced writes are dropped, and the image it was built on moves
+    /// out without a copy; every later `persist`, `fence` and `read`
+    /// fails.
+    ///
+    /// # Panics
+    ///
+    /// On a second call: the image was already handed over.
     pub fn surviving_image(&self) -> Vec<u8> {
-        self.state
-            .lock()
-            .expect("counting medium poisoned")
-            .image
-            .clone()
+        let mut state = self.lock();
+        assert!(!state.handed_over, "surviving image already handed over");
+        state.handed_over = true;
+        state.die();
+        std::mem::take(&mut state.image)
     }
 
     fn begin_op(state: &mut CountingState) -> io::Result<()> {
-        if state.dead {
-            return Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "medium is dead (injected power failure)",
-            ));
-        }
+        state.check_alive()?;
         let op_index = state.stats.persists + state.stats.fences;
         if state.kill_at_op == Some(op_index) {
-            state.dead = true;
-            state.pending.clear();
+            state.die();
             return Err(io::Error::new(
                 io::ErrorKind::BrokenPipe,
                 format!("injected power failure at persist-op {op_index}"),
@@ -331,64 +367,62 @@ impl CountingMedium {
 
 impl PersistOps for CountingMedium {
     fn persist(&self, offset: u64, data: &[u8]) -> io::Result<()> {
-        let mut state = self.state.lock().expect("counting medium poisoned");
+        let mut state = self.lock();
         Self::begin_op(&mut state)?;
-        range_check(offset, data.len(), state.image.len() as u64)?;
-        state.pending.push((offset, data.to_vec()));
+        range_check(offset, data.len(), state.len)?;
+        let start = state.pending.len();
+        state.pending.extend_from_slice(data);
+        state.spans.push((offset as usize, start, data.len()));
         state.stats.persists += 1;
         state.stats.bytes_persisted += data.len() as u64;
         Ok(())
     }
 
     fn fence(&self) -> io::Result<()> {
-        let mut state = self.state.lock().expect("counting medium poisoned");
+        let mut state = self.lock();
         Self::begin_op(&mut state)?;
-        let pending = std::mem::take(&mut state.pending);
-        for (offset, data) in pending {
-            let at = offset as usize;
-            state.image[at..at + data.len()].copy_from_slice(&data);
+        let CountingState {
+            image,
+            pending,
+            spans,
+            ..
+        } = &mut *state;
+        for &(at, start, len) in spans.iter() {
+            image[at..at + len].copy_from_slice(&pending[start..start + len]);
         }
+        pending.clear();
+        spans.clear();
         state.stats.fences += 1;
         Ok(())
     }
 
     fn read(&self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
-        let state = self.state.lock().expect("counting medium poisoned");
-        if state.dead {
-            return Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "medium is dead (injected power failure)",
-            ));
-        }
-        range_check(offset, buf.len(), state.image.len() as u64)?;
+        let state = self.lock();
+        state.check_alive()?;
+        range_check(offset, buf.len(), state.len)?;
         // Reads see issued-but-unfenced writes, like a CPU reading its own
         // store buffer; only *durability* waits for the fence.
         let at = offset as usize;
         buf.copy_from_slice(&state.image[at..at + buf.len()]);
-        for (woff, data) in &state.pending {
-            let (a, b) = (*woff, woff + data.len() as u64);
-            let (ra, rb) = (offset, offset + buf.len() as u64);
-            if b <= ra || a >= rb {
+        for &(woff, start, len) in &state.spans {
+            let (ra, rb) = (at, at + buf.len());
+            if woff + len <= ra || woff >= rb {
                 continue;
             }
-            let from = a.max(ra);
-            let to = b.min(rb);
-            buf[(from - ra) as usize..(to - ra) as usize]
-                .copy_from_slice(&data[(from - a) as usize..(to - a) as usize]);
+            let from = woff.max(ra);
+            let to = (woff + len).min(rb);
+            buf[from - ra..to - ra]
+                .copy_from_slice(&state.pending[start + from - woff..start + to - woff]);
         }
         Ok(())
     }
 
     fn len(&self) -> u64 {
-        self.state
-            .lock()
-            .expect("counting medium poisoned")
-            .image
-            .len() as u64
+        self.lock().len
     }
 
     fn stats(&self) -> PersistStats {
-        self.state.lock().expect("counting medium poisoned").stats
+        self.lock().stats
     }
 }
 
@@ -398,11 +432,15 @@ mod tests {
 
     #[test]
     fn counting_medium_fences_make_writes_durable() {
+        // Power cut before the fence: the write is lost.
+        let cut_early = CountingMedium::new(128);
+        cut_early.persist(0, &[1, 2, 3]).unwrap();
+        let image = cut_early.surviving_image();
+        assert_eq!(image[0], 0, "unfenced write not durable");
+        // Power cut after the fence: the write survives.
         let m = CountingMedium::new(128);
         m.persist(0, &[1, 2, 3]).unwrap();
-        assert_eq!(m.surviving_image()[0], 0, "unfenced write not durable");
         m.fence().unwrap();
-        assert_eq!(&m.surviving_image()[..3], &[1, 2, 3]);
         assert_eq!(
             m.stats(),
             PersistStats {
@@ -411,6 +449,7 @@ mod tests {
                 bytes_persisted: 3
             }
         );
+        assert_eq!(&m.surviving_image()[..3], &[1, 2, 3]);
     }
 
     #[test]
@@ -435,6 +474,60 @@ mod tests {
         let mut buf = [0u8; 8];
         m.read(0, &mut buf).unwrap();
         assert_eq!(buf, [0, 0, 0, 0, 5, 6, 0, 0]);
+        // Overlapping unfenced writes: the later one wins where they
+        // overlap, over a fenced byte too, and the fence lands the same.
+        m.fence().unwrap();
+        m.persist(2, &[1, 1, 1, 1]).unwrap();
+        m.persist(5, &[2, 2, 2]).unwrap();
+        m.persist(3, &[3]).unwrap();
+        let mut buf = [0u8; 10];
+        m.read(0, &mut buf).unwrap();
+        assert_eq!(buf, [0, 0, 1, 3, 1, 2, 2, 2, 0, 0]);
+        let mut tail = [0u8; 3];
+        m.read(4, &mut tail).unwrap();
+        assert_eq!(tail, [1, 2, 2], "a read inside the writes");
+        m.fence().unwrap();
+        assert_eq!(&m.surviving_image()[..10], &buf);
+    }
+
+    #[test]
+    fn surviving_image_hands_over_the_allocation_it_was_given() {
+        let image = vec![0u8; 4096];
+        let base = image.as_ptr();
+        let m = CountingMedium::from_image(image);
+        m.persist(0, &[1; 64]).unwrap();
+        m.fence().unwrap();
+        m.persist(4032, &[2; 64]).unwrap();
+        m.fence().unwrap();
+        let out = m.surviving_image();
+        assert_eq!(out.as_ptr(), base, "the image was copied, not moved");
+        assert_eq!(out.len(), 4096);
+        assert_eq!((out[0], out[4095]), (1, 2));
+    }
+
+    #[test]
+    fn a_handed_over_medium_is_dead() {
+        let m = CountingMedium::new(64);
+        m.persist(0, &[7; 8]).unwrap();
+        m.fence().unwrap();
+        m.persist(8, &[9; 8]).unwrap();
+        let image = m.surviving_image();
+        assert_eq!(&image[..8], &[7; 8], "fenced write survives");
+        assert_eq!(&image[8..16], &[0; 8], "unfenced write dropped");
+        assert!(m.is_dead());
+        let dead = |r: io::Result<()>| r.unwrap_err().kind() == io::ErrorKind::BrokenPipe;
+        assert!(dead(m.persist(0, &[1])));
+        assert!(dead(m.fence()));
+        assert!(dead(m.read(0, &mut [0u8; 8])));
+        assert_eq!(m.len(), 64, "capacity outlives the image");
+    }
+
+    #[test]
+    #[should_panic(expected = "surviving image already handed over")]
+    fn a_second_hand_over_panics() {
+        let m = CountingMedium::new(8);
+        let _ = m.surviving_image();
+        let _ = m.surviving_image();
     }
 
     #[test]

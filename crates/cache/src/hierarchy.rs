@@ -237,7 +237,7 @@ impl Hierarchy {
             AccessType::Store { .. } => self.stats.stores.incr(),
         }
 
-        // L1 hit: the fast path — one probe, one recency stamp, and (for
+        // L1 hit: the fast path — one probe, one recency update, and (for
         // stores) the metadata word updated in place.
         if let Some(slot) = self.l1[c].probe(addr) {
             self.stats.l1_hits.incr();

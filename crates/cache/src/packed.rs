@@ -3,12 +3,21 @@
 //! [`SetAssocCache`](crate::set_assoc::SetAssocCache) keeps each line as an
 //! `Option<Entry<T>>` (~48–56 bytes with the niche, the payload, and the
 //! recency stamp interleaved), so a 4-way set probe walks four scattered
-//! struct slots. [`PackedLineCache`] stores the same state as four parallel
-//! flat `u64` arrays — tag, packed metadata word, data token, recency
-//! stamp — plus the per-set occupancy bitmap. A probe is then one bitmap
-//! word and up to `ways` adjacent tag words, all in at most two cache
-//! lines, with no `Option` discriminants and no payload bytes pulled in
-//! until the hit is known.
+//! struct slots. [`PackedLineCache`] stores the same state as three
+//! parallel flat `u64` arrays per slot — tag, packed metadata word, data
+//! token — plus two words per set: the occupancy bitmap and the recency
+//! order. A probe is then one bitmap word and up to `ways` adjacent tag
+//! words, all in at most two cache lines, with no `Option` discriminants
+//! and no payload bytes pulled in until the hit is known.
+//!
+//! # Recency order
+//!
+//! Nibble `p` of a set's order word holds the way at recency position
+//! `p` (0 = most recent), so a set has at most [`MAX_WAYS`] ways. A touch
+//! or an insert moves its way to position 0; the victim of a full set is
+//! the way at position `ways - 1`. A removed way keeps its position until
+//! an insert moves it to the front, so the resident ways are always in
+//! order of last use.
 //!
 //! # Metadata word layout
 //!
@@ -31,6 +40,7 @@
 //! [`Hierarchy`](crate::hierarchy::Hierarchy) owns the encoding via
 //! [`encode_line`]/[`decode_line`].
 
+use picl_types::config::{MAX_WAYS, TOO_MANY_WAYS};
 use picl_types::{EpochId, LineAddr};
 
 use crate::line::CacheLineMeta;
@@ -78,11 +88,11 @@ pub fn decode_line(word: u64, value: u64) -> CacheLineMeta {
 /// `(metadata word, value)` pair, stored struct-of-arrays.
 ///
 /// Replacement semantics are identical to
-/// [`SetAssocCache`](crate::set_assoc::SetAssocCache): a global use clock
-/// advances only on hits ([`touch`](Self::touch)) and inserts, and the
-/// victim of a full set is the way with the minimum stamp (stamps are
-/// unique, so the choice is unambiguous) — the property test
-/// `packed_vs_struct` pins the two structures victim-for-victim.
+/// [`SetAssocCache`](crate::set_assoc::SetAssocCache): recency moves only
+/// on hits ([`touch`](Self::touch)) and inserts, and the victim of a full
+/// set is its least recently used way, by use stamp there and by the
+/// set's recency order here. The property test `packed_vs_struct` pins
+/// the two structures victim-for-victim.
 #[derive(Debug, Clone)]
 pub struct PackedLineCache {
     /// Line address per slot; meaningful only where the occupancy bit is set.
@@ -91,14 +101,13 @@ pub struct PackedLineCache {
     words: Vec<u64>,
     /// Data token per slot.
     values: Vec<u64>,
-    /// Recency stamp per slot.
-    last_use: Vec<u64>,
     /// Per-set occupancy bitmap (bit `w` = slot `s*ways + w` occupied).
     occ: Vec<u64>,
+    /// Per-set recency order: nibble `p` is the way at position `p`.
+    order: Vec<u64>,
     sets: usize,
     ways: usize,
     len: usize,
-    use_clock: u64,
 }
 
 impl PackedLineCache {
@@ -107,23 +116,22 @@ impl PackedLineCache {
     ///
     /// # Panics
     ///
-    /// Panics if `sets` or `ways` is zero, or if `ways` exceeds 64 (the
-    /// occupancy word width).
+    /// Panics if `sets` or `ways` is zero, or if `ways` exceeds
+    /// [`MAX_WAYS`].
     pub fn new(sets: usize, ways: usize) -> Self {
         assert!(sets > 0, "sets must be nonzero");
         assert!(ways > 0, "ways must be nonzero");
-        assert!(ways <= 64, "ways must fit the occupancy word");
+        assert!(ways <= MAX_WAYS, "{TOO_MANY_WAYS}");
         let cap = sets * ways;
         PackedLineCache {
             tags: vec![0; cap],
             words: vec![0; cap],
             values: vec![0; cap],
-            last_use: vec![0; cap],
             occ: vec![0; sets],
+            order: vec![IDENTITY_ORDER; sets],
             sets,
             ways,
             len: 0,
-            use_clock: 0,
         }
     }
 
@@ -180,12 +188,26 @@ impl PackedLineCache {
         self.probe(addr).is_some()
     }
 
-    /// Marks `slot` most-recently used. The recency clock advances only
-    /// here and on inserts: a missed probe must not age resident lines.
+    /// Marks `slot` most-recently used. Recency moves only here and on
+    /// inserts: a missed probe must not age resident lines.
     #[inline]
     pub fn touch(&mut self, slot: usize) {
-        self.use_clock += 1;
-        self.last_use[slot] = self.use_clock;
+        let (si, w) = self.locate(slot);
+        // Repeated hits to one line are common: nothing moves.
+        if self.order[si] & 0xF != w as u64 {
+            self.order[si] = to_front(self.order[si], w as u64);
+        }
+    }
+
+    /// The set and way of `slot`.
+    #[inline]
+    fn locate(&self, slot: usize) -> (usize, usize) {
+        let n = self.ways;
+        if n.is_power_of_two() {
+            (slot >> n.trailing_zeros(), slot & (n - 1))
+        } else {
+            (slot / n, slot % n)
+        }
     }
 
     /// The metadata word in `slot`.
@@ -217,11 +239,8 @@ impl PackedLineCache {
     /// Inserts `addr` with `(word, value)`, making it most-recently used.
     #[inline]
     pub fn insert(&mut self, addr: LineAddr, word: u64, value: u64) -> PackedInsertion {
-        self.use_clock += 1;
-        let clock = self.use_clock;
-
         if let Some(slot) = self.probe(addr) {
-            self.last_use[slot] = clock;
+            self.touch(slot);
             let old = PackedInsertion::Replaced {
                 word: self.words[slot],
                 value: self.values[slot],
@@ -233,7 +252,7 @@ impl PackedLineCache {
 
         let si = self.set_index(addr);
         let base = si * self.ways;
-        let free = !self.occ[si] & way_mask(self.ways);
+        let free = !self.occ[si] & ((1 << self.ways) - 1);
         if free != 0 {
             let w = free.trailing_zeros() as usize;
             self.occ[si] |= 1 << w;
@@ -242,22 +261,13 @@ impl PackedLineCache {
             self.tags[slot] = addr.raw();
             self.words[slot] = word;
             self.values[slot] = value;
-            self.last_use[slot] = clock;
+            self.touch(slot);
             return PackedInsertion::Fit;
         }
 
-        // Set full: evict the LRU way (stamps are unique, so the minimum
-        // is unambiguous).
-        let mut victim_w = 0;
-        let mut victim_use = u64::MAX;
-        for w in 0..self.ways {
-            let lu = self.last_use[base + w];
-            if lu < victim_use {
-                victim_use = lu;
-                victim_w = w;
-            }
-        }
-        let slot = base + victim_w;
+        // Set full: evict the way in the last recency position.
+        let last = (self.order[si] >> (4 * (self.ways - 1))) & 0xF;
+        let slot = base + last as usize;
         let victim = PackedInsertion::Evicted {
             addr: LineAddr::new(self.tags[slot]),
             word: self.words[slot],
@@ -266,7 +276,7 @@ impl PackedLineCache {
         self.tags[slot] = addr.raw();
         self.words[slot] = word;
         self.values[slot] = value;
-        self.last_use[slot] = clock;
+        self.touch(slot);
         victim
     }
 
@@ -280,8 +290,7 @@ impl PackedLineCache {
     /// `(word, value)`.
     #[inline]
     pub fn take_at(&mut self, slot: usize) -> (u64, u64) {
-        let si = slot / self.ways;
-        let w = slot % self.ways;
+        let (si, w) = self.locate(slot);
         debug_assert!(self.occ[si] & (1 << w) != 0, "take_at on empty slot");
         self.occ[si] &= !(1 << w);
         self.len -= 1;
@@ -340,13 +349,23 @@ impl PackedLineCache {
     }
 }
 
+/// The starting order: way `p` at position `p`. Positions `ways` and up
+/// hold values no way of the set has, so a search never stops there.
+const IDENTITY_ORDER: u64 = 0xFEDC_BA98_7654_3210;
+
+/// `order` with way `w` moved to position 0 and the ways in front of it
+/// shifted back one position.
 #[inline]
-fn way_mask(ways: usize) -> u64 {
-    if ways == 64 {
-        u64::MAX
-    } else {
-        (1u64 << ways) - 1
-    }
+fn to_front(order: u64, w: u64) -> u64 {
+    const ONES: u64 = 0x1111_1111_1111_1111;
+    // The lowest zero nibble of `order ^ w` in every nibble is `w`'s
+    // position (SWAR zero-nibble test; only the lowest flag is exact).
+    let x = order ^ (w * ONES);
+    let zero = x.wrapping_sub(ONES) & !x & (ONES << 3);
+    let p = zero.trailing_zeros() / 4;
+    // Nibbles 0..=p: wraps to all ones when p is 15.
+    let upto = (16u64 << (4 * p)).wrapping_sub(1);
+    (order & !upto) | ((order << 4) & upto) | w
 }
 
 /// Outcome of [`PackedLineCache::insert`].
@@ -375,6 +394,7 @@ pub enum PackedInsertion {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn addr(i: u64) -> LineAddr {
         LineAddr::new(i)
@@ -530,6 +550,102 @@ mod tests {
         match c.insert(addr(3), 0, 3) {
             PackedInsertion::Evicted { addr: a, .. } => assert_eq!(a, addr(0)),
             other => panic!("expected eviction, got {other:?}"),
+        }
+    }
+    #[test]
+    #[should_panic(expected = "ways must be at most 16, the ways a set's recency order holds")]
+    fn seventeen_ways_rejected() {
+        PackedLineCache::new(1, 17);
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// A probe that refreshes recency on a hit.
+        Touch(u64),
+        Insert(u64),
+        Remove(u64),
+    }
+
+    /// One set's LRU kept the way the struct cache keeps it: a stamp per
+    /// way from a clock that advances on touches and inserts.
+    struct StampSet {
+        ways: Vec<Option<(u64, u64)>>,
+        clock: u64,
+    }
+
+    impl StampSet {
+        fn find(&self, a: u64) -> Option<usize> {
+            self.ways
+                .iter()
+                .position(|w| matches!(w, Some((x, _)) if *x == a))
+        }
+
+        fn stamp(&mut self, w: usize, a: u64) {
+            self.clock += 1;
+            self.ways[w] = Some((a, self.clock));
+        }
+
+        /// The evicted line, if the set was full.
+        fn insert(&mut self, a: u64) -> Option<u64> {
+            if let Some(w) = self.find(a) {
+                self.stamp(w, a);
+                return None;
+            }
+            if let Some(w) = self.ways.iter().position(Option::is_none) {
+                self.stamp(w, a);
+                return None;
+            }
+            let (w, victim) = (0..self.ways.len())
+                .map(|w| (w, self.ways[w].unwrap()))
+                .min_by_key(|&(_, (_, stamp))| stamp)
+                .unwrap();
+            self.stamp(w, a);
+            Some(victim.0)
+        }
+    }
+
+    fn ops() -> impl Strategy<Value = Vec<Op>> {
+        let op = prop_oneof![
+            (0u64..24).prop_map(Op::Touch),
+            (0u64..24).prop_map(Op::Insert),
+            (0u64..24).prop_map(Op::Remove),
+        ];
+        proptest::collection::vec(op, 1..300)
+    }
+
+    proptest! {
+        #[test]
+        fn recency_order_matches_stamps_at_every_width(ops in ops()) {
+            for ways in 1..=MAX_WAYS {
+                let mut packed = PackedLineCache::new(1, ways);
+                let mut model = StampSet { ways: vec![None; ways], clock: 0 };
+                for op in &ops {
+                    match *op {
+                        Op::Touch(a) => {
+                            let slot = packed.probe(addr(a));
+                            prop_assert_eq!(slot, model.find(a));
+                            if let Some(slot) = slot {
+                                packed.touch(slot);
+                                model.stamp(slot, a);
+                            }
+                        }
+                        Op::Insert(a) => {
+                            let victim = match packed.insert(addr(a), 0, a) {
+                                PackedInsertion::Evicted { addr, .. } => Some(addr.raw()),
+                                _ => None,
+                            };
+                            prop_assert_eq!(victim, model.insert(a), "{} ways", ways);
+                        }
+                        Op::Remove(a) => {
+                            let slot = model.find(a);
+                            prop_assert_eq!(packed.remove(addr(a)).is_some(), slot.is_some());
+                            if let Some(w) = slot {
+                                model.ways[w] = None;
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 }

@@ -10,98 +10,106 @@
 //!
 //! # Layout
 //!
-//! A [`MainMemory`] stores tokens in pages of 8 lines: 64 bytes, one host
-//! cache line. A hash map keyed by a line's 512-line region holds the
-//! region's pages in order, with a bitmap of which pages it holds. One
-//! hash lookup serves every line of a region, the map has one entry per
-//! touched region, and the access inside a page is a plain indexed load.
+//! A [`MainMemory`] stores one token per line that holds a non-initial
+//! value, and nothing for the others. A hash map keyed by a line's
+//! 512-line region holds a 512-bit bitmap of the region's held lines and
+//! their tokens in line order; a line's token sits at the popcount of the
+//! bitmap below its bit. One hash lookup serves every line of a region,
+//! and the map has one entry per touched region.
 //!
-//! Every image has this one width: the NVM contents ([`crate::Nvm::state`])
-//! and the golden images reconstructed over them (see
-//! [`crate::snapshot`]; the golden history's folded base is not an image
-//! but an overlay of the few lines where it differs from the contents).
-//! Their writes are sparse: at footprint scale
-//! 1.0 the 8-core paper mix (W0, 56M instructions) touches about 235k
-//! lines on about 10k regions, a median 17 of each region's 512 lines.
-//! At 512-line pages that is 41 MB of token storage; at 8-line pages the
-//! same lines fill about 120k pages, 7.7 MB.
+//! The NVM contents ([`crate::Nvm::state`]) and the golden images
+//! reconstructed over them (see [`crate::snapshot`]) share this layout.
+//! Their writes are sparse: at footprint scale 1.0 the 8-core paper mix
+//! (W0, 56M instructions) holds 235,134 written lines on 10,071 regions,
+//! a median 17 of each region's 512 lines: 1.9 MB of tokens. Pages of 8
+//! lines would hold the same lines in 119,808 pages, 7.7 MB, three
+//! quarters of it `INITIAL`.
 //!
-//! A page is freed once all of its tokens are back to
-//! [`MainMemory::INITIAL`], and a region once it holds no page, so two
-//! images are equal iff their maps are.
+//! A line written back to [`MainMemory::INITIAL`] is dropped, and a region
+//! once it holds no line, so two images are equal iff their maps are.
 
 use picl_types::hash::FastMap;
 use picl_types::LineAddr;
 
-/// Lines per page: 8 tokens, 64 bytes.
-const PAGE_LINES: usize = 8;
-const PAGE_SHIFT: u32 = PAGE_LINES.trailing_zeros();
-
-/// Lines per region, the hash map's unit: 512, so a region holds at most
-/// 64 pages and its bitmap fits a `u64`.
+/// Lines per region, the hash map's unit: 512, so a region's bitmap is
+/// eight `u64` words.
 const REGION_SHIFT: u32 = 9;
 const REGION_LINES: usize = 1 << REGION_SHIFT;
+const HELD_WORDS: usize = REGION_LINES / 64;
 
-type Page = [u64; PAGE_LINES];
-
-/// A sparse map from cache line to its current value token, paged eight
-/// lines at a time.
+/// A sparse map from cache line to its current value token, held one
+/// token per written line.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MainMemory {
     regions: FastMap<u64, Region>,
     touched: usize,
 }
 
-/// The held pages of one region.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The held lines of one region.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Region {
-    /// Bit `i` is set iff page `i` of the region is held; never 0.
-    held: u64,
-    /// The held pages, in page order.
-    pages: Box<[Page]>,
+    /// Bit `i % 64` of word `i / 64` is set iff line `i` of the region
+    /// holds a non-initial token; never all zero.
+    held: [u64; HELD_WORDS],
+    /// The held lines' tokens, in line order.
+    tokens: Box<[u64]>,
+}
+
+/// The set bits of `word`, lowest first.
+fn bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            bit
+        })
+    })
 }
 
 impl Region {
-    /// Index into `pages` of page `page`: `Ok` if held, else `Err` with
+    /// Index into `tokens` of line `idx`: `Ok` if held, else `Err` with
     /// the index it would be inserted at.
     #[inline]
-    fn slot(&self, page: usize) -> Result<usize, usize> {
-        let bit = 1u64 << page;
-        let slot = (self.held & (bit - 1)).count_ones() as usize;
-        if self.held & bit != 0 {
+    fn slot(&self, idx: usize) -> Result<usize, usize> {
+        let (word, bit) = (idx / 64, 1u64 << (idx % 64));
+        let below: u32 = self.held[..word].iter().map(|w| w.count_ones()).sum();
+        let slot = (below + (self.held[word] & (bit - 1)).count_ones()) as usize;
+        if self.held[word] & bit != 0 {
             Ok(slot)
         } else {
             Err(slot)
         }
     }
 
-    /// Page `page`'s tokens, if held.
-    fn page(&self, page: usize) -> Option<&Page> {
-        self.slot(page).ok().map(|s| &self.pages[s])
+    /// Line `idx`'s token, if held.
+    fn get(&self, idx: usize) -> Option<u64> {
+        self.slot(idx).ok().map(|s| self.tokens[s])
     }
 
-    /// The held pages with their indices, in page order.
-    fn held_pages(&self) -> impl Iterator<Item = (usize, &Page)> + '_ {
-        (0..REGION_LINES / PAGE_LINES)
-            .filter(|&p| self.held >> p & 1 == 1)
-            .zip(self.pages.iter())
+    /// The held lines' indices and tokens, in line order.
+    fn lines(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.held
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &word)| bits(word).map(move |b| w * 64 + b))
+            .zip(self.tokens.iter().copied())
     }
 
-    /// Holds `page` as `[slot]` of `pages`, where it is not held yet.
-    fn insert(&mut self, page: usize, slot: usize, tokens: Page) {
-        let mut pages = std::mem::take(&mut self.pages).into_vec();
-        pages.reserve_exact(1);
-        pages.insert(slot, tokens);
-        self.pages = pages.into_boxed_slice();
-        self.held |= 1 << page;
+    /// Holds line `idx` as `[slot]` of `tokens`, where it is not held yet.
+    fn insert(&mut self, idx: usize, slot: usize, value: u64) {
+        let mut tokens = std::mem::take(&mut self.tokens).into_vec();
+        tokens.reserve_exact(1);
+        tokens.insert(slot, value);
+        self.tokens = tokens.into_boxed_slice();
+        self.held[idx / 64] |= 1 << (idx % 64);
     }
 
-    /// Drops `page`, held as `[slot]` of `pages`.
-    fn remove(&mut self, page: usize, slot: usize) {
-        let mut pages = std::mem::take(&mut self.pages).into_vec();
-        pages.remove(slot);
-        self.pages = pages.into_boxed_slice();
-        self.held &= !(1 << page);
+    /// Drops line `idx`, held as `[slot]` of `tokens`.
+    fn remove(&mut self, idx: usize, slot: usize) {
+        let mut tokens = std::mem::take(&mut self.tokens).into_vec();
+        tokens.remove(slot);
+        self.tokens = tokens.into_boxed_slice();
+        self.held[idx / 64] &= !(1 << (idx % 64));
     }
 }
 
@@ -114,79 +122,62 @@ impl MainMemory {
         MainMemory::default()
     }
 
-    /// A line's region, page within the region, and offset in the page.
+    /// A line's region and index within the region.
     #[inline]
-    fn split(line: LineAddr) -> (u64, usize, usize) {
+    fn split(line: LineAddr) -> (u64, usize) {
         let raw = line.raw();
-        let idx = (raw & (REGION_LINES as u64 - 1)) as usize;
-        (
-            raw >> REGION_SHIFT,
-            idx >> PAGE_SHIFT,
-            idx & (PAGE_LINES - 1),
-        )
+        (raw >> REGION_SHIFT, raw as usize & (REGION_LINES - 1))
     }
 
     #[inline]
-    fn join(region: u64, page: usize, off: usize) -> LineAddr {
-        LineAddr::new((region << REGION_SHIFT) | (page * PAGE_LINES + off) as u64)
+    fn join(region: u64, idx: usize) -> LineAddr {
+        LineAddr::new((region << REGION_SHIFT) | idx as u64)
     }
 
     /// Reads a line's value token.
     #[inline]
     pub fn read_line(&self, line: LineAddr) -> u64 {
-        let (rk, page, off) = Self::split(line);
+        let (rk, idx) = Self::split(line);
         self.regions
             .get(&rk)
-            .and_then(|r| r.page(page).map(|p| p[off]))
+            .and_then(|r| r.get(idx))
             .unwrap_or(Self::INITIAL)
     }
 
     /// Writes a line's value token, returning the previous value.
     pub fn write_line(&mut self, line: LineAddr, value: u64) -> u64 {
-        let (rk, page, off) = Self::split(line);
-        let tokens = || {
-            let mut t = [Self::INITIAL; PAGE_LINES];
-            t[off] = value;
-            t
-        };
+        let (rk, idx) = Self::split(line);
         let Some(region) = self.regions.get_mut(&rk) else {
             if value != Self::INITIAL {
-                let pages = Box::new([tokens()]);
-                self.regions.insert(
-                    rk,
-                    Region {
-                        held: 1 << page,
-                        pages,
-                    },
-                );
+                let mut region = Region::default();
+                region.insert(idx, 0, value);
+                self.regions.insert(rk, region);
                 self.touched += 1;
             }
             return Self::INITIAL;
         };
-        let slot = match region.slot(page) {
-            Ok(slot) => slot,
+        match region.slot(idx) {
             Err(slot) => {
                 if value != Self::INITIAL {
-                    region.insert(page, slot, tokens());
+                    region.insert(idx, slot, value);
                     self.touched += 1;
                 }
-                return Self::INITIAL;
+                Self::INITIAL
             }
-        };
-        let old = std::mem::replace(&mut region.pages[slot][off], value);
-        self.touched += usize::from(value != Self::INITIAL);
-        self.touched -= usize::from(old != Self::INITIAL);
-        if value == Self::INITIAL
-            && old != Self::INITIAL
-            && region.pages[slot].iter().all(|&v| v == Self::INITIAL)
-        {
-            if region.pages.len() == 1 {
-                self.regions.remove(&rk);
-            } else {
-                region.remove(page, slot);
+            Ok(slot) if value != Self::INITIAL => {
+                std::mem::replace(&mut region.tokens[slot], value)
+            }
+            Ok(slot) => {
+                let old = region.tokens[slot];
+                if region.tokens.len() == 1 {
+                    self.regions.remove(&rk);
+                } else {
+                    region.remove(idx, slot);
+                }
+                self.touched -= 1;
+                old
             }
         }
-        old
     }
 
     /// Number of lines holding a non-initial value.
@@ -194,52 +185,36 @@ impl MainMemory {
         self.touched
     }
 
-    /// Number of pages held: those with at least one non-initial line
-    /// (memory diagnostics).
-    pub fn page_count(&self) -> usize {
-        self.regions.values().map(|r| r.pages.len()).sum()
-    }
-
     /// Iterates over `(line, value)` pairs holding non-initial values.
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, u64)> + '_ {
-        self.regions.iter().flat_map(|(&rk, region)| {
-            region.held_pages().flat_map(move |(p, page)| {
-                page.iter()
-                    .enumerate()
-                    .filter(|(_, &v)| v != Self::INITIAL)
-                    .map(move |(i, &v)| (Self::join(rk, p, i), v))
-            })
-        })
+        self.regions
+            .iter()
+            .flat_map(|(&rk, region)| region.lines().map(move |(i, v)| (Self::join(rk, i), v)))
     }
 
     /// Lines whose values differ between two images, in sorted order:
     /// the crash oracle's mismatch list.
     pub fn diff(&self, other: &MainMemory) -> Vec<LineAddr> {
         let mut out = Vec::new();
-        self.diff_pages(other, true, &mut out);
-        other.diff_pages(self, false, &mut out);
-        out.sort_unstable();
-        out
-    }
-
-    /// Pushes the lines of this image's held pages that differ from
-    /// `other`: on every page `other` does not hold, and — if `shared` —
-    /// on those it does.
-    fn diff_pages(&self, other: &MainMemory, shared: bool, out: &mut Vec<LineAddr>) {
-        for (&rk, region) in &self.regions {
+        // Every line this image holds that `other` does not hold at the
+        // same value...
+        for (&rk, mine) in &self.regions {
             let theirs = other.regions.get(&rk);
-            for (p, mine) in region.held_pages() {
-                let theirs = theirs.and_then(|r| r.page(p));
-                if theirs.is_some() && !shared {
-                    continue;
-                }
-                for (i, &a) in mine.iter().enumerate() {
-                    if a != theirs.map_or(Self::INITIAL, |t| t[i]) {
-                        out.push(Self::join(rk, p, i));
-                    }
+            for (i, v) in mine.lines() {
+                if theirs.and_then(|t| t.get(i)) != Some(v) {
+                    out.push(Self::join(rk, i));
                 }
             }
         }
+        // ...and every line only `other` holds.
+        for (&rk, theirs) in &other.regions {
+            let mine = self.regions.get(&rk).map_or([0; HELD_WORDS], |r| r.held);
+            for (w, (&t, m)) in theirs.held.iter().zip(mine).enumerate() {
+                out.extend(bits(t & !m).map(|b| Self::join(rk, w * 64 + b)));
+            }
+        }
+        out.sort_unstable();
+        out
     }
 }
 
@@ -333,60 +308,74 @@ mod tests {
     }
 
     #[test]
-    fn equality_ignores_lingering_empty_pages() {
+    fn equality_ignores_erased_lines() {
         let mut a = MainMemory::new();
         let b = MainMemory::new();
-        // Write then erase: the emptied page is freed.
+        // Write then erase: the emptied region is freed.
         a.write_line(LineAddr::new(100), 1);
         a.write_line(LineAddr::new(100), MainMemory::INITIAL);
-        assert_eq!(a.page_count(), 0);
+        assert!(a.regions.is_empty());
         assert_eq!(a, b);
         assert_eq!(b, a);
         a.write_line(LineAddr::new(100), 2);
         assert_ne!(a, b);
     }
 
+    /// Tokens held per region, by region key.
+    fn tokens_per_region(m: &MainMemory) -> BTreeMap<u64, usize> {
+        m.regions
+            .iter()
+            .map(|(&k, r)| (k, r.tokens.len()))
+            .collect()
+    }
+
     #[test]
-    fn isolated_lines_cost_one_compact_page_each() {
+    fn isolated_lines_cost_one_token_each() {
         // Lines 512 apart: each sits alone in its region, and costs one
-        // 8-token page.
+        // token.
         let mut c = MainMemory::new();
         for k in 0..16u64 {
             c.write_line(LineAddr::new(k * 512 + 3), k + 1);
         }
         assert_eq!(c.touched_lines(), 16);
-        assert_eq!(c.page_count(), 16);
-        // Eight neighbouring lines share one page; the ninth opens the
-        // next.
+        assert_eq!(tokens_per_region(&c), (0..16).map(|k| (k, 1)).collect());
+        // Nine neighbouring lines share one region and hold nine tokens,
+        // whatever 8-line boundary they cross.
         let mut d = MainMemory::new();
         for l in 16..25u64 {
             d.write_line(LineAddr::new(l), l);
         }
-        assert_eq!(d.page_count(), 2);
+        assert_eq!(tokens_per_region(&d), BTreeMap::from([(0, 9)]));
         assert_eq!(d.read_line(LineAddr::new(24)), 24);
         assert_eq!(d.read_line(LineAddr::new(25)), MainMemory::INITIAL);
     }
 
     #[test]
-    fn writing_initial_back_frees_the_page() {
+    fn writing_initial_back_frees_the_line() {
         let mut c = MainMemory::new();
         for l in 8..16u64 {
             c.write_line(LineAddr::new(l), l);
         }
-        assert_eq!(c.page_count(), 1);
+        assert_eq!(tokens_per_region(&c), BTreeMap::from([(0, 8)]));
         for l in 8..15u64 {
             c.write_line(LineAddr::new(l), MainMemory::INITIAL);
-            assert_eq!(c.page_count(), 1, "line 15 still holds a token");
+            let left = (15 - l) as usize;
+            assert_eq!(
+                tokens_per_region(&c),
+                BTreeMap::from([(0, left)]),
+                "line 15 still holds a token"
+            );
         }
         assert_eq!(c.write_line(LineAddr::new(15), MainMemory::INITIAL), 15);
-        assert_eq!(c.page_count(), 0);
+        assert!(c.regions.is_empty());
         assert_eq!(c.touched_lines(), 0);
         // Equality is map equality: the emptied image is the empty image.
         assert_eq!(c, MainMemory::new());
-        // Rewriting INITIAL over INITIAL in a live page keeps the page.
+        // Rewriting INITIAL over INITIAL in a live region holds nothing
+        // new.
         c.write_line(LineAddr::new(9), 4);
         c.write_line(LineAddr::new(10), MainMemory::INITIAL);
-        assert_eq!(c.page_count(), 1);
+        assert_eq!(tokens_per_region(&c), BTreeMap::from([(0, 1)]));
     }
 
     /// Named for the two page widths images once came in; with one width
@@ -423,7 +412,7 @@ mod tests {
         (image, model)
     }
 
-    /// Writes over four regions, so images share some regions and pages
+    /// Writes over four regions, so images share some regions and lines
     /// and not others; values include INITIAL.
     fn writes() -> impl Strategy<Value = Vec<(u64, u64)>> {
         proptest::collection::vec(((0u64..2048), (0u64..4)), 0..120)
@@ -442,9 +431,13 @@ mod tests {
                 let want = model.get(&line).copied().unwrap_or(MainMemory::INITIAL);
                 prop_assert_eq!(image.read_line(LineAddr::new(line)), want);
             }
-            // A page is held iff one of its lines is non-initial.
-            let pages: BTreeSet<u64> = model.keys().map(|l| l / 8).collect();
-            prop_assert_eq!(image.page_count(), pages.len());
+            // A region holds one token per non-initial line, and no
+            // region is held without one.
+            let mut regions = BTreeMap::new();
+            for l in model.keys() {
+                *regions.entry(l / 512).or_insert(0) += 1;
+            }
+            prop_assert_eq!(tokens_per_region(&image), regions.clone());
 
             // The diff is the sorted set of lines the two maps disagree on,
             // whichever side holds them.
@@ -462,7 +455,7 @@ mod tests {
             prop_assert_eq!(image == other, model == other_model);
 
             // Writing `b` over `a` and then restoring `a`'s values frees
-            // every page and region `b` alone opened: map equality again.
+            // every line and region `b` alone opened: map equality again.
             let mut restored = image.clone();
             for &(line, value) in &b {
                 restored.write_line(LineAddr::new(line), value);
@@ -472,14 +465,14 @@ mod tests {
                 restored.write_line(LineAddr::new(line), back);
             }
             prop_assert_eq!(&restored, &image);
-            prop_assert_eq!(restored.page_count(), pages.len());
+            prop_assert_eq!(tokens_per_region(&restored), regions);
 
-            // Erasing every line frees every page and region.
+            // Erasing every line frees every region.
             let mut erased = image;
             for &line in model.keys() {
                 erased.write_line(LineAddr::new(line), MainMemory::INITIAL);
             }
-            prop_assert_eq!(erased.page_count(), 0);
+            prop_assert!(erased.regions.is_empty());
             prop_assert_eq!(erased, MainMemory::new());
         }
 
@@ -506,6 +499,51 @@ mod tests {
             }
             prop_assert!(rebuilt.diff(&image).is_empty());
             prop_assert_eq!(rebuilt, image);
+        }
+
+        /// One region written densely, across all eight bitmap words,
+        /// then written back to INITIAL line by line until it is freed;
+        /// after every write the image agrees with a line map.
+        #[test]
+        fn a_dense_region_fills_and_frees(
+            fill in proptest::collection::vec(((0u64..512), (1u64..1000)), 64..200),
+            order in any::<u64>(),
+        ) {
+            let mut image = MainMemory::new();
+            let mut model = BTreeMap::new();
+            let check = |image: &MainMemory, model: &BTreeMap<u64, u64>| -> Result<(), TestCaseError> {
+                prop_assert_eq!(image.touched_lines(), model.len());
+                let mut got: Vec<_> = image.iter().map(|(l, v)| (l.raw(), v)).collect();
+                got.sort_unstable();
+                prop_assert_eq!(got, model.iter().map(|(&l, &v)| (l, v)).collect::<Vec<_>>());
+                for line in 0..512 {
+                    let want = model.get(&line).copied().unwrap_or(MainMemory::INITIAL);
+                    prop_assert_eq!(image.read_line(LineAddr::new(line)), want);
+                }
+                let lines: Vec<LineAddr> = model.keys().map(|&l| LineAddr::new(l)).collect();
+                prop_assert_eq!(image.diff(&MainMemory::new()), lines.clone());
+                prop_assert_eq!(MainMemory::new().diff(image), lines);
+                // Map equality: the same lines written in line order.
+                let (rebuilt, _) = build(&model.iter().map(|(&l, &v)| (l, v)).collect::<Vec<_>>());
+                prop_assert_eq!(&rebuilt, image);
+                Ok(())
+            };
+            // Every bitmap word holds at least one line.
+            for (&(line, value), w) in fill.iter().zip((0..HELD_WORDS as u64).cycle()) {
+                let line = w * 64 + line % 64;
+                prop_assert_eq!(image.write_line(LineAddr::new(line), value), model.insert(line, value).unwrap_or(MainMemory::INITIAL));
+                check(&image, &model)?;
+            }
+            let mut lines: Vec<u64> = model.keys().copied().collect();
+            // Erase in a scrambled order, so removals hit every slot.
+            lines.sort_unstable_by_key(|&l| (l.wrapping_mul(order | 1)).rotate_left(17));
+            for line in lines {
+                let old = model.remove(&line).unwrap();
+                prop_assert_eq!(image.write_line(LineAddr::new(line), MainMemory::INITIAL), old);
+                check(&image, &model)?;
+            }
+            prop_assert!(image.regions.is_empty());
+            prop_assert_eq!(image, MainMemory::new());
         }
     }
 }

@@ -757,7 +757,7 @@ mod tests {
         // the lines where that image and the NVM contents differ: 281 to
         // 315 at these 20 commits, under MAX_OVERLAY_LINES, while the
         // contents grow from 958 to 14,615 lines. The NVM contents hold
-        // no page without a touched line.
+        // one token per touched line, none of them INITIAL.
         const MAX_OVERLAY_LINES: usize = 400;
         let mut m = picl_on_gcc(true);
         for step in 1..=20u64 {
@@ -779,10 +779,13 @@ mod tests {
                 deltas.overlay_lines()
             );
             let nvm = m.memory().state();
+            let held: Vec<u64> = nvm.iter().map(|(_, v)| v).collect();
             assert!(
-                (1..=nvm.touched_lines()).contains(&nvm.page_count()),
-                "{} pages for {} touched lines",
-                nvm.page_count(),
+                held.len() == nvm.touched_lines()
+                    && !held.is_empty()
+                    && !held.contains(&MainMemory::INITIAL),
+                "{} tokens held for {} touched lines",
+                held.len(),
                 nvm.touched_lines()
             );
             assert!(

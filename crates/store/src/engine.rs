@@ -81,8 +81,9 @@ use picl_types::{
 };
 
 use crate::layout::{
-    decode_log_block, encode_log_block, Geometry, LogBlock, Superblock, DATA_OFFSET,
-    ENTRIES_PER_BLOCK, LOG_BLOCK_BYTES, SB_BYTES, UNDO_BUFFER_ENTRIES,
+    decode_log_block, encode_log_block, log_block_span, Geometry, LogBlock, Superblock,
+    DATA_OFFSET, ENTRIES_PER_BLOCK, LOG_BLOCK_BYTES, LOG_HEADER_BYTES, SB_BYTES,
+    UNDO_BUFFER_ENTRIES,
 };
 use crate::obs::{LockSite, StoreObs};
 use crate::persist::PersistOps;
@@ -1288,7 +1289,9 @@ pub fn plan_recovery(medium: &dyn PersistOps) -> Result<LogPlan, StoreError> {
 
 /// Collects every valid log block of the superblock's generation whose
 /// sequence number is still inside the live window, sorted by sequence:
-/// the blocks recovery rolls back over.
+/// the blocks recovery rolls back over. Each slot's header is read
+/// first; only a header of this generation, inside the window and with
+/// an entry count in range has the rest of its block read and checked.
 ///
 /// # Errors
 ///
@@ -1300,9 +1303,16 @@ pub fn scan_log(medium: &dyn PersistOps, sb: &Superblock) -> Result<Vec<LogBlock
     let mut buf = vec![0u8; LOG_BLOCK_BYTES as usize];
     for slot in 0..sb.geometry.log_blocks {
         let off = sb.geometry.log_slot_off(u64::from(slot));
-        medium.read(off, &mut buf)?;
-        let block = decode_log_block(&buf, sb.generation);
-        let Some(block) = block.filter(|b| b.seq >= sb.log_start_seq) else {
+        medium.read(off, &mut buf[..LOG_HEADER_BYTES])?;
+        let span = log_block_span(&buf, sb.generation).filter(|&(seq, _)| seq >= sb.log_start_seq);
+        let Some((_, used)) = span else {
+            continue;
+        };
+        medium.read(
+            off + LOG_HEADER_BYTES as u64,
+            &mut buf[LOG_HEADER_BYTES..used],
+        )?;
+        let Some(block) = decode_log_block(&buf, sb.generation) else {
             continue;
         };
         let lines = u64::from(sb.geometry.lines);
@@ -1508,6 +1518,97 @@ mod tests {
             assert_eq!(engine.read_line(line).unwrap()[..], want[at..at + LINE]);
         }
         assert_eq!(engine.read_line(0).unwrap(), line_of(1), "epoch 2 undone");
+    }
+
+    /// A medium that counts the bytes read from it.
+    struct ReadCounter {
+        inner: CountingMedium,
+        read: std::sync::atomic::AtomicU64,
+    }
+
+    impl PersistOps for ReadCounter {
+        fn persist(&self, offset: u64, data: &[u8]) -> std::io::Result<()> {
+            self.inner.persist(offset, data)
+        }
+        fn fence(&self) -> std::io::Result<()> {
+            self.inner.fence()
+        }
+        fn read(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
+            self.read
+                .fetch_add(buf.len() as u64, std::sync::atomic::Ordering::Relaxed);
+            self.inner.read(offset, buf)
+        }
+        fn len(&self) -> u64 {
+            self.inner.len()
+        }
+        fn stats(&self) -> PersistStats {
+            self.inner.stats()
+        }
+    }
+
+    #[test]
+    fn a_reopen_reads_log_headers_and_only_live_spans() {
+        let cfg = small_cfg();
+        let medium = medium_for(&cfg);
+        {
+            let (engine, _) =
+                Engine::open(Arc::clone(&medium) as _, cfg.clone(), Telemetry::off()).unwrap();
+            // Epochs 1 and 2 persist, so epoch 1's block falls behind
+            // the window; epoch 2's block stays in it, and uncommitted
+            // epoch 3 forces three more.
+            let drain = || {
+                let mut st = engine.lock();
+                engine.shared.drain(&mut st, true).unwrap();
+            };
+            for e in 1..=2u8 {
+                for line in 0..8 {
+                    engine.write_line(line, &line_of(e)).unwrap();
+                }
+                drain();
+                engine.commit_epoch().unwrap();
+                engine.drain_persister().unwrap();
+            }
+            for line in 0..6 {
+                engine.write_line(line, &line_of(3)).unwrap();
+                if line % 2 == 1 {
+                    drain();
+                }
+            }
+            engine.shared.medium.fence().unwrap();
+        }
+        let image = medium.surviving_image();
+        let sb = Superblock::decode(&image[..SB_BYTES as usize]).unwrap();
+        // A block of this generation behind the window: its header is
+        // read, its entries are not.
+        let behind = (0..u64::from(cfg.log_blocks))
+            .filter_map(|slot| {
+                log_block_span(
+                    &image[sb.geometry.log_slot_off(slot) as usize..],
+                    sb.generation,
+                )
+            })
+            .filter(|&(seq, _)| seq < sb.log_start_seq)
+            .count();
+        assert_eq!(behind, 1);
+        let counter = Arc::new(ReadCounter {
+            inner: CountingMedium::from_image(image),
+            read: Default::default(),
+        });
+        let blocks = scan_log(counter.as_ref(), &sb).unwrap();
+        assert_eq!(blocks.len(), 4);
+        let spans: u64 = blocks
+            .iter()
+            .map(|b| (b.entries.len() * crate::layout::ENTRY_BYTES) as u64)
+            .sum();
+        let headers = u64::from(cfg.log_blocks) * LOG_HEADER_BYTES as u64;
+        let read = |c: &ReadCounter| c.read.swap(0, std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(read(&counter), headers + spans);
+        // A reopen adds the superblock and the data region, nothing more.
+        let (_engine, report) =
+            Engine::open(Arc::clone(&counter) as _, cfg.clone(), Telemetry::off()).unwrap();
+        assert!(report.recovered);
+        let data = u64::from(cfg.lines) * LINE as u64;
+        assert_eq!(read(&counter), SB_BYTES + data + headers + spans);
     }
 
     #[test]

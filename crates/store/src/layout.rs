@@ -249,6 +249,21 @@ pub fn encode_log_block(generation: u64, seq: u64, entries: &[UndoEntry]) -> Vec
     buf
 }
 
+/// Reads a log slot's [`LOG_HEADER_BYTES`]-byte header: the block's
+/// sequence number and the bytes it spans (header and entries) if the
+/// magic matches, the generation is `generation` and the entry count is
+/// in range; `None` otherwise. The checksum is not checked: a header
+/// that passes may still start a torn block.
+pub fn log_block_span(header: &[u8], generation: u64) -> Option<(u64, usize)> {
+    if get_u64(header, 0) != LOG_MAGIC || get_u64(header, 8) != generation {
+        return None;
+    }
+    let count = get_u32(header, 24) as usize;
+    (1..=ENTRIES_PER_BLOCK)
+        .contains(&count)
+        .then(|| (get_u64(header, 16), LOG_HEADER_BYTES + count * ENTRY_BYTES))
+}
+
 /// Parses one log slot. Returns `None` for anything that is not a valid
 /// block of generation `generation` (wrong magic, wrong generation, torn
 /// contents): absent and torn are deliberately indistinguishable. The
@@ -256,20 +271,14 @@ pub fn encode_log_block(generation: u64, seq: u64, entries: &[UndoEntry]) -> Vec
 /// sense for the store (line out of range, empty validity range) is for
 /// the caller to reject.
 pub fn decode_log_block(buf: &[u8], generation: u64) -> Option<LogBlock> {
-    if buf.len() < LOG_BLOCK_BYTES as usize || get_u64(buf, 0) != LOG_MAGIC {
+    if buf.len() < LOG_BLOCK_BYTES as usize {
         return None;
     }
-    if get_u64(buf, 8) != generation {
-        return None;
-    }
-    let count = get_u32(buf, 24) as usize;
-    if count == 0 || count > ENTRIES_PER_BLOCK {
-        return None;
-    }
-    let used = LOG_HEADER_BYTES + count * ENTRY_BYTES;
+    let (_, used) = log_block_span(buf, generation)?;
     if get_u64(buf, 40) != log_block_sum(buf, used) {
         return None;
     }
+    let count = (used - LOG_HEADER_BYTES) / ENTRY_BYTES;
     let mut entries = Vec::with_capacity(count);
     for i in 0..count {
         let at = LOG_HEADER_BYTES + i * ENTRY_BYTES;

@@ -18,6 +18,13 @@
 use crate::addr::LINE_BYTES;
 use crate::time::{ClockDomain, Cycle, Picoseconds};
 
+/// Most ways a cache level can have: the simulator ranks a set's ways by
+/// recency in the 16 nibbles of one `u64`.
+pub const MAX_WAYS: usize = 16;
+
+/// Why a cache level with more than [`MAX_WAYS`] ways is rejected.
+pub const TOO_MANY_WAYS: &str = "ways must be at most 16, the ways a set's recency order holds";
+
 /// Geometry and latency of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -54,10 +61,14 @@ impl CacheConfig {
     /// # Errors
     ///
     /// Returns [`ConfigError`] if the size is not an exact multiple of
-    /// `ways × 64 B` or the set count is not a power of two.
+    /// `ways × 64 B`, the set count is not a power of two, or the ways
+    /// exceed [`MAX_WAYS`].
     pub fn validate(&self, what: &'static str) -> Result<(), ConfigError> {
         if self.ways == 0 || self.size_bytes == 0 {
             return Err(ConfigError::new(what, "size and ways must be nonzero"));
+        }
+        if self.ways > MAX_WAYS {
+            return Err(ConfigError::new(what, TOO_MANY_WAYS));
         }
         if !self
             .size_bytes
@@ -446,6 +457,22 @@ mod tests {
         assert_eq!(cfg.validate().unwrap_err().component(), "l1");
         cfg.l1 = CacheConfig::new(0, 4, Cycle(1));
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn ways_beyond_the_recency_order_rejected() {
+        // 64 sets of 64 B lines at any width: only the way count varies.
+        let level = |ways: usize| CacheConfig::new(64 * 64 * ways as u64, ways, Cycle(1));
+        let mut cfg = SystemConfig::paper_single_core();
+        cfg.l2 = level(16);
+        cfg.validate().unwrap();
+        cfg.l2 = level(17);
+        let err = cfg.validate().unwrap_err();
+        assert_eq!(err.component(), "l2");
+        assert!(err.to_string().contains(TOO_MANY_WAYS), "{err}");
+        let mut cfg = SystemConfig::paper_single_core();
+        cfg.llc_per_core = level(17);
+        assert_eq!(cfg.validate().unwrap_err().component(), "llc");
     }
 
     #[test]

@@ -29,7 +29,7 @@ use picl_types::EpochTracker;
 pub const REDO_REGION_BASE_LINE: u64 = 1 << 41;
 
 /// A translation-table entry: the redo-buffer copy of one line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct RedoSlot {
     value: u64,
 }

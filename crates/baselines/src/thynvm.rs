@@ -27,7 +27,7 @@ use picl_types::EpochTracker;
 pub const THYNVM_REGION_BASE_LINE: u64 = 1 << 43;
 
 /// A block-granularity redo entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct BlockEntry {
     value: u64,
     epoch: EpochId,

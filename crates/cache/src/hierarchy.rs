@@ -9,11 +9,11 @@
 //! coherence; a second core's access recalls it, and an LLC eviction
 //! back-invalidates it).
 //!
-//! All three levels are [`PackedLineCache`] tables: per-line state packs
-//! into one metadata `u64` (dirty bit, PiCL's optional EID tag, and — for
-//! LLC directory slots — the owner core; see [`crate::packed`] for the bit
-//! layout), so the hot access path is a handful of contiguous word loads
-//! instead of struct walks.
+//! All three levels are [`SetAssocCache<Line>`] tables: per-line state
+//! packs into one metadata `u64` (dirty bit, PiCL's optional EID tag, and
+//! — for LLC directory slots — the owner core; see [`crate::line`] for the
+//! bit layout), so the hot access path is a handful of contiguous word
+//! loads instead of struct walks.
 //!
 //! Consistency-scheme hooks fire exactly where the paper's Figs. 7 and 8
 //! put them: on every store (with pre-store metadata, wherever the line is
@@ -50,9 +50,9 @@ use picl_telemetry::{EventKind, Telemetry};
 use picl_types::hash::FastMap;
 use picl_types::{config::SystemConfig, stats::Counter, CoreId, Cycle, EpochId, LineAddr};
 
-use crate::line::{CacheLineMeta, FlushLine};
-use crate::packed::{decode_line, PackedInsertion, PackedLineCache, DIRTY, FIELD, OWNED, TAGGED};
+use crate::line::{decode_line, CacheLineMeta, FlushLine, Line, DIRTY, FIELD, OWNED, TAGGED};
 use crate::scheme::{ConsistencyScheme, EvictRoute, EvictionEvent, StoreEvent};
+use crate::set_assoc::{Insertion, SetAssocCache};
 
 /// Which level serviced an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -126,9 +126,9 @@ pub struct DrainWork {
 /// The three-level hierarchy shared by all cores.
 #[derive(Debug)]
 pub struct Hierarchy {
-    l1: Vec<PackedLineCache>,
-    l2: Vec<PackedLineCache>,
-    llc: PackedLineCache,
+    l1: Vec<SetAssocCache<Line>>,
+    l2: Vec<SetAssocCache<Line>>,
+    llc: SetAssocCache<Line>,
     l1_lat: Cycle,
     l2_lat: Cycle,
     llc_lat: Cycle,
@@ -167,12 +167,12 @@ impl Hierarchy {
         let llc_cfg = cfg.llc_total();
         Hierarchy {
             l1: (0..cfg.cores)
-                .map(|_| PackedLineCache::new(cfg.l1.sets(), cfg.l1.ways))
+                .map(|_| SetAssocCache::new(cfg.l1.sets(), cfg.l1.ways))
                 .collect(),
             l2: (0..cfg.cores)
-                .map(|_| PackedLineCache::new(cfg.l2.sets(), cfg.l2.ways))
+                .map(|_| SetAssocCache::new(cfg.l2.sets(), cfg.l2.ways))
                 .collect(),
-            llc: PackedLineCache::new(llc_cfg.sets(), llc_cfg.ways),
+            llc: SetAssocCache::new(llc_cfg.sets(), llc_cfg.ways),
             l1_lat: cfg.l1.latency,
             l2_lat: cfg.l2.latency,
             llc_lat: cfg.llc_per_core.latency,
@@ -243,11 +243,9 @@ impl Hierarchy {
             self.stats.l1_hits.incr();
             self.l1[c].touch(slot);
             if let AccessType::Store { new_value } = access {
-                let word = self.l1[c].word(slot);
-                let value = self.l1[c].value(slot);
-                let (word, value) =
-                    self.apply_store(addr, word, value, new_value, scheme, mem, now);
-                self.l1[c].set_slot(slot, word, value);
+                let line = *self.l1[c].at(slot);
+                *self.l1[c].at_mut(slot) =
+                    self.apply_store(addr, line, new_value, scheme, mem, now);
             }
             return AccessResult {
                 data_ready: now + self.l1_lat,
@@ -256,30 +254,27 @@ impl Hierarchy {
         }
 
         // L2 hit: move the line up (exclusive L1/L2).
-        let (word, value, level, data_ready) = if let Some(slot) = self.l2[c].probe(addr) {
+        let (line, level, data_ready) = if let Some(slot) = self.l2[c].probe(addr) {
             self.stats.l2_hits.incr();
-            let (word, value) = self.l2[c].take_at(slot);
-            (word, value, HitLevel::L2, now + self.l2_lat)
+            (self.l2[c].take_at(slot), HitLevel::L2, now + self.l2_lat)
         } else if let Some(slot) = self.llc.probe(addr) {
             self.stats.llc_hits.incr();
             self.llc.touch(slot);
-            let lword = self.llc.word(slot);
-            if lword & OWNED != 0 {
-                let owner = (lword & FIELD) as usize;
+            let lline = *self.llc.at(slot);
+            let line = if lline.word & OWNED != 0 {
+                let owner = (lline.word & FIELD) as usize;
                 assert!(
                     owner != c,
                     "line owned by {core} but missing from its private caches"
                 );
                 // Another core holds it: recall through the LLC.
                 self.stats.recalls.incr();
-                let (word, value) = self.recall_private(owner, addr);
-                self.llc.set_word(slot, owned_word(c));
-                (word, value, HitLevel::Llc, now + self.llc_lat)
+                self.recall_private(owner, addr)
             } else {
-                let value = self.llc.value(slot);
-                self.llc.set_word(slot, owned_word(c));
-                (lword, value, HitLevel::Llc, now + self.llc_lat)
-            }
+                lline
+            };
+            self.llc.at_mut(slot).word = owned_word(c);
+            (line, HitLevel::Llc, now + self.llc_lat)
         } else {
             // Miss: fetch from the scheme (redo forwarding) or NVM.
             self.stats.memory_accesses.incr();
@@ -287,44 +282,41 @@ impl Hierarchy {
                 Some(hit) => hit,
                 None => mem.read(now, addr, AccessClass::DemandRead),
             };
-            if let PackedInsertion::Evicted {
-                addr: vaddr,
-                word: vword,
-                value: vvalue,
-            } = self.llc.insert(addr, owned_word(c), 0)
-            {
-                self.dispose_llc_victim(vaddr, vword, vvalue, scheme, mem, now);
+            let directory = Line {
+                word: owned_word(c),
+                value: 0,
+            };
+            if let Insertion::Evicted(vaddr, vline) = self.llc.insert(addr, directory) {
+                self.dispose_llc_victim(vaddr, vline, scheme, mem, now);
             }
             // A line filled from memory is clean and untagged: word 0.
-            (0, value, HitLevel::Memory, ready)
+            (Line { word: 0, value }, HitLevel::Memory, ready)
         };
 
-        let (word, value) = match access {
+        let line = match access {
             AccessType::Store { new_value } => {
-                self.apply_store(addr, word, value, new_value, scheme, mem, now)
+                self.apply_store(addr, line, new_value, scheme, mem, now)
             }
-            AccessType::Load => (word, value),
+            AccessType::Load => line,
         };
-        self.fill_l1(c, addr, word, value);
+        self.fill_l1(c, addr, line);
 
         AccessResult { data_ready, level }
     }
 
     /// Applies a store to a line's packed state, firing the scheme hook
     /// with the pre-store metadata (Figs. 7/8 transitions) and keeping the
-    /// epoch index coherent. Returns the post-store `(word, value)`.
+    /// epoch index coherent. Returns the post-store line.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
     fn apply_store(
         &mut self,
         addr: LineAddr,
-        word: u64,
-        value: u64,
+        Line { word, value }: Line,
         new_value: u64,
         scheme: &mut dyn ConsistencyScheme,
         mem: &mut Nvm,
         now: Cycle,
-    ) -> (u64, u64) {
+    ) -> Line {
         let was_dirty = word & DIRTY != 0;
         let was_tagged = word & TAGGED != 0;
         let ev = StoreEvent {
@@ -367,7 +359,10 @@ impl Hierarchy {
                 self.push_untagged(addr);
             }
         }
-        (new_word, new_value)
+        Line {
+            word: new_word,
+            value: new_value,
+        }
     }
 
     /// Appends an untagged dirty candidate, compacting the bucket when
@@ -389,19 +384,9 @@ impl Hierarchy {
 
     /// Installs a line into `core`'s L1, rippling victims down: L1 victim →
     /// L2; L2 victim → its (guaranteed-present) LLC slot.
-    fn fill_l1(&mut self, c: usize, addr: LineAddr, word: u64, value: u64) {
-        if let PackedInsertion::Evicted {
-            addr: v1_addr,
-            word: v1_word,
-            value: v1_value,
-        } = self.l1[c].insert(addr, word, value)
-        {
-            if let PackedInsertion::Evicted {
-                addr: v2_addr,
-                word: v2_word,
-                value: v2_value,
-            } = self.l2[c].insert(v1_addr, v1_word, v1_value)
-            {
+    fn fill_l1(&mut self, c: usize, addr: LineAddr, line: Line) {
+        if let Insertion::Evicted(v1_addr, v1_line) = self.l1[c].insert(addr, line) {
+            if let Insertion::Evicted(v2_addr, v2_line) = self.l2[c].insert(v1_addr, v1_line) {
                 // The L2 victim leaves the private caches: deposit its data
                 // into its LLC directory slot. The slot must exist and be a
                 // directory pointer — LLC evictions back-invalidate first.
@@ -410,17 +395,17 @@ impl Hierarchy {
                     .probe(v2_addr)
                     .unwrap_or_else(|| panic!("private line {v2_addr} lost its LLC slot"));
                 debug_assert!(
-                    self.llc.word(slot) & OWNED != 0,
+                    self.llc.at(slot).word & OWNED != 0,
                     "private line {v2_addr} already present in LLC"
                 );
-                self.llc.set_slot(slot, v2_word, v2_value);
+                *self.llc.at_mut(slot) = v2_line;
             }
         }
     }
 
     /// Removes a line from `owner`'s private caches, returning its
     /// authoritative packed state.
-    fn recall_private(&mut self, owner: usize, addr: LineAddr) -> (u64, u64) {
+    fn recall_private(&mut self, owner: usize, addr: LineAddr) -> Line {
         if let Some(slot) = self.l1[owner].probe(addr) {
             self.l1[owner].take_at(slot)
         } else if let Some(slot) = self.l2[owner].probe(addr) {
@@ -435,17 +420,16 @@ impl Hierarchy {
     fn dispose_llc_victim(
         &mut self,
         addr: LineAddr,
-        word: u64,
-        value: u64,
+        line: Line,
         scheme: &mut dyn ConsistencyScheme,
         mem: &mut Nvm,
         now: Cycle,
     ) {
-        let (word, value) = if word & OWNED != 0 {
+        let Line { word, value } = if line.word & OWNED != 0 {
             self.stats.back_invalidations.incr();
-            self.recall_private((word & FIELD) as usize, addr)
+            self.recall_private((line.word & FIELD) as usize, addr)
         } else {
-            (word, value)
+            line
         };
         if word & DIRTY != 0 {
             // The line leaves the hierarchy; its bucket candidate goes
@@ -541,7 +525,7 @@ impl Hierarchy {
             let Some(lslot) = self.llc.probe(addr) else {
                 continue;
             };
-            let lword = self.llc.word(lslot);
+            let lword = self.llc.at(lslot).word;
             let grabbed = if lword & OWNED != 0 {
                 let o = (lword & FIELD) as usize;
                 let (in_l1, slot) = match self.l1[o].probe(addr) {
@@ -558,21 +542,9 @@ impl Hierarchy {
                 } else {
                     &mut self.l2[o]
                 };
-                match grab_word(table.word(slot), table.value(slot), addr, filter, out) {
-                    Some((cleared, was_tagged)) => {
-                        table.set_word(slot, cleared);
-                        Some(was_tagged)
-                    }
-                    None => None,
-                }
+                grab_line(table.at_mut(slot), addr, filter, out)
             } else {
-                match grab_word(lword, self.llc.value(lslot), addr, filter, out) {
-                    Some((cleared, was_tagged)) => {
-                        self.llc.set_word(lslot, cleared);
-                        Some(was_tagged)
-                    }
-                    None => None,
-                }
+                grab_line(self.llc.at_mut(lslot), addr, filter, out)
             };
             if let Some(was_tagged) = grabbed {
                 self.dirty_total -= 1;
@@ -594,12 +566,12 @@ impl Hierarchy {
         let mut tagged = 0usize;
         let mut examined = 0u64;
         {
-            let mut grab = |addr: LineAddr, word: &mut u64, value: &mut u64| {
+            let mut grab = |(addr, line): (LineAddr, &mut Line)| {
                 examined += 1;
-                if *word & OWNED != 0 {
+                if line.word & OWNED != 0 {
                     return;
                 }
-                let meta = decode_line(*word, *value);
+                let meta = decode_line(*line);
                 if pred(&meta) {
                     out.push(FlushLine {
                         addr,
@@ -610,13 +582,13 @@ impl Hierarchy {
                     if meta.eid.is_some() {
                         tagged += 1;
                     }
-                    *word &= !(DIRTY | TAGGED | FIELD);
+                    line.word &= !(DIRTY | TAGGED | FIELD);
                 }
             };
             for cache in self.l1.iter_mut().chain(self.l2.iter_mut()) {
-                cache.for_each_mut(&mut grab);
+                cache.iter_mut().for_each(&mut grab);
             }
-            self.llc.for_each_mut(&mut grab);
+            self.llc.iter_mut().for_each(&mut grab);
         }
         self.dirty_total -= grabbed;
         self.dirty_tagged -= tagged;
@@ -637,11 +609,11 @@ impl Hierarchy {
     fn scan_matching(&self, pred: impl Fn(&CacheLineMeta) -> bool) -> Vec<FlushLine> {
         let mut out = Vec::new();
         {
-            let mut scan = |(addr, word, value): (LineAddr, u64, u64)| {
-                if word & OWNED != 0 {
+            let mut scan = |(addr, &line): (LineAddr, &Line)| {
+                if line.word & OWNED != 0 {
                     return;
                 }
-                let meta = decode_line(word, value);
+                let meta = decode_line(line);
                 if pred(&meta) {
                     out.push(FlushLine {
                         addr,
@@ -687,7 +659,7 @@ impl Hierarchy {
             .chain(std::iter::once(&self.llc))
             .map(|c| {
                 c.iter()
-                    .filter(|&(_, w, v)| w & OWNED == 0 && pred(&decode_line(w, v)))
+                    .filter(|&(_, &line)| line.word & OWNED == 0 && pred(&decode_line(line)))
                     .count()
             })
             .sum()
@@ -696,17 +668,16 @@ impl Hierarchy {
     /// Authoritative metadata of `addr` if resident anywhere, located in
     /// O(1) through the inclusive LLC directory.
     fn locate(&self, addr: LineAddr) -> Option<CacheLineMeta> {
-        let slot = self.llc.probe(addr)?;
-        let word = self.llc.word(slot);
-        if word & OWNED != 0 {
-            let o = (word & FIELD) as usize;
+        let line = *self.llc.at(self.llc.probe(addr)?);
+        if line.word & OWNED != 0 {
+            let o = (line.word & FIELD) as usize;
             let (table, slot) = match self.l1[o].probe(addr) {
                 Some(s) => (&self.l1[o], s),
                 None => (&self.l2[o], self.l2[o].probe(addr)?),
             };
-            Some(decode_line(table.word(slot), table.value(slot)))
+            Some(decode_line(*table.at(slot)))
         } else {
-            Some(decode_line(word, self.llc.value(slot)))
+            Some(decode_line(line))
         }
     }
 
@@ -733,17 +704,17 @@ impl Hierarchy {
     }
 }
 
-/// Takes a line's packed state if it is dirty (and tagged `filter`, when
-/// given): pushes the flush record and returns the cleaned word plus
-/// whether the grabbed line carried a tag. `None` if it did not match.
+/// Takes a line if it is dirty (and tagged `filter`, when given): pushes
+/// the flush record, marks the line clean and untagged in place, and
+/// returns whether it carried a tag. `None` if it did not match.
 #[inline]
-fn grab_word(
-    word: u64,
-    value: u64,
+fn grab_line(
+    line: &mut Line,
     addr: LineAddr,
     filter: Option<EpochId>,
     out: &mut Vec<FlushLine>,
-) -> Option<(u64, bool)> {
+) -> Option<bool> {
+    let word = line.word;
     if word & DIRTY == 0 {
         return None;
     }
@@ -754,8 +725,13 @@ fn grab_word(
             return None;
         }
     }
-    out.push(FlushLine { addr, value, eid });
-    Some((word & !(DIRTY | TAGGED | FIELD), tagged))
+    out.push(FlushLine {
+        addr,
+        value: line.value,
+        eid,
+    });
+    line.word = word & !(DIRTY | TAGGED | FIELD);
+    Some(tagged)
 }
 
 #[cfg(test)]

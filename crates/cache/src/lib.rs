@@ -5,12 +5,12 @@
 //! additions live in the metadata each line carries: a dirty bit and an
 //! optional epoch-ID tag (§IV-A, Fig. 5b).
 //!
-//! * [`mod@line`] — cache-line metadata, including the EID tag.
-//! * [`packed`] — the struct-of-arrays line table the hierarchy runs on:
-//!   per-line state bitfield-packed into parallel flat `u64` arrays.
-//! * [`set_assoc`] — the generic set-associative LRU cache array, retained
-//!   as the baselines' translation tables and as the reference structure
-//!   the packed table is property-tested against.
+//! * [`mod@line`] — cache-line metadata, including the EID tag, and the
+//!   [`Line`] word it packs into in the hierarchy's tables.
+//! * [`set_assoc`] — the one set-associative LRU table: flat tag and
+//!   payload arrays with a per-set occupancy bitmap and recency order.
+//!   The hierarchy's L1, L2 and LLC are `SetAssocCache<Line>`; the redo
+//!   baselines' translation tables hold their mapping entries in it.
 //! * [`hierarchy`] — the multicore L1/L2/LLC composition with an
 //!   MESI-lite single-owner coherence model and inclusive back-
 //!   invalidation; produces the store/eviction events consistency schemes
@@ -30,13 +30,11 @@
 
 pub mod hierarchy;
 pub mod line;
-pub mod packed;
 pub mod scheme;
 pub mod set_assoc;
 
 pub use hierarchy::{AccessResult, DrainWork, Hierarchy, HierarchyStats, HitLevel};
-pub use line::{CacheLineMeta, FlushLine};
-pub use packed::{PackedInsertion, PackedLineCache};
+pub use line::{CacheLineMeta, FlushLine, Line};
 pub use scheme::{
     BoundaryOutcome, ConsistencyScheme, EvictRoute, EvictionEvent, RecoveryOutcome, SchemeStats,
     StoreDirective, StoreEvent,

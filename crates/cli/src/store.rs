@@ -91,7 +91,6 @@ pub(crate) fn engine_config(
         log_blocks,
         window,
         persist_stall_ms: args.count_or("persist-stall-ms", 0)?,
-        sabotage_skip_drain: false,
     };
     cfg.validate()
         .map_err(|e| ArgError(format!("store geometry: {e}")))?;

@@ -124,14 +124,22 @@ enum Attempt<R> {
     Escalate,
 }
 
+/// How many contiguous line ranges the table is partitioned into for the
+/// key-shard mutation locks ([`ServeKv::shard_of_line`]). The engine's
+/// image takes no locks; sixteen keeps writer collisions rare at the
+/// session counts a single store serves.
+const KEY_SHARDS: usize = 16;
+
 /// The concurrent serving front-end over one PiCL engine.
 pub struct ServeKv {
     engine: Engine,
     mutations_per_epoch: u64,
-    /// Key-shard mutation locks, one per engine image shard. A mutation
-    /// holds the shard of its key's home line; cross-shard claims
-    /// escalate to all locks in index order.
+    /// Key-shard mutation locks, one per contiguous line range of the
+    /// table. A mutation holds the shard of its key's home line;
+    /// cross-shard claims escalate to all locks in index order.
     shards: Vec<Mutex<()>>,
+    /// Lines per key-shard range (the last range may be shorter).
+    lines_per_shard: usize,
     /// Striped mutation counters, one per shard (contention-free stats;
     /// summed they equal total mutations executed).
     shard_mutations: Vec<AtomicU64>,
@@ -196,13 +204,15 @@ impl ServeKv {
             return Err(StoreError::Config("need at least one session".into()));
         }
         let (engine, report) = Engine::open(medium, cfg, telemetry)?;
-        let shard_count = engine.image_shard_count();
+        let lines = engine.geometry().lines as usize;
+        let shard_count = KEY_SHARDS.min(lines);
         let (_, committed, _) = engine.frontiers();
         Ok((
             ServeKv {
                 engine,
                 mutations_per_epoch,
                 shards: (0..shard_count).map(|_| Mutex::new(())).collect(),
+                lines_per_shard: lines.div_ceil(KEY_SHARDS),
                 shard_mutations: (0..shard_count).map(|_| AtomicU64::new(0)).collect(),
                 mutations: AtomicU64::new(0),
                 preload_mutations: AtomicU64::new(0),
@@ -278,9 +288,28 @@ impl ServeKv {
         self.session_ops[session].fetch_add(1, Ordering::Release);
     }
 
+    /// Which key shard owns `line`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line` is out of range.
+    pub fn shard_of_line(&self, line: u32) -> usize {
+        assert!(line < self.engine.geometry().lines, "line out of range");
+        line as usize / self.lines_per_shard
+    }
+
+    /// The `[start, end)` line range owned by `shard` (empty for the
+    /// trailing shards of a table smaller than the shard count).
+    fn shard_span(&self, shard: usize) -> (u32, u32) {
+        let lines = self.engine.geometry().lines as usize;
+        let per = self.lines_per_shard;
+        let start = (shard * per).min(lines);
+        let end = ((shard + 1) * per).min(lines);
+        (start as u32, end as u32)
+    }
+
     fn shard_of(&self, key: &[u8]) -> usize {
-        self.engine
-            .image_shard_of_line(slots::home_line(self.engine.geometry().lines, key))
+        self.shard_of_line(slots::home_line(self.engine.geometry().lines, key))
     }
 
     fn lock_shard(&self, shard: usize) -> MutexGuard<'_, ()> {
@@ -393,7 +422,7 @@ impl ServeKv {
             if let (Some(o), Some(w), Some(h)) = (obs, waited, held) {
                 o.shard_lock_wait_ns.record(o.clock.ns_between(w, h));
             }
-            match op(&self.engine, Some(self.engine.image_shard_span(shard)))? {
+            match op(&self.engine, Some(self.shard_span(shard)))? {
                 Attempt::Done(out) => {
                     // Count while still holding the lock: a completed
                     // op's mutation is always included in any commit
@@ -758,6 +787,24 @@ mod tests {
         )
         .unwrap();
         (kv, medium)
+    }
+
+    #[test]
+    fn shard_spans_tile_the_table() {
+        let (kv, _) = open_serve(1, 4);
+        let lines = kv.engine().geometry().lines;
+        let mut next = 0u32;
+        for shard in 0..kv.shard_count() {
+            let (start, end) = kv.shard_span(shard);
+            assert_eq!(start, next, "spans must tile contiguously");
+            assert!(end >= start);
+            for line in start..end {
+                assert_eq!(kv.shard_of_line(line), shard);
+            }
+            next = end;
+        }
+        assert_eq!(next, lines, "spans must cover every line");
+        kv.close().unwrap();
     }
 
     #[test]

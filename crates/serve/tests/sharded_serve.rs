@@ -146,7 +146,7 @@ fn hot_shard_hammer_stays_consistent() {
         let mut n = 0u64;
         while keys.len() < 6 {
             let k = format!("w{sid}-{n:04}").into_bytes();
-            if kv.engine().image_shard_of_line(slots::home_line(lines, &k)) == hot_shard {
+            if kv.shard_of_line(slots::home_line(lines, &k)) == hot_shard {
                 keys.push(k);
             }
             n += 1;

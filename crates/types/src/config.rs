@@ -18,11 +18,11 @@
 use crate::addr::LINE_BYTES;
 use crate::time::{ClockDomain, Cycle, Picoseconds};
 
-/// Most ways a cache level can have: the simulator ranks a set's ways by
-/// recency in the 16 nibbles of one `u64`.
+/// Most ways a cache level or translation table can have: the simulator
+/// ranks a set's ways by recency in the 16 nibbles of one `u64`.
 pub const MAX_WAYS: usize = 16;
 
-/// Why a cache level with more than [`MAX_WAYS`] ways is rejected.
+/// Why a cache level or table with more than [`MAX_WAYS`] ways is rejected.
 pub const TOO_MANY_WAYS: &str = "ways must be at most 16, the ways a set's recency order holds";
 
 /// Geometry and latency of one cache level.
@@ -254,6 +254,12 @@ impl EpochConfig {
     }
 }
 
+/// Why a ThyNVM block table that fills no whole set is rejected.
+pub const THYNVM_BLOCKS_NOT_SETS: &str = "thynvm block entries must be a nonzero multiple of ways";
+
+/// Why a ThyNVM page table that fills no whole set is rejected.
+pub const THYNVM_PAGES_NOT_SETS: &str = "thynvm page entries must be a nonzero multiple of ways";
+
 /// Translation-table geometry for the redo-based baselines (§VI-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TableConfig {
@@ -282,19 +288,24 @@ impl TableConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if entries do not divide evenly into ways.
+    /// Returns [`ConfigError`] if the ways exceed [`MAX_WAYS`], or if any
+    /// of the three tables' entries is zero or does not divide evenly
+    /// into ways.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.ways == 0 || self.entries == 0 {
-            return Err(ConfigError::new(
-                "table",
-                "entries and ways must be nonzero",
-            ));
+        if self.ways == 0 {
+            return Err(ConfigError::new("table", "ways must be nonzero"));
         }
-        if !self.entries.is_multiple_of(self.ways) {
-            return Err(ConfigError::new(
-                "table",
-                "entries must divide evenly into ways",
-            ));
+        if self.ways > MAX_WAYS {
+            return Err(ConfigError::new("table", TOO_MANY_WAYS));
+        }
+        for (entries, reason) in [
+            (self.entries, "entries must be a nonzero multiple of ways"),
+            (self.thynvm_block_entries, THYNVM_BLOCKS_NOT_SETS),
+            (self.thynvm_page_entries, THYNVM_PAGES_NOT_SETS),
+        ] {
+            if entries == 0 || !entries.is_multiple_of(self.ways) {
+                return Err(ConfigError::new("table", reason));
+            }
         }
         Ok(())
     }
@@ -500,5 +511,39 @@ mod tests {
         let mut cfg = SystemConfig::paper_single_core();
         cfg.table.ways = 5;
         assert_eq!(cfg.validate().unwrap_err().component(), "table");
+    }
+
+    #[test]
+    fn table_ways_beyond_the_recency_order_rejected() {
+        let mut table = TableConfig::paper_default();
+        table.validate().unwrap();
+        table.ways = 17;
+        table.entries = 17 * 384;
+        let err = table.validate().unwrap_err();
+        assert_eq!(err.component(), "table");
+        assert!(err.to_string().contains(TOO_MANY_WAYS), "{err}");
+    }
+
+    #[test]
+    fn thynvm_tables_must_fill_whole_sets() {
+        for (reason, set) in [
+            (
+                THYNVM_BLOCKS_NOT_SETS,
+                (|t, n| t.thynvm_block_entries = n) as fn(&mut TableConfig, usize),
+            ),
+            (THYNVM_PAGES_NOT_SETS, |t, n| t.thynvm_page_entries = n),
+        ] {
+            // Fewer entries than ways (no whole set), none, a remainder.
+            for entries in [8, 0, 2056] {
+                let mut table = TableConfig::paper_default();
+                set(&mut table, entries);
+                let err = table.validate().unwrap_err();
+                assert_eq!(err.component(), "table");
+                assert!(err.to_string().contains(reason), "{entries}: {err}");
+            }
+            let mut table = TableConfig::paper_default();
+            set(&mut table, 16);
+            table.validate().unwrap();
+        }
     }
 }
